@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError
 from .laurent import LaurentPolynomial
-from .weyl import WalkSum, letter_key, multiply_walk_sums, zero_key
+from .weyl import WalkSum, kernel_product, letter_key, zero_key
 
 
 @dataclass
@@ -74,7 +74,7 @@ def _matmul(a: BurauMatrix, b: BurauMatrix, signs: tuple[int, ...]) -> BurauMatr
                 left = a.entries[u][w]
                 right = b.entries[w][v]
                 if left and right:
-                    acc = acc.merged_with(multiply_walk_sums(left, right, signs))
+                    acc = acc.merged_with(kernel_product(left, right, signs))
             row.append(acc)
         out.append(row)
     return BurauMatrix(m, out)
@@ -108,7 +108,6 @@ def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None
     n = matrix.dimension
     ent = matrix.entries
     result = WalkSum.zero()
-    prune = prune_n is not None
     limit = prune_n or 0
 
     def expand(col: int, used: int, inv: int, partial: WalkSum) -> None:
@@ -128,7 +127,7 @@ def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None
                 continue
             # rows already chosen that are greater than this one each add an inversion
             added = sum(1 for r in range(row + 1, n) if used & (1 << r))
-            expand(col + 1, used | bit, inv + added, multiply_walk_sums(partial, entry, signs, limit, prune))
+            expand(col + 1, used | bit, inv + added, kernel_product(partial, entry, signs, limit))
 
     k = len(signs)
     expand(0, 0, 0, _one(k))

@@ -78,7 +78,10 @@ def colored_jones(
     chosen, mirror_used = choose_orientation(braid) if mirror_opt else (braid, False)
     m = chosen.strands
     writhe = chosen.writhe()
-    assert (writhe - m + 1) % 2 == 0, "knot closure must have writhe - m + 1 even"
+    if (writhe - m + 1) % 2:
+        raise RuntimeError(
+            f"knot closure must have writhe - strands + 1 even, got writhe {writhe} on {m} strands"
+        )
     framing_exponent = (color - 1) * (writhe - m + 1) // 2
 
     signs = chosen.signs()

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import key_from_letters, mono, rand_mono, rand_signs
+from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
+from walkjones import kernels, weyl
 from walkjones.burau import walk_generator
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import FreeWord, free_normalize
@@ -13,6 +14,7 @@ from walkjones.weyl import (
     drl_keep,
     evaluate_monomial,
     evaluate_walk_sum,
+    kernel_product,
     mono_mul,
     multiply_walk_sums,
     zero_key,
@@ -214,3 +216,188 @@ def test_multiply_walk_sums_order_independent_result():
         n = rng.randint(1, 3)
         prune = rng.random() < 0.5
         assert multiply_walk_sums(a1, b, signs, n, prune) == multiply_walk_sums(a2, b, signs, n, prune)
+
+
+def reference_evaluate_walk_sum(ws, signs, n):
+    """Term-by-term evaluation: every factor (1 - q^e) applied to a
+    coefficient dict, then the monomials summed."""
+    total: dict[int, int] = {}
+    for key, coeff in ws.entries.items():
+        shift = 0
+        factor_exps: list[int] = []
+        zero = False
+        for j, sign in enumerate(signs):
+            r = key[3 * j + 1]
+            d = key[3 * j + 2]
+            if d and r < n <= r + d:
+                zero = True
+                break
+            if sign > 0:
+                shift += r * (n - 1 - d)
+                factor_exps.extend(n - 1 - r - h for h in range(d))
+            else:
+                shift -= r * (n - 1)
+                factor_exps.extend(r + l + 1 - n for l in range(d))
+        if zero:
+            continue
+        out = dict(coeff.terms)
+        for e in factor_exps:
+            nxt: dict[int, int] = {}
+            for ea, ca in out.items():
+                nxt[ea] = nxt.get(ea, 0) + ca
+                nxt[ea + e] = nxt.get(ea + e, 0) - ca
+            out = {x: c for x, c in nxt.items() if c}
+        for e, c in out.items():
+            total[e + shift] = total.get(e + shift, 0) + c
+    return LaurentPolynomial({e: c for e, c in total.items() if c})
+
+
+def rand_coeff(rng, max_bits):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        terms[rng.randint(-6, 6)] = rng.randint(-(1 << max_bits), 1 << max_bits) or 1
+    return LaurentPolynomial(terms)
+
+
+def rand_walk_sum(rng, k, n, size, max_bits):
+    ws = WalkSum.zero()
+    for _ in range(size):
+        key = tuple(rng.randint(0, n + 1) for _ in range(3 * k))
+        ws.add_into(key, rand_coeff(rng, max_bits))
+    return ws
+
+
+def test_packed_evaluate_matches_reference_random():
+    rng = random.Random(37)
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        signs = rand_signs(rng, k)
+        ws = rand_walk_sum(rng, k, n, rng.randint(0, 8), rng.choice((3, 20, 80)))
+        assert evaluate_walk_sum(ws, signs, n) == reference_evaluate_walk_sum(ws, signs, n)
+
+
+def test_packed_evaluate_cancels_to_exact_coefficients():
+    # two keys evaluating to the same polynomial with coefficients near
+    # +-2^80 cancel down to a small remainder
+    signs = (1, -1)
+    big = 1 << 80
+    ws = WalkSum({
+        (0, 1, 1, 0, 0, 0): P(f"{big + 3}*q^-2 - {big}*q^4"),
+        (1, 1, 1, 0, 0, 0): P(f"-{big}*q^-2 + {big}*q^4"),
+    })
+    assert evaluate_walk_sum(ws, signs, 4) == reference_evaluate_walk_sum(ws, signs, 4)
+    assert evaluate_walk_sum(ws, signs, 4) == P("3*q^-2").shift(2) * P("1 - q^2")
+
+
+def test_packed_evaluate_zero_factor_keys():
+    # r < n <= r + d puts a (1 - q^0) factor in the product, at either sign
+    for sign in (1, -1):
+        ws = WalkSum({(0, 1, 2): P("5*q^-3 + 7*q^9"), (0, 0, 3): P("q")})
+        assert evaluate_walk_sum(ws, (sign,), 3).is_zero()
+        assert reference_evaluate_walk_sum(ws, (sign,), 3).is_zero()
+
+
+def test_packed_evaluate_unpruned_keys_past_color():
+    # keys with r >= n, as drl=False stacks carry: at a negative crossing the
+    # factor exponents r + l + 1 - n are positive, at a positive one negative
+    for signs in ((1,), (-1,), (1, -1), (-1, 1)):
+        k = len(signs)
+        for n in (1, 2, 3):
+            for r in (n, n + 2):
+                for d in (1, 3):
+                    key = (1, r, d) * k
+                    ws = WalkSum({key: P("-2*q^-1 + 3*q^2"), zero_key(k): P("4")})
+                    assert evaluate_walk_sum(ws, signs, n) == reference_evaluate_walk_sum(ws, signs, n)
+
+
+def test_evaluate_monomial_matches_reference_random():
+    rng = random.Random(38)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        signs = rand_signs(rng, k)
+        m = KeyedMonomial(rand_key(rng, k, n + 1), rand_coeff(rng, 40))
+        expected = reference_evaluate_walk_sum(WalkSum.single(m.key, m.coeff), signs, n)
+        assert evaluate_monomial(m, signs, n) == expected
+
+
+def test_evaluate_rejects_bad_input():
+    with pytest.raises(ValueError):
+        evaluate_walk_sum(WalkSum.single((0, 0, 1), P("1")), (1, 1), 2)
+    with pytest.raises(ValueError):
+        evaluate_walk_sum(WalkSum.zero(), (1,), 0)
+
+
+SIMPLE_COUNTS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+
+
+def rand_left(rng, k, simple):
+    ws = WalkSum.zero()
+    for _ in range(rng.randint(1, 12)):
+        if simple:
+            key = tuple(x for _ in range(k) for x in rng.choice(SIMPLE_COUNTS))
+        else:
+            key = rand_key(rng, k, 2)
+        ws.add_into(key, rand_coeff(rng, 4))
+    return ws
+
+
+def rand_drl_stack(rng, k, n):
+    ws = WalkSum.zero()
+    for _ in range(rng.randint(1, 30)):
+        key = rand_key(rng, k, n - 1)
+        if drl_keep(key, n):
+            ws.add_into(key, rand_coeff(rng, 6))
+    return ws
+
+
+def key_sum(ka, kb):
+    return tuple(x + y for x, y in zip(ka, kb))
+
+
+@pytest.mark.parametrize("merge_pairs", [weyl._MERGE_PAIRS, 2])
+@pytest.mark.parametrize("simple", [True, False])
+def test_masked_multiply_matches_kernel_product(monkeypatch, simple, merge_pairs):
+    # merge_pairs 2 splits every batch after the first into tiny kernel calls
+    monkeypatch.setattr(weyl, "_MERGE_PAIRS", merge_pairs)
+    backend = kernels.active()
+    inner = backend.walk_products
+    sent = []
+
+    def counting(items_a, items_b, signs, n_limit):
+        sent.extend((ka, kb) for ka, _ in items_a for kb, _ in items_b)
+        return inner(items_a, items_b, signs, n_limit)
+
+    rng = random.Random(39 + simple)
+    for _ in range(150):
+        k = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        signs = rand_signs(rng, k)
+        left = rand_left(rng, k, simple)
+        stack = rand_drl_stack(rng, k, n)
+        expected = kernel_product(left, stack, signs, n)
+        sent.clear()
+        monkeypatch.setattr(backend, "walk_products", counting)
+        got = multiply_walk_sums(left, stack, signs, n, prune=True)
+        monkeypatch.setattr(backend, "walk_products", inner)
+        assert got == expected
+        kept = [(ka, kb) for ka in left.entries for kb in stack.entries if drl_keep(key_sum(ka, kb), n)]
+        # every DRL-kept pair reaches the kernel, each once
+        assert set(kept) <= set(sent) and len(set(sent)) == len(sent)
+        if simple:
+            # nothing doomed is sent: the skip is exact
+            assert all(drl_keep(key_sum(ka, kb), n) for ka, kb in sent)
+            assert len(sent) == len(kept)
+
+
+def test_masked_multiply_sound_on_unfiltered_stacks():
+    # n = 0 sets no DRL limit, as for the kernel
+    rng = random.Random(41)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        n = rng.randint(0, 4)
+        signs = rand_signs(rng, k)
+        left = rand_left(rng, k, rng.random() < 0.5)
+        stack = rand_walk_sum(rng, k, n, rng.randint(1, 20), 5)
+        assert multiply_walk_sums(left, stack, signs, n, prune=True) == kernel_product(left, stack, signs, n)
