@@ -30,6 +30,21 @@ def _letter(crossings: int, ordinal: int, kind: str) -> WalkSum:
     return WalkSum.single(letter_key(crossings, ordinal, kind), LaurentPolynomial.one())
 
 
+def _identity(m: int, crossings: int) -> list[list[WalkSum]]:
+    return [[_one(crossings) if u == v else WalkSum.zero() for v in range(m)] for u in range(m)]
+
+
+def _block(crossings: int, ordinal: int, sign: int) -> tuple:
+    """The 2x2 block ((top left, top right), (bottom left, bottom right)) of
+    a crossing matrix, at rows and columns index - 1 and index."""
+    a = _letter(crossings, ordinal, "a")
+    b = _letter(crossings, ordinal, "b")
+    c = _letter(crossings, ordinal, "c")
+    if sign > 0:
+        return (a, b), (c, WalkSum.zero())
+    return (WalkSum.zero(), c), (b, a)
+
+
 def generator_matrix(
     crossing_ordinal: int,
     index: int,
@@ -46,49 +61,29 @@ def generator_matrix(
     if not 1 <= index <= m - 1:
         raise ValueError(f"generator index {index} out of range for {m} strands")
     k = crossings if crossings is not None else crossing_ordinal
-    rows = [
-        [_one(k) if u == v else WalkSum.zero() for v in range(m)]
-        for u in range(m)
-    ]
+    rows = _identity(m, k)
     i = index - 1
-    a = _letter(k, crossing_ordinal, "a")
-    b = _letter(k, crossing_ordinal, "b")
-    c = _letter(k, crossing_ordinal, "c")
-    if sign > 0:
-        rows[i][i], rows[i][i + 1] = a, b
-        rows[i + 1][i], rows[i + 1][i + 1] = c, WalkSum.zero()
-    else:
-        rows[i][i], rows[i][i + 1] = WalkSum.zero(), c
-        rows[i + 1][i], rows[i + 1][i + 1] = b, a
+    rows[i][i : i + 2], rows[i + 1][i : i + 2] = _block(k, crossing_ordinal, sign)
     return BurauMatrix(m, rows)
 
 
-def _matmul(a: BurauMatrix, b: BurauMatrix, signs: tuple[int, ...]) -> BurauMatrix:
-    m = a.dimension
-    out = []
-    for u in range(m):
-        row = []
-        for v in range(m):
-            acc = WalkSum.zero()
-            for w in range(m):
-                left = a.entries[u][w]
-                right = b.entries[w][v]
-                if left and right:
-                    acc = acc.merged_with(kernel_product(left, right, signs))
-            row.append(acc)
-        out.append(row)
-    return BurauMatrix(m, out)
-
-
 def braid_matrix(braid: BraidWord) -> BurauMatrix:
-    """Ordered product of the crossing matrices (first crossing leftmost)."""
-    m = braid.strands
+    """Ordered product of the crossing matrices (first crossing leftmost).
+
+    A crossing matrix is the identity outside its 2x2 block, so multiplying
+    by it on the right rewrites only columns index - 1 and index.
+    """
     k = braid.k
     signs = braid.signs()
-    result = BurauMatrix(m, [[_one(k) if u == v else WalkSum.zero() for v in range(m)] for u in range(m)])
+    rows = _identity(braid.strands, k)
     for ordinal, (index, sign) in enumerate(braid.crossings, start=1):
-        result = _matmul(result, generator_matrix(ordinal, index, sign, m, crossings=k), signs)
-    return result
+        i = index - 1
+        (tl, tr), (bl, br) = _block(k, ordinal, sign)
+        for row in rows:
+            left, right = row[i], row[i + 1]
+            row[i] = kernel_product(left, tl, signs).merged_with(kernel_product(right, bl, signs))
+            row[i + 1] = kernel_product(left, tr, signs).merged_with(kernel_product(right, br, signs))
+    return BurauMatrix(braid.strands, rows)
 
 
 def reduced_matrix(matrix: BurauMatrix) -> BurauMatrix:

@@ -10,7 +10,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from . import kernels
 from .braid import BraidWord, NotAKnotError, parse_braid
 from .cjp import colored_jones, simple_walk_count
 from .burau import unpruned_walk_count
@@ -26,8 +25,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="walkjones", description=__doc__)
-    parser.add_argument("--backend", choices=("auto", "pure", "native"), default=None,
-                        help="kernel backend override (default: native when built, else pure)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="compute the colored Jones polynomial of one braid closure")
@@ -51,11 +48,6 @@ def _build_parser() -> _Parser:
                        help="also count level-one walks without duplicate reduction")
     bench.add_argument("--table", default=None, help="knot table CSV overriding the bundled one")
     bench.add_argument("--threads", type=int, default=1, help="worker threads (rows stay in table order)")
-
-    back = sub.add_parser("bench-backends", help="compare pure and native kernel backends, CSV to stdout")
-    back.add_argument("--max-crossings", type=int, default=7)
-    back.add_argument("--colors", default="2,3")
-    back.add_argument("--table", default=None)
     return parser
 
 
@@ -71,6 +63,8 @@ def _parse_colors(text: str) -> list[int]:
 
 def _resolve_braid(args) -> tuple[str, BraidWord]:
     if args.knot is not None:
+        if args.strands is not None:
+            raise ValueError("--strands applies only to --braid")
         rec = knot_lookup(args.knot, load_table(args.table) if args.table else None)
         return rec.name, rec.braid_word()
     return args.braid, parse_braid(args.braid, args.strands)
@@ -79,7 +73,7 @@ def _resolve_braid(args) -> tuple[str, BraidWord]:
 def cmd_compute(args) -> int:
     try:
         label, braid = _resolve_braid(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"walkjones: {exc}", file=sys.stderr)
         return 1
     if args.color < 1:
@@ -187,48 +181,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_bench_backends(args) -> int:
-    try:
-        colors = _parse_colors(args.colors)
-        records = [r for r in load_table(args.table) if r.crossings <= args.max_crossings]
-    except (ValueError, OSError) as exc:
-        print(f"walkjones: {exc}", file=sys.stderr)
-        return 1
-    names = kernels.available_backends()
-    if "native" not in names:
-        print("walkjones: native backend not built; comparing pure against itself", file=sys.stderr)
-    print("name,N,backend,time_ms,terms")
-    mismatch = False
-    for rec in records:
-        braid = rec.braid_word()
-        for color in colors:
-            polys = {}
-            for backend in names:
-                with kernels.use_backend(backend):
-                    start = time.perf_counter()
-                    result = colored_jones(braid, color)
-                    elapsed_ms = (time.perf_counter() - start) * 1000.0
-                polys[backend] = result.polynomial
-                print(f"{rec.name},{color},{backend},{elapsed_ms:.3f},{len(result.polynomial.terms)}")
-            if len({p.format() for p in polys.values()}) > 1:
-                mismatch = True
-                print(f"walkjones: backend mismatch on {rec.name} N={color}", file=sys.stderr)
-    return 1 if mismatch else 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.backend:
-        try:
-            kernels.set_backend(args.backend)
-        except ValueError as exc:
-            print(f"walkjones: {exc}", file=sys.stderr)
-            return 1
     if args.command == "compute":
         return cmd_compute(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    return cmd_bench_backends(args)
+    return cmd_bench(args)
 
 
 if __name__ == "__main__":

@@ -1,68 +1,22 @@
-"""Backend selection for the hot kernels.
+"""The hot kernels, chosen once at import.
 
-The compiled extension ``_corekernels`` is preferred when importable; the
-pure-Python twin ``_purekernels`` is the fallback. Selection happens at
-import time and can be forced with the WALKJONES_BACKEND environment
-variable ("pure" or "native") or switched programmatically, mainly so the
-benchmark harness can compare both implementations.
+The compiled extension ``_corekernels`` is used when it imports; otherwise
+the pure-Python twin ``_purekernels``. Both have the same API and give
+bit-identical results. Callers look a kernel up on ``active()`` at call
+time, so a test can patch an attribute of the module in use.
 """
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-from . import _purekernels
-
 try:
-    from . import _corekernels
+    from . import _corekernels as _kernels
 except ImportError:
-    _corekernels = None
-
-_BACKENDS = {"pure": _purekernels}
-if _corekernels is not None:
-    _BACKENDS["native"] = _corekernels
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def resolve(name: str):
-    """Map a backend name ('auto', 'pure', 'native') to a kernel module."""
-    if name == "auto":
-        return _BACKENDS.get("native", _purekernels)
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
-
-
-_active = resolve(os.environ.get("WALKJONES_BACKEND", "auto"))
+    from . import _purekernels as _kernels
 
 
 def active():
-    """The kernel module currently in use."""
-    return _active
+    """The kernel module in use."""
+    return _kernels
 
 
 def active_name() -> str:
-    return _active.BACKEND_NAME
-
-
-def set_backend(name: str) -> None:
-    global _active
-    _active = resolve(name)
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch kernel backends (not thread-safe by design)."""
-    global _active
-    previous = _active
-    _active = resolve(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
+    return _kernels.BACKEND_NAME

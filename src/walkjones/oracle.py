@@ -108,7 +108,7 @@ def _free_generator(ordinal: int, index: int, sign: int, m: int) -> list[list[li
     return rows
 
 
-def _free_matmul(a, b, m):
+def _free_product(a, b, m):
     out = [[[] for _ in range(m)] for _ in range(m)]
     for u in range(m):
         for w in range(m):
@@ -130,7 +130,7 @@ def _free_walks(braid: BraidWord) -> list[tuple[int, int, tuple]]:
     m = braid.strands
     mat = [[[(0, 1, ())] if u == v else [] for v in range(m)] for u in range(m)]
     for ordinal, (index, sign) in enumerate(braid.crossings, start=1):
-        mat = _free_matmul(mat, _free_generator(ordinal, index, sign, m), m)
+        mat = _free_product(mat, _free_generator(ordinal, index, sign, m), m)
     reduced = [row[1:] for row in mat[1:]]
     size = m - 1
     walks: list[tuple[int, int, tuple]] = []

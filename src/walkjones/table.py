@@ -34,6 +34,9 @@ def load_table(path: str | Path | None = None) -> list[KnotRecord]:
         text = Path(path).read_text()
     records = []
     reader = csv.DictReader(text.splitlines())
+    missing = [c for c in ("name", "crossings", "braid") if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path or 'knots.csv'}: missing column(s) {', '.join(missing)}")
     for row in reader:
         records.append(KnotRecord(row["name"].strip(), int(row["crossings"]), row["braid"].strip()))
     return records

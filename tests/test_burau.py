@@ -1,8 +1,10 @@
 """Crossing matrices, braid matrix, quantum determinant, walk generator."""
+import random
+
 import pytest
 
 from conftest import key_from_letters
-from walkjones.braid import NotAKnotError, parse_braid
+from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones.burau import (
     BurauMatrix,
     braid_matrix,
@@ -13,7 +15,7 @@ from walkjones.burau import (
     walk_generator,
 )
 from walkjones.laurent import LaurentPolynomial
-from walkjones.weyl import WalkSum, zero_key
+from walkjones.weyl import WalkSum, kernel_product, zero_key
 
 P = LaurentPolynomial.parse
 
@@ -66,6 +68,39 @@ def test_braid_matrix_figure_eight_matches_display(fig8):
         [ws(4, "c2 b3"), ws(4, "c2 a3 a4"), ws(4, "c2 a3 b4")],
     ]
     assert entries_of(m) == expected
+
+
+def reference_matmul(a: BurauMatrix, b: BurauMatrix, signs) -> BurauMatrix:
+    """The full m x m product of two matrices of walk sums."""
+    m = a.dimension
+    out = []
+    for u in range(m):
+        row = []
+        for v in range(m):
+            acc = WalkSum.zero()
+            for w in range(m):
+                left = a.entries[u][w]
+                right = b.entries[w][v]
+                if left and right:
+                    acc = acc.merged_with(kernel_product(left, right, signs))
+            row.append(acc)
+        out.append(row)
+    return BurauMatrix(m, out)
+
+
+def test_braid_matrix_matches_generator_product_random():
+    rng = random.Random(73)
+    for _ in range(60):
+        m = rng.randint(2, 6)
+        crossings = tuple(
+            (rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))
+        )
+        braid = BraidWord(crossings, m)
+        k, signs = braid.k, braid.signs()
+        expected = BurauMatrix(m, [[ws(k, "") if u == v else ws(k) for v in range(m)] for u in range(m)])
+        for ordinal, (index, sign) in enumerate(crossings, start=1):
+            expected = reference_matmul(expected, generator_matrix(ordinal, index, sign, m, crossings=k), signs)
+        assert entries_of(braid_matrix(braid)) == entries_of(expected), braid
 
 
 def test_braid_matrix_trivial():

@@ -5,6 +5,7 @@ import pytest
 
 from walkjones.cli import BENCH_COLUMNS, main
 from walkjones.laurent import LaurentPolynomial
+from walkjones.table import load_table
 
 P = LaurentPolynomial.parse
 
@@ -123,9 +124,28 @@ def test_bench_threads_preserve_order(capsys):
     assert strip(seq) == strip(par)
 
 
-def test_bench_backends_runs(capsys):
-    code, out, _ = run(capsys, "bench-backends", "--max-crossings", "4", "--colors", "2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "name,N,backend,time_ms,terms"
-    assert len(lines) > 1
+def test_compute_missing_table_exit_1(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    code, out, err = run(capsys, "compute", "--knot", "3_1", "--table", str(missing))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("walkjones: ") and "missing.csv" in err
+
+
+def test_table_missing_columns_named(capsys, tmp_path):
+    table = tmp_path / "short.csv"
+    table.write_text("name,braid\n3_1,1 1 1\n")
+    with pytest.raises(ValueError, match=r"short\.csv.*crossings"):
+        load_table(table)
+    for argv in (("compute", "--knot", "3_1"), ("bench",)):
+        code, out, err = run(capsys, *argv, "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == f"walkjones: {table}: missing column(s) crossings\n"
+
+
+def test_compute_strands_with_knot_exit_1(capsys):
+    code, out, err = run(capsys, "compute", "--knot", "3_1", "--strands", "5")
+    assert code == 1
+    assert out == ""
+    assert "--strands" in err

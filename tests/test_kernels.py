@@ -1,15 +1,21 @@
-"""Backend parity: the pure and compiled kernels must agree bit for bit."""
+"""Kernel modules: the pure and compiled kernels agree bit for bit, the
+compiled one is used exactly when it imports, and the shipped C source
+matches the Cython source."""
+import importlib
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from walkjones import _purekernels as pure
 from walkjones import kernels
 from walkjones.braid import parse_braid
 from walkjones.cjp import colored_jones
 
-HAVE_NATIVE = "native" in kernels.available_backends()
-
-needs_native = pytest.mark.skipif(not HAVE_NATIVE, reason="native kernels not built")
+PACKAGE = Path(kernels.__file__).parent
+MARKER = re.compile(r'/\* "walkjones/_corekernels\.pyx":(\d+)$')
+FLAG = "             # <<<<<<<<<<<<<<"
 
 
 def rand_items(rng, k, count):
@@ -23,10 +29,8 @@ def rand_items(rng, k, count):
     return items
 
 
-@needs_native
 def test_walk_products_parity_random():
-    pure = kernels.resolve("pure")
-    native = kernels.resolve("native")
+    native = pytest.importorskip("walkjones._corekernels")
     rng = random.Random(71)
     for _ in range(400):
         k = rng.randint(1, 5)
@@ -37,10 +41,8 @@ def test_walk_products_parity_random():
         assert pure.walk_products(a, b, signs, n_limit) == native.walk_products(a, b, signs, n_limit)
 
 
-@needs_native
 def test_scalar_kernels_parity_random():
-    pure = kernels.resolve("pure")
-    native = kernels.resolve("native")
+    native = pytest.importorskip("walkjones._corekernels")
     rng = random.Random(72)
     for _ in range(400):
         k = rng.randint(1, 5)
@@ -53,20 +55,50 @@ def test_scalar_kernels_parity_random():
         assert pure.poly_mul_shift(ca, cb, shift) == native.poly_mul_shift(ca, cb, shift)
 
 
-@needs_native
-def test_pipeline_identical_across_backends():
+def test_pipeline_identical_across_backends(monkeypatch):
+    native = pytest.importorskip("walkjones._corekernels")
     for text in ("1 1 1", "-1 2 -1 2", "1 1 1 2 -1 2", "1 1 2 -1 -3 2 -3"):
-        results = {}
-        for backend in ("pure", "native"):
-            with kernels.use_backend(backend):
-                results[backend] = colored_jones(parse_braid(text), 3).polynomial.format()
-        assert results["pure"] == results["native"]
+        results = []
+        for module in (pure, native):
+            monkeypatch.setattr(kernels, "_kernels", module)
+            results.append(colored_jones(parse_braid(text), 3).polynomial.format())
+        assert results[0] == results[1]
 
 
 def test_backend_selection_api():
-    assert kernels.active_name() in kernels.available_backends()
-    with kernels.use_backend("pure"):
-        assert kernels.active_name() == "pure"
-    with pytest.raises(ValueError):
-        kernels.set_backend("turbo")
-    assert kernels.resolve("auto").BACKEND_NAME in kernels.available_backends()
+    try:
+        importlib.import_module("walkjones._corekernels")
+    except ImportError:
+        expected = "pure"
+    else:
+        expected = "native"
+    assert kernels.active().BACKEND_NAME == expected
+    assert kernels.active_name() == expected
+
+
+def test_shipped_c_matches_pyx():
+    # Each Cython source comment in the .c quotes a few lines of the .pyx
+    # around the flagged one, whose number the marker gives.
+    pyx = (PACKAGE / "_corekernels.pyx").read_text().splitlines()
+    c_lines = (PACKAGE / "_corekernels.c").read_text().splitlines()
+    checked = 0
+    for at, line in enumerate(c_lines):
+        match = MARKER.search(line)
+        if not match:
+            continue
+        block = []
+        for quoted in c_lines[at + 1 :]:
+            if quoted.strip() == "*/":
+                break
+            block.append(quoted[3:])
+        flagged = [i for i, quoted in enumerate(block) if quoted.endswith(FLAG)]
+        assert len(flagged) == 1, f".c line {at + 1}: expected one flagged line"
+        first = int(match.group(1)) - 1 - flagged[0]
+        block[flagged[0]] = block[flagged[0]][: -len(FLAG)]
+        for offset, quoted in enumerate(block):
+            assert 0 <= first + offset < len(pyx), f".c line {at + 1}: quotes past the end of the .pyx"
+            assert quoted.rstrip() == pyx[first + offset].rstrip(), (
+                f".c line {at + 1} quotes .pyx line {first + offset + 1} as {quoted!r}"
+            )
+        checked += 1
+    assert checked > 0
