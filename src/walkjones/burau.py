@@ -1,11 +1,14 @@
-"""Deformed Burau matrices and the simple-walk generator.
+"""Deformed Burau matrices and the level-one walk generator.
 
 The matrix attached to a crossing is the identity except for a 2x2 block:
 [[a, b], [c, 0]] at a positive crossing and [[0, c], [b, a]] at a negative
 one, with letters subscripted by the crossing ordinal. The braid matrix is
 the ordered product over the word; dropping its first row and column gives
-the reduced matrix whose quantum determinant expansion enumerates walk
-weights.
+the reduced matrix R. The level-one walk sum is the quantum MacMahon form
+sum over nonempty J of (-1)^(|J|-1) q^|J| det_q(R_J) = 1 - sum over all J
+of det_q((-qR)_J). One recursion expands every principal minor at once:
+at each column it leaves the column and its row out, or takes a free row,
+so each partial product is computed once for all minors that share it.
 """
 from __future__ import annotations
 
@@ -96,37 +99,50 @@ def reduced_matrix(matrix: BurauMatrix) -> BurauMatrix:
     )
 
 
+def _minor_sum(entries, signs, limit, optional, total, col, used, skipped, inv, partial) -> None:
+    """Add into ``total`` det_q of every principal minor of ``entries`` that
+    leaves out only indices in the bitmask ``optional``. At column ``col``:
+    leave it out, if optional and its row is free, or take each free row
+    whose column was not left out. ``limit`` > 0 applies the DRL filter to
+    each partial product. Module level, so that no closure cycle outlives a call.
+    """
+    if not partial:
+        return
+    if col == len(entries):
+        coeff = LaurentPolynomial.q_power(inv, -1 if inv % 2 else 1)
+        for key, c in partial.scaled(coeff).entries.items():
+            total.add_into(key, c)
+        return
+    bit = 1 << col
+    if optional & bit and not used & bit:
+        _minor_sum(entries, signs, limit, optional, total, col + 1, used, skipped | bit, inv, partial)
+    for row, line in enumerate(entries):
+        row_bit = 1 << row
+        if line[col] and not (used | skipped) & row_bit:
+            # rows already taken that are greater than this one each add an inversion
+            added = bin(used >> (row + 1)).count("1")
+            product = kernel_product(partial, line[col], signs, limit)
+            taken = used | row_bit
+            _minor_sum(entries, signs, limit, optional, total, col + 1, taken, skipped, inv + added, product)
+
+
 def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None = None) -> WalkSum:
     """Quantum determinant: sum over permutations of (-q)^inv(pi) times the
     column-ordered entry product. ``prune_n`` applies the duplicate-reduction
     filter after each partial multiplication."""
-    n = matrix.dimension
-    ent = matrix.entries
-    result = WalkSum.zero()
-    limit = prune_n or 0
+    total = WalkSum.zero()
+    _minor_sum(matrix.entries, signs, prune_n or 0, 0, total, 0, 0, 0, 0, _one(len(signs)))
+    return total
 
-    def expand(col: int, used: int, inv: int, partial: WalkSum) -> None:
-        if not partial:
-            return
-        if col == n:
-            coeff = LaurentPolynomial.q_power(inv, -1 if inv % 2 else 1)
-            for key, c in partial.scaled(coeff).entries.items():
-                result.add_into(key, c)
-            return
-        for row in range(n):
-            bit = 1 << row
-            if used & bit:
-                continue
-            entry = ent[row][col]
-            if not entry:
-                continue
-            # rows already chosen that are greater than this one each add an inversion
-            added = sum(1 for r in range(row + 1, n) if used & (1 << r))
-            expand(col + 1, used | bit, inv + added, kernel_product(partial, entry, signs, limit))
 
-    k = len(signs)
-    expand(0, 0, 0, _one(k))
-    return result
+def _permanent(sizes: list[list[int]], col: int = 0, used: int = 0) -> int:
+    if col == len(sizes):
+        return 1
+    return sum(
+        line[col] * _permanent(sizes, col + 1, used | 1 << row)
+        for row, line in enumerate(sizes)
+        if line[col] and not used & 1 << row
+    )
 
 
 def unpruned_walk_count(braid: BraidWord) -> int:
@@ -134,59 +150,34 @@ def unpruned_walk_count(braid: BraidWord) -> int:
     before any like-key cancellation or pruning.
 
     Distinct paths from u to v have distinct keys, so the count of words in
-    a matrix entry is its entry size, and the number of determinant products
-    is the permanent of the entry-size submatrix, summed over subsets.
+    a matrix entry is its entry size S[u][v], and the number of determinant
+    products, summed over every principal minor J (the empty one counting
+    1), is sum_J perm(S_J) = perm(I + S).
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
     reduced = reduced_matrix(braid_matrix(braid))
-    sizes = [[len(e) for e in row] for row in reduced.entries]
-    n = reduced.dimension
-
-    def permanent(rows: list[int], cols: list[int]) -> int:
-        if not cols:
-            return 1
-        col = cols[0]
-        return sum(
-            sizes[r][col] * permanent(rows[:i] + rows[i + 1 :], cols[1:])
-            for i, r in enumerate(rows)
-            if sizes[r][col]
-        )
-
-    total = 0
-    for mask in range(1, 1 << n):
-        picked = [i for i in range(n) if mask & (1 << i)]
-        total += permanent(picked, picked)
-    return total
+    sizes = [[len(e) + (u == v) for v, e in enumerate(row)] for u, row in enumerate(reduced.entries)]
+    return _permanent(sizes) - 1
 
 
 def walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
-    """The level-one walk sum of a braid whose closure is a knot.
-
-    Expands, over every nonempty subset J of the reduced strand range, the
-    quantum determinant of the J-submatrix of q * reduced braid matrix with
-    sign (-1)^(|J|-1); the q scaling contributes q^|J| per determinant term.
-    With prune_simple, the duplicate-reduction filter at level 2 runs during
-    accumulation, leaving exactly the simple walks.
+    """The level-one walk sum of a braid whose closure is a knot:
+    1 - sum over all J of det_q((-qR)_J), R the reduced braid matrix. The
+    empty minor is 1 and det_q((-qR)_J) = (-q)^|J| det_q(R_J), so this is
+    the sum over nonempty J of (-1)^(|J|-1) q^|J| det_q(R_J). Each entry is
+    scaled by -q once and every index is optional in _minor_sum. With
+    prune_simple, the duplicate-reduction filter at level 2 runs on each
+    partial product, leaving exactly the simple walks.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
-    m = braid.strands
-    if m < 2:
+    if braid.strands < 2:
         raise ValueError("walk generator needs at least 2 strands")
     signs = braid.signs()
-    reduced = reduced_matrix(braid_matrix(braid))
-    size = reduced.dimension
-    prune_n = 2 if prune_simple else None
-    total = WalkSum.zero()
-    for mask in range(1, 1 << size):
-        picked = [i for i in range(size) if mask & (1 << i)]
-        sub = BurauMatrix(
-            len(picked),
-            [[reduced.entries[u][v] for v in picked] for u in picked],
-        )
-        det = quantum_det(sub, signs, prune_n)
-        scale = LaurentPolynomial.q_power(len(picked), -1 if (len(picked) - 1) % 2 else 1)
-        for key, coeff in det.scaled(scale).entries.items():
-            total.add_into(key, coeff)
-    return total
+    minus_q, minus_one = LaurentPolynomial.q_power(1, -1), LaurentPolynomial.constant(-1)
+    scaled = [[e.scaled(minus_q) for e in row] for row in reduced_matrix(braid_matrix(braid)).entries]
+    total = WalkSum.single(zero_key(braid.k), minus_one)
+    every = (1 << len(scaled)) - 1
+    _minor_sum(scaled, signs, 2 if prune_simple else 0, every, total, 0, 0, 0, 0, _one(braid.k))
+    return total.scaled(minus_one)

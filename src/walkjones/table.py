@@ -15,6 +15,8 @@ from pathlib import Path
 
 from .braid import BraidWord, parse_braid
 
+_COLUMNS = ("name", "crossings", "braid")
+
 
 @dataclass(frozen=True)
 class KnotRecord:
@@ -34,10 +36,13 @@ def load_table(path: str | Path | None = None) -> list[KnotRecord]:
         text = Path(path).read_text()
     records = []
     reader = csv.DictReader(text.splitlines())
-    missing = [c for c in ("name", "crossings", "braid") if c not in (reader.fieldnames or ())]
+    missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"{path or 'knots.csv'}: missing column(s) {', '.join(missing)}")
     for row in reader:
+        gaps = [c for c in _COLUMNS if not (row[c] or "").strip()]
+        if gaps:
+            raise ValueError(f"{path or 'knots.csv'}: row {reader.line_num}: missing {', '.join(gaps)}")
         records.append(KnotRecord(row["name"].strip(), int(row["crossings"]), row["braid"].strip()))
     return records
 

@@ -1,9 +1,10 @@
 """Crossing matrices, braid matrix, quantum determinant, walk generator."""
+import gc
 import random
 
 import pytest
 
-from conftest import key_from_letters
+from conftest import key_from_letters, rand_key, rand_signs
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones.burau import (
     BurauMatrix,
@@ -15,6 +16,7 @@ from walkjones.burau import (
     walk_generator,
 )
 from walkjones.laurent import LaurentPolynomial
+from walkjones.table import load_table
 from walkjones.weyl import WalkSum, kernel_product, zero_key
 
 P = LaurentPolynomial.parse
@@ -223,3 +225,147 @@ def test_unpruned_walk_count():
     assert unpruned_walk_count(parse_braid("-1 2 -1 2")) == 9
     assert unpruned_walk_count(parse_braid("1 1 1")) == 1
     assert unpruned_walk_count(parse_braid("-1 -1 -1")) == 3
+
+
+def reference_unpruned_walk_count(braid: BraidWord) -> int:
+    """Sum over nonempty subsets J of the permanent of the entry-size J-minor."""
+    reduced = reduced_matrix(braid_matrix(braid))
+    sizes = [[len(e) for e in row] for row in reduced.entries]
+
+    def permanent(rows, cols):
+        if not cols:
+            return 1
+        return sum(
+            sizes[r][cols[0]] * permanent(rows[:i] + rows[i + 1 :], cols[1:])
+            for i, r in enumerate(rows)
+            if sizes[r][cols[0]]
+        )
+
+    n = reduced.dimension
+    return sum(
+        permanent(picked, picked)
+        for picked in ([i for i in range(n) if mask & (1 << i)] for mask in range(1, 1 << n))
+    )
+
+
+def test_unpruned_walk_count_matches_reference_on_table():
+    for rec in load_table():
+        braid = rec.braid_word()
+        for b in (braid, braid.mirror()):
+            assert unpruned_walk_count(b) == reference_unpruned_walk_count(b), (rec.name, b)
+
+
+def reference_quantum_det(matrix: BurauMatrix, signs, prune_n=None) -> WalkSum:
+    """Quantum determinant expanded on its own: every permutation, (-q)^inv."""
+    n = matrix.dimension
+    ent = matrix.entries
+    result = WalkSum.zero()
+    limit = prune_n or 0
+
+    def expand(col: int, used: int, inv: int, partial: WalkSum) -> None:
+        if not partial:
+            return
+        if col == n:
+            coeff = LaurentPolynomial.q_power(inv, -1 if inv % 2 else 1)
+            for key, c in partial.scaled(coeff).entries.items():
+                result.add_into(key, c)
+            return
+        for row in range(n):
+            bit = 1 << row
+            if used & bit:
+                continue
+            entry = ent[row][col]
+            if not entry:
+                continue
+            added = sum(1 for r in range(row + 1, n) if used & (1 << r))
+            expand(col + 1, used | bit, inv + added, kernel_product(partial, entry, signs, limit))
+
+    expand(0, 0, 0, WalkSum.single(zero_key(len(signs)), LaurentPolynomial.one()))
+    return result
+
+
+def reference_walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
+    """Sum over nonempty subsets J of (-1)^(|J|-1) q^|J| det_q(R_J), one
+    submatrix and one determinant per subset."""
+    signs = braid.signs()
+    reduced = reduced_matrix(braid_matrix(braid))
+    size = reduced.dimension
+    prune_n = 2 if prune_simple else None
+    total = WalkSum.zero()
+    for mask in range(1, 1 << size):
+        picked = [i for i in range(size) if mask & (1 << i)]
+        sub = BurauMatrix(len(picked), [[reduced.entries[u][v] for v in picked] for u in picked])
+        det = reference_quantum_det(sub, signs, prune_n)
+        scale = LaurentPolynomial.q_power(len(picked), -1 if (len(picked) - 1) % 2 else 1)
+        for key, coeff in det.scaled(scale).entries.items():
+            total.add_into(key, coeff)
+    return total
+
+
+def assert_generator_matches_reference(braid: BraidWord) -> None:
+    for prune in (True, False) if braid.strands <= 5 else (True,):
+        assert walk_generator(braid, prune) == reference_walk_generator(braid, prune), (braid, prune)
+
+
+def test_walk_generator_matches_reference_on_table():
+    for rec in load_table():
+        braid = rec.braid_word()
+        assert_generator_matches_reference(braid)
+        assert_generator_matches_reference(braid.mirror())
+
+
+def test_walk_generator_matches_reference_random():
+    rng = random.Random(41)
+    for m in range(2, 8):
+        found = 0
+        while found < 11:
+            crossings = tuple(
+                (rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))
+            )
+            braid = BraidWord(crossings, m)
+            if braid.is_knot_closure():
+                assert_generator_matches_reference(braid)
+                found += 1
+
+
+def test_quantum_det_matches_reference_random():
+    rng = random.Random(59)
+    for _ in range(80):
+        k = rng.randint(1, 3)
+        signs = rand_signs(rng, k)
+        n = rng.randint(1, 4)
+        entries = []
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                entry = WalkSum.zero()
+                for _ in range(rng.choice((0, 0, 1, 2, 3))):
+                    coeff = LaurentPolynomial({rng.randint(-3, 3): rng.randint(-4, 4) or 1})
+                    entry.add_into(rand_key(rng, k, 1), coeff)
+                row.append(entry)
+            entries.append(row)
+        matrix = BurauMatrix(n, entries)
+        for prune_n in (None, 2):
+            assert quantum_det(matrix, signs, prune_n) == reference_quantum_det(matrix, signs, prune_n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda braid: walk_generator(braid, prune_simple=True),
+        lambda braid: walk_generator(braid, prune_simple=False),
+        lambda braid: quantum_det(reduced_matrix(braid_matrix(braid)), braid.signs(), 2),
+        unpruned_walk_count,
+    ],
+    ids=["walk_generator_pruned", "walk_generator_unpruned", "quantum_det", "unpruned_walk_count"],
+)
+def test_generator_leaves_no_reference_cycles(call):
+    braid = parse_braid("1 -2 1 -2 3 -2 3")  # a 4-strand knot
+    call(braid)
+    gc.disable()
+    try:
+        gc.collect()
+        call(braid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

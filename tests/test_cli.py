@@ -144,6 +144,22 @@ def test_table_missing_columns_named(capsys, tmp_path):
         assert err == f"walkjones: {table}: missing column(s) crossings\n"
 
 
+@pytest.mark.parametrize(
+    "row, missing",
+    [("4_1,4", "braid"), ("4_1", "crossings, braid"), ("4_1,,-1 2 -1 2", "crossings"), ("4_1,4, ", "braid")],
+)
+def test_table_missing_value_named(capsys, tmp_path, row, missing):
+    table = tmp_path / "gap.csv"
+    table.write_text(f"name,crossings,braid\n3_1,3,1 1 1\n{row}\n")
+    with pytest.raises(ValueError, match=rf"gap\.csv: row 3: missing {missing}$"):
+        load_table(table)
+    for argv in (("compute", "--knot", "3_1"), ("bench",)):
+        code, out, err = run(capsys, *argv, "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == f"walkjones: {table}: row 3: missing {missing}\n"
+
+
 def test_compute_strands_with_knot_exit_1(capsys):
     code, out, err = run(capsys, "compute", "--knot", "3_1", "--strands", "5")
     assert code == 1
