@@ -2,7 +2,9 @@
 
 Same API as the compiled module ``_corekernels``; operates on plain data:
 exponent keys are flat tuples (s_1, r_1, d_1, ..., s_k, r_k, d_k) and
-coefficients are canonical {exponent: int} dicts.
+coefficients are canonical {exponent: int} dicts. The reordering rule and
+the coefficient product are stated once, in walk_products; key_product and
+poly_mul_shift are one-pair calls to it.
 """
 from __future__ import annotations
 
@@ -10,30 +12,11 @@ BACKEND_NAME = "pure"
 
 
 def key_product(ka: tuple, kb: tuple, signs: tuple) -> tuple:
-    """Entrywise key sum and the q-power picked up by normal reordering.
-
-    Per crossing j, multiplying normal-form words with letter counts
-    (s1, r1, d1) and (s2, r2, d2) costs q**delta with
-    delta = d1*r2 - 2*r1*s2 at a positive crossing and
-    delta = 2*d1*s2 - d1*r2 + 2*r1*s2 at a negative crossing.
-    """
-    k = len(signs)
-    if len(ka) != 3 * k or len(kb) != 3 * k:
-        raise ValueError(f"key length mismatch: {len(ka)}, {len(kb)} for {k} crossings")
-    out = [0] * (3 * k)
-    delta = 0
-    for j in range(k):
-        b = 3 * j
-        s1, r1, d1 = ka[b], ka[b + 1], ka[b + 2]
-        s2, r2, d2 = kb[b], kb[b + 1], kb[b + 2]
-        if signs[j] > 0:
-            delta += d1 * r2 - 2 * r1 * s2
-        else:
-            delta += 2 * d1 * s2 - d1 * r2 + 2 * r1 * s2
-        out[b] = s1 + s2
-        out[b + 1] = r1 + r2
-        out[b + 2] = d1 + d2
-    return tuple(out), delta
+    """Entrywise key sum and the q-power picked up by normal reordering
+    (see walk_products)."""
+    ((key, coeff),) = walk_products([(ka, {0: 1})], [(kb, {0: 1})], signs, 0).items()
+    ((delta, _),) = coeff.items()
+    return key, delta
 
 
 def drl_keep(key: tuple, n: int) -> bool:
@@ -48,17 +31,8 @@ def drl_keep(key: tuple, n: int) -> bool:
 
 def poly_mul_shift(a: dict, b: dict, shift: int) -> dict:
     """q**shift * a * b on canonical coefficient dicts."""
-    out: dict = {}
-    for ea, ca in a.items():
-        base = ea + shift
-        for eb, cb in b.items():
-            e = base + eb
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
+    product = walk_products([((), a)], [((), b)], (), 0).get((), {})
+    return {e + shift: v for e, v in product.items()}
 
 
 def walk_products(items_a: list, items_b: list, signs: tuple, n_limit: int) -> dict:
@@ -67,6 +41,13 @@ def walk_products(items_a: list, items_b: list, signs: tuple, n_limit: int) -> d
     items_*: lists of (key, coeff dict). n_limit > 0 discards any product
     whose key fails drl_keep(key, n_limit) before accumulation; 0 disables
     pruning. Returns {key: coeff dict} with no zero coefficients.
+
+    The product key is the entrywise sum of the two keys. Per crossing j,
+    multiplying normal-form words with letter counts (s1, r1, d1) and
+    (s2, r2, d2) costs q**delta with
+    delta = d1*r2 - 2*r1*s2 at a positive crossing and
+    delta = 2*d1*s2 - d1*r2 + 2*r1*s2 at a negative crossing;
+    the product coefficient is q**(sum of the deltas) * ca * cb.
     """
     k = len(signs)
     width = 3 * k
@@ -104,25 +85,15 @@ def walk_products(items_a: list, items_b: list, signs: tuple, n_limit: int) -> d
             if acc is None:
                 acc = {}
                 out[tkey] = acc
-            if len(ca) == 1 and len(cb) == 1:
-                (ea, va), = ca.items()
-                (eb, vb), = cb.items()
-                e = ea + eb + delta
-                v = acc.get(e, 0) + va * vb
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-            else:
-                for ea, va in ca.items():
-                    base = ea + delta
-                    for eb, vb in cb.items():
-                        e = base + eb
-                        v = acc.get(e, 0) + va * vb
-                        if v:
-                            acc[e] = v
-                        elif e in acc:
-                            del acc[e]
+            for ea, va in ca.items():
+                base = ea + delta
+                for eb, vb in cb.items():
+                    e = base + eb
+                    v = acc.get(e, 0) + va * vb
+                    if v:
+                        acc[e] = v
+                    elif e in acc:
+                        del acc[e]
             if not acc:
                 del out[tkey]
     return out

@@ -101,7 +101,7 @@ def colored_jones(
             raise RuntimeError(
                 f"stack exceeded height cap {cap}; this indicates a bug in the walk pipeline"
             )
-        stack = multiply_walk_sums(level_one, stack, signs, color, prune=drl)
+        stack = multiply_walk_sums(level_one, stack, signs, color if drl else 0)
 
     polynomial = total.shift(framing_exponent)
     if mirror_used:

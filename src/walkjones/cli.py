@@ -174,6 +174,16 @@ def cmd_bench(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"walkjones: {exc}", file=sys.stderr)
         return 1
+    # Every row is checked before any is computed, so a bad row fails at once.
+    for rec in records:
+        try:
+            braid = rec.braid_word()
+        except ValueError as exc:
+            print(f"walkjones: {rec.name}: {exc}", file=sys.stderr)
+            return 1
+        if not braid.is_knot_closure():
+            print(f"walkjones: {rec.name}: closure of {braid} is not a knot", file=sys.stderr)
+            return 2
     rows = bench_rows(records, colors, with_no_drl=args.with_no_drl, threads=args.threads)
     print(",".join(BENCH_COLUMNS))
     for row in rows:

@@ -211,8 +211,3 @@ class LaurentPolynomial:
             while pos < len(s) and s[pos].isspace():
                 pos += 1
         return cls._raw(out)
-
-
-ZERO = LaurentPolynomial.zero()
-ONE = LaurentPolynomial.one()
-Q = LaurentPolynomial.q_power(1)

@@ -45,12 +45,6 @@ def letter_key(crossings: int, crossing: int, kind: str) -> tuple[int, ...]:
     return tuple(key)
 
 
-def key_counts(key: tuple[int, ...], crossing: int) -> tuple[int, int, int]:
-    """The (s, r, d) multiplicities at a 1-based crossing."""
-    b = 3 * (crossing - 1)
-    return key[b], key[b + 1], key[b + 2]
-
-
 @dataclass(frozen=True)
 class KeyedMonomial:
     """A normal-form monomial: coefficient times the word encoded by key."""
@@ -197,13 +191,10 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     by_base: dict[int, int] = {}
     for key, coeff in ws.entries.items():
         terms = coeff.terms
-        if len(terms) == 1:
-            (base, packed), = terms.items()
-        else:
-            base = min(terms)
-            packed = 0
-            for e, c in terms.items():
-                packed += c << bits * (e - base)
+        base = min(terms)
+        packed = 0
+        for e, c in terms.items():
+            packed += c << bits * (e - base)
         for i, positive in slots:
             r = key[i]
             d = key[i + 1]
@@ -282,11 +273,10 @@ def multiply_walk_sums(
     b: WalkSum,
     signs: tuple[int, ...],
     n: int = 0,
-    prune: bool = False,
 ) -> WalkSum:
     """Pairwise product a * b of two walk sums, accumulated into canonical form.
 
-    With prune set, any product whose key fails drl_keep(key, n) is
+    With n > 0, any product whose key fails drl_keep(key, n) is
     discarded before accumulation (sound because the filter is monotone
     under adding letters), and doomed pairs are skipped before the kernel
     sees them. Call a crossing of a right entry saturated when
@@ -303,7 +293,7 @@ def multiply_walk_sums(
     every right entry passes drl_keep(key, n), a pair passes the masks
     exactly when DRL keeps it.
     """
-    if not prune or n == 0:
+    if n == 0:
         return kernel_product(a, b, signs)  # n = 0 sets no DRL limit
     lefts = []
     for key, coeff in a.entries.items():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from walkjones import cli
 from walkjones.cli import BENCH_COLUMNS, main
 from walkjones.laurent import LaurentPolynomial
 from walkjones.table import load_table
@@ -158,6 +159,23 @@ def test_table_missing_value_named(capsys, tmp_path, row, missing):
         assert code == 1
         assert out == ""
         assert err == f"walkjones: {table}: row 3: missing {missing}\n"
+
+
+@pytest.mark.parametrize(
+    "braid, code, message",
+    [("x", 1, "bad braid token 'x'"), ("1 1", 2, "closure of 1 1 on 2 strands is not a knot")],
+)
+def test_bench_bad_braid_named(capsys, monkeypatch, tmp_path, braid, code, message):
+    # the bad row comes last, and no row may be computed before it is found
+    computed = []
+    monkeypatch.setattr(cli, "colored_jones", lambda *args: computed.append(args))
+    table = tmp_path / "bad.csv"
+    table.write_text(f"name,crossings,braid\n4_1,4,-1 2 -1 2\n3_1,3,{braid}\n")
+    got, out, err = run(capsys, "bench", "--table", str(table))
+    assert got == code
+    assert out == ""
+    assert err.startswith(f"walkjones: 3_1: {message}")
+    assert computed == []
 
 
 def test_compute_strands_with_knot_exit_1(capsys):

@@ -76,6 +76,16 @@ def test_backend_selection_api():
     assert kernels.active_name() == expected
 
 
+def test_pure_api_matches_pyx():
+    # Runs without a compiler: the native parity tests skip when the
+    # extension is not built, so this is what catches a pure-side drift.
+    pyx = (PACKAGE / "_corekernels.pyx").read_text()
+    native_names = set(re.findall(r"^def (\w+)\(", pyx, re.M)) | set(re.findall(r"^(\w+) = ", pyx, re.M))
+    # "annotations" is bound by the module's __future__ import
+    pure_names = {name for name in vars(pure) if not name.startswith("_")} - {"annotations"}
+    assert native_names == pure_names
+
+
 def test_shipped_c_matches_pyx():
     # Each Cython source comment in the .c quotes a few lines of the .pyx
     # around the flagged one, whose number the marker gives.

@@ -166,7 +166,7 @@ def test_evaluate_walk_sum_figure_eight_level_one(fig8, fig8_signs):
 
 def test_evaluate_walk_sum_figure_eight_level_two(fig8, fig8_signs):
     level_one = walk_generator(fig8, prune_simple=True)
-    stacked = multiply_walk_sums(level_one, level_one, fig8_signs, 2, prune=True)
+    stacked = multiply_walk_sums(level_one, level_one, fig8_signs, 2)
     assert evaluate_walk_sum(stacked, fig8_signs, 2) == P("2 - 4*q + 2*q^2")
 
 
@@ -176,7 +176,7 @@ def test_evaluate_walk_sum_empty():
 
 def test_multiply_walk_sums_figure_eight_square(fig8, fig8_signs):
     level_one = walk_generator(fig8, prune_simple=True)
-    stacked = multiply_walk_sums(level_one, level_one, fig8_signs, 2, prune=True)
+    stacked = multiply_walk_sums(level_one, level_one, fig8_signs, 2)
     assert len(stacked) == 1
     key = key_from_letters(4, "a1 b2 c2 a3 b4 c4")
     assert stacked.entries[key] == P("2")
@@ -185,7 +185,7 @@ def test_multiply_walk_sums_figure_eight_square(fig8, fig8_signs):
 def test_multiply_walk_sums_trefoil_square():
     signs = (1, 1, 1)
     walk = WalkSum.single(key_from_letters(3, "c1 a2 b3"), P("q"))
-    out = multiply_walk_sums(walk, walk, signs, 3, prune=True)
+    out = multiply_walk_sums(walk, walk, signs, 3)
     assert len(out) == 1
     key = key_from_letters(3, "c1 c1 a2 a2 b3 b3")
     assert out.entries[key] == P("q^2")
@@ -214,8 +214,9 @@ def test_multiply_walk_sums_order_independent_result():
         for m in monos_b:
             b.add_into(m.key, m.coeff)
         n = rng.randint(1, 3)
-        prune = rng.random() < 0.5
-        assert multiply_walk_sums(a1, b, signs, n, prune) == multiply_walk_sums(a2, b, signs, n, prune)
+        if rng.random() >= 0.5:
+            n = 0  # no DRL limit
+        assert multiply_walk_sums(a1, b, signs, n) == multiply_walk_sums(a2, b, signs, n)
 
 
 def reference_evaluate_walk_sum(ws, signs, n):
@@ -379,7 +380,7 @@ def test_masked_multiply_matches_kernel_product(monkeypatch, simple, merge_pairs
         expected = kernel_product(left, stack, signs, n)
         sent.clear()
         monkeypatch.setattr(backend, "walk_products", counting)
-        got = multiply_walk_sums(left, stack, signs, n, prune=True)
+        got = multiply_walk_sums(left, stack, signs, n)
         monkeypatch.setattr(backend, "walk_products", inner)
         assert got == expected
         kept = [(ka, kb) for ka in left.entries for kb in stack.entries if drl_keep(key_sum(ka, kb), n)]
@@ -400,4 +401,4 @@ def test_masked_multiply_sound_on_unfiltered_stacks():
         signs = rand_signs(rng, k)
         left = rand_left(rng, k, rng.random() < 0.5)
         stack = rand_walk_sum(rng, k, n, rng.randint(1, 20), 5)
-        assert multiply_walk_sums(left, stack, signs, n, prune=True) == kernel_product(left, stack, signs, n)
+        assert multiply_walk_sums(left, stack, signs, n) == kernel_product(left, stack, signs, n)
