@@ -101,7 +101,8 @@ def cmd_compute(args) -> int:
     value = None
     if args.eval_q is not None:
         try:
-            q0 = complex(args.eval_q.replace("i", "j"))
+            text = args.eval_q.strip()
+            q0 = complex(text[:-1] + "j" if text.endswith("i") else text)
             value = poly.eval_at(q0)
         except ValueError as exc:
             print(f"walkjones: bad --eval-q value: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ is deterministic and diff-friendly.
 """
 from __future__ import annotations
 
+import cmath
 import re
 from typing import Iterator, Mapping
 
@@ -142,9 +143,12 @@ class LaurentPolynomial:
         return LaurentPolynomial._raw({-e: c for e, c in self._terms.items()})
 
     def eval_at(self, z: complex) -> complex:
-        """Numerically evaluate at q = z. Rejects z = 0 (negative exponents)."""
+        """Numerically evaluate at q = z. Rejects z = 0 (negative exponents)
+        and a non-finite z."""
         if z == 0:
             raise ValueError("cannot evaluate at q = 0: Laurent polynomials allow negative exponents")
+        if not cmath.isfinite(z):
+            raise ValueError(f"cannot evaluate at q = {z}: not finite")
         return sum(c * z**e for e, c in self._terms.items())
 
     def format(self) -> str:

@@ -12,14 +12,20 @@ canonical map key -> coefficient; merging like keys is exact because the
 color evaluation of a monomial is its coefficient times a function of the
 key alone.
 
-The two operations of the colored Jones height loop live here:
-evaluate_walk_sum evaluates with Kronecker-packed integers (q = 2^B), and
-multiply_walk_sums with pruning skips, by crossing bitmasks, the pairs
-that the duplicate-reduction filter would drop before the kernel sees them.
+The two operations of the colored Jones height loop live here, both on
+Python integers. A coefficient is Kronecker-packed: its value at q = 2^B
+with a base exponent, B chosen from a bound on the result so that its
+signed B-bit digits decode exactly (_pack and _unpack). evaluate_walk_sum
+applies each evaluation factor as a shift and a subtract. With a
+duplicate-reduction (DRL) limit, multiply_walk_sums also packs each key
+into one integer of fixed-width fields (d+s, d+r, d) per crossing, so that
+a key product is one add and the DRL test one add and one AND against the
+top bit of every field; a coefficient product is one integer multiply.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from struct import Struct
 from typing import Mapping
 
 from . import kernels
@@ -27,8 +33,8 @@ from .laurent import LaurentPolynomial
 
 _LETTER_SLOT = {"b": 0, "c": 1, "a": 2}
 
-# Most pairs per kernel call when the output is merged into a running sum.
-_MERGE_PAIRS = 1024
+# Little-endian struct code per packed key field width in bits.
+_KEY_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def zero_key(crossings: int) -> tuple[int, ...]:
@@ -190,11 +196,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     slots = [(3 * j + 1, sign > 0) for j, sign in enumerate(signs)]
     by_base: dict[int, int] = {}
     for key, coeff in ws.entries.items():
-        terms = coeff.terms
-        base = min(terms)
-        packed = 0
-        for e, c in terms.items():
-            packed += c << bits * (e - base)
+        packed, base = _pack(coeff.terms, bits)
         for i, positive in slots:
             r = key[i]
             d = key[i + 1]
@@ -223,19 +225,35 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     total = 0
     for base, packed in by_base.items():
         total += packed << bits * (base - low)
+    return LaurentPolynomial._raw(_unpack(total, bits, low))
+
+
+def _pack(terms: dict[int, int], bits: int) -> tuple[int, int]:
+    """A nonzero coefficient dict at q = 2^bits: (sum of c << bits * (e - base),
+    base), with base its lowest exponent."""
+    base = min(terms)
+    packed = 0
+    for e, c in terms.items():
+        packed += c << bits * (e - base)
+    return packed, base
+
+
+def _unpack(packed: int, bits: int, base: int) -> dict[int, int]:
+    """Inverse of _pack: the signed bits-bit digits of packed as a coefficient
+    dict from exponent base up. Exact when every coefficient is below
+    2^(bits-1) in absolute value."""
     out: dict[int, int] = {}
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
-    e = low
-    while total:
-        digit = total & mask
+    while packed:
+        digit = packed & mask
         if digit >= half:
             digit -= mask + 1
         if digit:
-            out[e] = digit
-        total = (total - digit) >> bits
-        e += 1
-    return LaurentPolynomial._raw(out)
+            out[base] = digit
+        packed = (packed - digit) >> bits
+        base += 1
+    return out
 
 
 def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int = 0) -> WalkSum:
@@ -247,25 +265,32 @@ def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int 
     return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
 
 
-def _sum_products(x: dict, y: dict) -> dict:
-    """Sum of two fresh kernel outputs ({key: coefficient dict}), built in
-    the larger one so that only the smaller is copied."""
-    if len(x) < len(y):
-        x, y = y, x
-    for key, coeff in y.items():
-        acc = x.get(key)
-        if acc is None:
-            x[key] = coeff
-            continue
-        for e, v in coeff.items():
-            v += acc.get(e, 0)
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-        if not acc:
-            del x[key]
-    return x
+def _reorder_form(sign: int) -> tuple[tuple[int, ...], ...]:
+    """The q-power of key_product at one crossing of the given sign is
+    sum(ka[u] * form[u][t] * kb[t]) over the three slots u, t: it is
+    bilinear in the two keys, so the kernel on unit keys gives the form."""
+    key_product = kernels.active().key_product
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return tuple(tuple(key_product(u, t, (sign,))[1] for t in units) for u in units)
+
+
+# The reordering form per crossing, keyed by whether its sign is positive.
+_REORDER_FORMS = {True: _reorder_form(1), False: _reorder_form(-1)}
+
+
+def _delta_terms(key: tuple[int, ...], forms: list) -> list[tuple[int, int]]:
+    """The (index, c) pairs with key_product(key, kb)'s q-power equal to
+    sum(c * kb[index]) for every kb; forms[j] is crossing j's reordering form."""
+    terms = []
+    for j, form in enumerate(forms):
+        i = 3 * j
+        s, r, d = key[i:i + 3]
+        if s or r or d:
+            for t, (x, y, z) in enumerate(zip(*form)):
+                c = s * x + r * y + d * z
+                if c:
+                    terms.append((i + t, c))
+    return terms
 
 
 def multiply_walk_sums(
@@ -276,73 +301,119 @@ def multiply_walk_sums(
 ) -> WalkSum:
     """Pairwise product a * b of two walk sums, accumulated into canonical form.
 
-    With n > 0, any product whose key fails drl_keep(key, n) is
-    discarded before accumulation (sound because the filter is monotone
-    under adding letters), and doomed pairs are skipped before the kernel
-    sees them. Call a crossing of a right entry saturated when
-    d + max(s, r) >= n - 1 there. Adding an a letter to a saturated
-    crossing raises d; adding a b raises max(s, r) when s >= r; adding a c
-    raises it when r >= s. Either way the product reaches n and DRL drops
-    it. So each right entry gets a signature of three crossing masks
-    (saturated, saturated with s >= r, saturated with r >= s), and is
-    paired only with the left entries having no a, b or c letter on the
-    respective mask. Right entries whose signatures admit the same left
-    entries form one batch, sent to the kernel together; the kernel still
-    applies DRL to every pair it gets. When every left entry is a simple
-    walk (at most one a, or at most one b and one c, per crossing) and
-    every right entry passes drl_keep(key, n), a pair passes the masks
-    exactly when DRL keeps it.
+    n = 0 sets no DRL limit and is one kernel_product call. With n > 0 any
+    product whose key fails drl_keep(key, n) is discarded (sound because the
+    filter is monotone under adding letters), and the product runs on packed
+    integers instead of the kernel.
+
+    Key layout. A key is read as one integer of 3k fields, W bits each, in
+    key order, and then moved to fields (d+s, d+r, d) per crossing by adding
+    the d fields shifted down one and two fields. The move is linear, so the
+    product key is one add, Ka + Kb. Since d + max(s, r) >= n holds exactly
+    when d+s >= n or d+r >= n, DRL drops the product iff some field of
+    Ka + Kb reaches n: with GUARD the top bit of every field and BIAS
+    2^(W-1) - n in every field, that is (Ka + Kb + BIAS) & GUARD != 0. W is
+    the least of 8, 16, 32, 64 that keeps n and twice the sum of the
+    largest counts of a and b, a bound on every field of a sum, below
+    2^(W-1), so no field carries into the next.
+
+    Saturation prefilter, from the same guard bits: the signature of a right
+    entry marks its fields that are at least n - 1, the mask of a left entry
+    its fields that are at least 1, and a left is paired with a right only
+    when the two share no field. Doomed pairs are skipped this way without
+    a key add; the admitted lefts are listed once per signature.
+
+    Coefficients. The q-power of reordering is bilinear in the two keys; its
+    3 x 3 form per crossing sign is read off the kernel's key_product on unit
+    keys, and each left gets its (index, c) list the first time it is
+    admitted. A coefficient is held as its value at q = 2^B with its own
+    base exponent, so a coefficient product is one integer multiply; each
+    output key keeps the lowest base of its contributions. For a fixed left
+    entry distinct right entries give distinct keys, so every digit of an
+    output coefficient is at most X = (sum over a of sum |c|) * (max over b
+    of sum |c|) in absolute value, and B = X.bit_length() + 2 keeps it
+    inside the signed digit range (as in evaluate_walk_sum). The packed
+    sums are decoded, and released, one key at a time.
     """
     if n == 0:
-        return kernel_product(a, b, signs)  # n = 0 sets no DRL limit
-    lefts = []
-    for key, coeff in a.entries.items():
-        ma = mb = mc = 0
-        bit = 1
-        for j in range(0, len(key), 3):
-            if key[j]:
-                mb |= bit
-            if key[j + 1]:
-                mc |= bit
-            if key[j + 2]:
-                ma |= bit
-            bit <<= 1
-        lefts.append((ma, mb, mc, (key, coeff.terms)))
-    top = n - 1
-    batch_of: dict[tuple[int, int, int], list | None] = {}
-    batches: dict[tuple[int, ...], list] = {}
-    for key, coeff in b.entries.items():
-        fa = fb = fc = 0
-        bit = 1
-        for j in range(0, len(key), 3):
-            s = key[j]
-            r = key[j + 1]
-            if key[j + 2] + (s if s > r else r) >= top:
-                fa |= bit
-                if s >= r:
-                    fb |= bit
-                if r >= s:
-                    fc |= bit
-            bit <<= 1
-        signature = (fa, fb, fc)
-        if signature in batch_of:
-            batch = batch_of[signature]
-        else:
-            sent = tuple(i for i, (ma, mb, mc, _) in enumerate(lefts) if not (ma & fa or mb & fb or mc & fc))
-            batch = batch_of[signature] = batches.setdefault(sent, []) if sent else None
-        if batch is not None:
-            batch.append((key, coeff.terms))
-    walk_products = kernels.active().walk_products
-    out: dict = {}
-    # The largest batch goes first and its output becomes the sum. Later
-    # outputs mostly repeat keys already in the sum and are held in full
-    # until merged, so later batches go in calls of at most _MERGE_PAIRS
-    # pairs to bound that duplicate memory.
-    for sent, rights in sorted(batches.items(), key=lambda batch: -len(batch[0]) * len(batch[1])):
-        items = [lefts[i][3] for i in sent]
-        step = max(1, _MERGE_PAIRS // len(items)) if out else len(rights)
-        for start in range(0, len(rights), step):
-            out = _sum_products(out, walk_products(items, rights[start:start + step], signs, n))
-    for k, c in out.items():
-        out[k] = LaurentPolynomial._raw(c)
+        return kernel_product(a, b, signs)
+    if n < 0:
+        raise ValueError(f"DRL limit must be >= 0, got {n}")
+    if not a.entries or not b.entries:
+        return WalkSum.zero()
+    k = len(signs)
+    length = 3 * k
+    if {length} != set(map(len, a.entries)) | set(map(len, b.entries)):
+        raise ValueError(f"key lengths do not match {k} crossings")
+    left_sum = sum(sum(map(abs, coeff.terms.values())) for coeff in a.entries.values())
+    right_sum = max(sum(map(abs, coeff.terms.values())) for coeff in b.entries.values())
+    bits = (left_sum * right_sum).bit_length() + 2
+    need = max(2 * (max(map(max, a.entries)) + max(map(max, b.entries))), n) if k else n
+    width = next((w for w in _KEY_CODES if need < 1 << (w - 1)), None)
+    if width is None:
+        raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
+    packer = Struct(f"<{length}{_KEY_CODES[width]}")
+    width2 = 2 * width
+    unit = int.from_bytes(packer.pack(*[1] * length), "little")
+    guard = unit << (width - 1)
+    d_fields = int.from_bytes(packer.pack(*(0, 0, (1 << width) - 1) * k), "little")
+    bias = guard - n * unit
+    saturated = bias + unit
+    nonzero = guard - unit
+
+    def fields(key: tuple[int, ...]) -> int:
+        x = int.from_bytes(packer.pack(*key), "little")
+        d = x & d_fields
+        return x + (d >> width) + (d >> width2)
+
+    forms = [_REORDER_FORMS[sign > 0] for sign in signs]
+    lefts = list(a.entries.items())
+    packed_lefts = [fields(key) for key in a.entries]
+    masks = [(x + nonzero) & guard for x in packed_lefts]
+    ready: list[tuple | None] = [None] * len(lefts)
+    admitted_by: dict[int, list] = {}
+    acc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    for kb, cb in b.entries.items():
+        xb = fields(kb)
+        signature = (xb + saturated) & guard
+        admitted = admitted_by.get(signature)
+        if admitted is None:
+            admitted = admitted_by[signature] = []
+            for i, mask in enumerate(masks):
+                if mask & signature:
+                    continue
+                left = ready[i]
+                if left is None:
+                    ka, ca = lefts[i]
+                    left = ready[i] = (packed_lefts[i], *_pack(ca.terms, bits), _delta_terms(ka, forms))
+                admitted.append(left)
+        if not admitted:
+            continue
+        pb, eb = _pack(cb.terms, bits)
+        for xa, pa, ea, delta in admitted:
+            x = xa + xb
+            if (x + bias) & guard:
+                continue
+            e = ea + eb
+            for j, c in delta:
+                e += c * kb[j]
+            p = pa * pb
+            old = low.get(x)
+            if old is None:
+                low[x] = e
+                acc[x] = p
+            elif e >= old:
+                acc[x] += p << bits * (e - old)
+            else:
+                acc[x] = (acc[x] << bits * (old - e)) + p
+                low[x] = e
+    out = {}
+    while acc:
+        x, p = acc.popitem()
+        terms = _unpack(p, bits, low.pop(x))
+        if terms:
+            d = x & d_fields
+            x -= (d >> width) + (d >> width2)
+            out[packer.unpack(x.to_bytes(packer.size, "little"))] = LaurentPolynomial._raw(terms)
     return WalkSum._raw(out)

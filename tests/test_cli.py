@@ -55,6 +55,21 @@ def test_compute_eval_q(capsys):
     assert "1" in lines[1]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "1+nanj", "0.5-infi"])
+def test_compute_non_finite_eval_q_exit_1(capsys, value):
+    code, out, err = run(capsys, "compute", "--braid", "1 1 1", "--eval-q", value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("walkjones: bad --eval-q value: ")
+    assert "not finite" in err
+
+
+def test_compute_eval_q_imaginary_unit_i(capsys):
+    code, out, _ = run(capsys, "compute", "--braid", "1 1 1", "--eval-q", "0.5+0.5i")
+    assert code == 0
+    assert out.splitlines()[1] == f"J(0.5+0.5i) = {P('q + q^3 - q^4').eval_at(0.5 + 0.5j)}"
+
+
 def test_compute_non_knot_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--braid", "1 1", "--color", "2")
     assert code == 2

@@ -140,6 +140,12 @@ def test_eval_at_zero_rejected():
         P("q^2").eval_at(0)
 
 
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), complex(1, float("-inf")), complex(float("nan"), 0)])
+def test_eval_at_non_finite_rejected(z):
+    with pytest.raises(ValueError):
+        P("1 + q").eval_at(z)
+
+
 def test_ring_axioms_random():
     rng = random.Random(7)
     for _ in range(1000):

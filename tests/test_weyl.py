@@ -1,10 +1,11 @@
 """Normal-form monomial algebra: products, pruning, evaluation."""
 import random
+import struct
 
 import pytest
 
 from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
-from walkjones import kernels, weyl
+from walkjones import weyl
 from walkjones.burau import walk_generator
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import FreeWord, free_normalize
@@ -333,63 +334,93 @@ def test_evaluate_rejects_bad_input():
 SIMPLE_COUNTS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 
 
-def rand_left(rng, k, simple):
+def rand_left(rng, k, simple, size=None, max_bits=4):
     ws = WalkSum.zero()
-    for _ in range(rng.randint(1, 12)):
+    for _ in range(rng.randint(1, 12) if size is None else size):
         if simple:
             key = tuple(x for _ in range(k) for x in rng.choice(SIMPLE_COUNTS))
         else:
             key = rand_key(rng, k, 2)
-        ws.add_into(key, rand_coeff(rng, 4))
+        ws.add_into(key, rand_coeff(rng, max_bits))
     return ws
 
 
-def rand_drl_stack(rng, k, n):
+def rand_stack(rng, k, n, filtered, size, max_bits):
+    """Random keys with counts up to n - 1, or up to n + 1 when not filtered
+    (so some fail drl_keep); filtered keeps only keys passing drl_keep."""
     ws = WalkSum.zero()
-    for _ in range(rng.randint(1, 30)):
-        key = rand_key(rng, k, n - 1)
-        if drl_keep(key, n):
-            ws.add_into(key, rand_coeff(rng, 6))
+    for _ in range(size):
+        key = rand_key(rng, k, n - 1 if filtered else n + 1)
+        if not filtered or drl_keep(key, n):
+            ws.add_into(key, rand_coeff(rng, max_bits))
     return ws
 
 
-def key_sum(ka, kb):
-    return tuple(x + y for x, y in zip(ka, kb))
+@pytest.fixture
+def key_formats(monkeypatch):
+    """The struct formats the packed multiply lays its keys out with."""
+    seen = set()
+
+    def recording(fmt):
+        seen.add(fmt[-1])
+        return struct.Struct(fmt)
+
+    monkeypatch.setattr(weyl, "Struct", recording)
+    return seen
 
 
-@pytest.mark.parametrize("merge_pairs", [weyl._MERGE_PAIRS, 2])
-@pytest.mark.parametrize("simple", [True, False])
-def test_masked_multiply_matches_kernel_product(monkeypatch, simple, merge_pairs):
-    # merge_pairs 2 splits every batch after the first into tiny kernel calls
-    monkeypatch.setattr(weyl, "_MERGE_PAIRS", merge_pairs)
-    backend = kernels.active()
-    inner = backend.walk_products
-    sent = []
-
-    def counting(items_a, items_b, signs, n_limit):
-        sent.extend((ka, kb) for ka, _ in items_a for kb, _ in items_b)
-        return inner(items_a, items_b, signs, n_limit)
-
-    rng = random.Random(39 + simple)
-    for _ in range(150):
-        k = rng.randint(1, 5)
-        n = rng.randint(1, 5)
+@pytest.mark.parametrize("simple, max_bits", [(False, 1024), (False, 2), (True, 1024), (True, 2)])
+def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats):
+    # 0-5 crossings, colors 1-6, DRL-filtered and unfiltered stacks, empty
+    # operands, and multi-term coefficients with exponents -6..6: widths up
+    # to +-2^1024 (+-2^80 among them), or only up to +-4, which gives the
+    # narrowest packing digits
+    rng = random.Random(39 + simple + max_bits)
+    widths = tuple(b for b in (2, 20, 80, 1024) if b <= max_bits)
+    for case in range(600):
+        k = rng.randint(0, 5)
+        n = rng.randint(1, 6)
         signs = rand_signs(rng, k)
-        left = rand_left(rng, k, simple)
-        stack = rand_drl_stack(rng, k, n)
-        expected = kernel_product(left, stack, signs, n)
-        sent.clear()
-        monkeypatch.setattr(backend, "walk_products", counting)
-        got = multiply_walk_sums(left, stack, signs, n)
-        monkeypatch.setattr(backend, "walk_products", inner)
-        assert got == expected
-        kept = [(ka, kb) for ka in left.entries for kb in stack.entries if drl_keep(key_sum(ka, kb), n)]
-        # every DRL-kept pair reaches the kernel, each once
-        assert set(kept) <= set(sent) and len(set(sent)) == len(sent)
-        if simple:
-            # nothing doomed is sent: the skip is exact
-            assert all(drl_keep(key_sum(ka, kb), n) for ka, kb in sent)
-            assert len(sent) == len(kept)
+        bits = rng.choice(widths)
+        left = rand_left(rng, k, simple, rng.randint(0, 12), bits)
+        stack = rand_stack(rng, k, n, case % 2 == 0, rng.randint(0, 30), bits)
+        assert multiply_walk_sums(left, stack, signs, n) == kernel_product(left, stack, signs, n)
+    assert key_formats == {"B"}
+
+
+@pytest.mark.parametrize("n, max_count, code", [
+    (3, 70, "H"),        # counts past 63 leave 8-bit fields
+    (128, 2, "H"),       # a color of 128 needs a 16-bit bias
+    (130, 140, "H"),
+    (40000, 3, "I"),
+    (1 << 40, 3, "Q"),
+])
+def test_packed_multiply_wide_fields(n, max_count, code, key_formats):
+    # counts stay small enough that reordering q-powers, and so the packed
+    # coefficients, stay small
+    rng = random.Random(n + max_count)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        signs = rand_signs(rng, k)
+        left = WalkSum.zero()
+        stack = WalkSum.zero()
+        for ws in (left, stack, stack):
+            for _ in range(rng.randint(1, 4)):
+                key = tuple(rng.choice((0, 1, max_count // 2, max_count)) for _ in range(3 * k))
+                ws.add_into(key, rand_coeff(rng, 20))
+        assert multiply_walk_sums(left, stack, signs, n) == kernel_product(left, stack, signs, n)
+    assert key_formats == {code}
+
+
+def test_packed_multiply_rejects_bad_input():
+    one = WalkSum.single((0, 0, 1), P("q"))
+    with pytest.raises(ValueError):
+        multiply_walk_sums(one, WalkSum.single((0, 1, 0, 0, 0, 0), P("1")), (1, 1), 2)
+    with pytest.raises(ValueError):
+        multiply_walk_sums(one, one, (1,), -1)
+    huge = WalkSum.single((1 << 62, 0, 0), P("1"))
+    with pytest.raises(OverflowError):
+        multiply_walk_sums(huge, one, (1,), 2)
 
 
 def test_masked_multiply_sound_on_unfiltered_stacks():
