@@ -2,7 +2,8 @@
 
 The polynomial is computed from walk sums read off the quantum determinant
 of the deformed Burau matrix of the braid, with duplicate-reduction pruning
-and mirror-orientation selection keeping the stack of walks small. All
+and the choice of the cheapest equivalent word (the mirror, and from N = 4
+a rotation or the flip) keeping the stack of walks small. All
 arithmetic is exact over integer-coefficient Laurent polynomials in q.
 """
 

@@ -46,6 +46,17 @@ class BraidWord:
         """Flip the sign of every crossing (diagrammatic mirror image)."""
         return BraidWord(tuple((i, -s) for i, s in self.crossings), self.strands)
 
+    def flip(self) -> "BraidWord":
+        """Replace each sigma_i with sigma_(m-i), signs kept: conjugation by
+        the half twist, so the closure is the same knot."""
+        return BraidWord(tuple((self.strands - i, s) for i, s in self.crossings), self.strands)
+
+    def rotated(self, start: int) -> "BraidWord":
+        """The cyclic rotation beginning at crossing ``start`` (0-based): a
+        conjugate, so the closure is the same knot."""
+        c = self.crossings
+        return BraidWord(c[start:] + c[:start], self.strands)
+
     def closure_permutation(self) -> tuple[int, ...]:
         """Permutation of {1..m} induced by the closure, as (image of 1, ..., image of m)."""
         f = list(range(1, self.strands + 1))

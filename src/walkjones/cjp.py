@@ -4,9 +4,23 @@ The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
 that height. The stack is rebuilt each height by left-multiplying with the
 level-one walk sum; the loop ends when the stack is empty or its evaluation
-is the zero polynomial. Orientation selection computes the simple-walk
-counts of the braid and its mirror and keeps whichever is smaller,
-compensating at the end with q -> 1/q.
+is the zero polynomial.
+
+Orientation selection runs the word with the fewest simple walks among
+words whose closures are the same knot, compensating a mirror at the end
+with q -> 1/q. Below color SEARCH_FROM_COLOR the candidates are the braid
+and its mirror. From that color on they are also the cyclic rotations
+(conjugates) of the braid and of its flip sigma_i -> sigma_(m-i), each
+with its mirror: walk counts follow the presentation, not the knot
+(Armond, arXiv:1101.3810). One cut per gap between sigma_1 letters is
+tried: on every rotation of every bundled braid and its flip, a rotation
+past sigma_i with i >= 2 left the count unchanged. Every candidate has the
+input's strands and writhe, up to the mirror's sign, so the polynomial
+and framing do not depend on the choice. Each candidate costs one level-one
+generator run, so the search pays only where the stack loop dominates: on
+the 84 bundled knots (pure backend, 2 vCPUs) the whole table took
+0.19 -> 0.76 s at N = 2 and 0.32 -> 0.83 s at N = 3 with the search, but
+1.49 -> 1.15 s at N = 4 and 10.9 -> 2.9 s at N = 5.
 """
 from __future__ import annotations
 
@@ -17,13 +31,16 @@ from .burau import walk_generator
 from .laurent import LaurentPolynomial
 from .weyl import WalkSum, evaluate_walk_sum, multiply_walk_sums
 
+SEARCH_FROM_COLOR = 4
+
 
 @dataclass
 class CjpResult:
     """Result record: the polynomial plus how the computation ran.
 
-    framing_exponent and simple_walk_count describe the braid the loop
-    actually used (the mirror, when mirror_used); with pruning disabled
+    braid_used is the word the loop ran on, after any cut, flip and
+    mirror; framing_exponent and simple_walk_count describe it (mirror_used
+    says whether it is a mirror of the input). With pruning disabled
     simple_walk_count is the unrestricted level-one entry count.
     heights_summed counts the stack heights whose evaluation was added.
     """
@@ -33,6 +50,7 @@ class CjpResult:
     framing_exponent: int
     heights_summed: int
     simple_walk_count: int
+    braid_used: BraidWord
 
 
 def simple_walk_count(braid: BraidWord) -> int:
@@ -40,16 +58,28 @@ def simple_walk_count(braid: BraidWord) -> int:
     return len(walk_generator(braid, prune_simple=True))
 
 
-def choose_orientation(braid: BraidWord) -> tuple[BraidWord, bool]:
-    """Return (braid or its mirror, whether the mirror was chosen).
+def cut_candidates(braid: BraidWord) -> list[BraidWord]:
+    """The braid and its flip, each cut once per gap between sigma_1^+-1
+    letters, duplicates dropped, the input word first. The input word
+    stands for its own gap, the one before the first sigma_1 letter."""
+    words = []
+    for word in (braid, braid.flip()):
+        starts = [r for r, (i, _) in enumerate(word.crossings) if i == 1]
+        words += [word.rotated(r) for r in [0] + starts[1:]]
+    return list(dict.fromkeys(words))
 
-    The mirror wins only when it has strictly fewer simple walks; ties keep
-    the original word.
+
+def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, bool]:
+    """Return (the word to run, whether it is a mirror of the input).
+
+    The candidates are the braid and its mirror, and from ``color`` >=
+    SEARCH_FROM_COLOR every cut_candidates word and its mirror. The one
+    with the fewest simple walks wins; ties keep the earlier candidate, so
+    the input word first.
     """
-    mirrored = braid.mirror()
-    if simple_walk_count(mirrored) < simple_walk_count(braid):
-        return mirrored, True
-    return braid, False
+    words = cut_candidates(braid) if color >= SEARCH_FROM_COLOR else [braid]
+    candidates = [(w.mirror() if mirrored else w, mirrored) for w in words for mirrored in (False, True)]
+    return min(candidates, key=lambda candidate: simple_walk_count(candidate[0]))
 
 
 def colored_jones(
@@ -62,20 +92,22 @@ def colored_jones(
 ) -> CjpResult:
     """Exact colored Jones polynomial J_{color} of the braid closure.
 
-    ``drl`` enables duplicate-reduction pruning (simple walks only, and
-    stack pruning at the given color); disabling it runs the same loop on
-    the full walk sum, which must produce the identical polynomial.
+    ``mirror_opt`` runs the word chosen by choose_orientation; without it
+    the input word runs as given. ``drl`` enables duplicate-reduction
+    pruning (simple walks only, and stack pruning at the given color);
+    disabling it runs the same loop on the full walk sum, which must
+    produce the identical polynomial.
     ``max_height`` caps the stack height as a guard against nontermination
     and defaults to 2 * color * crossings; exceeding it raises RuntimeError.
     """
     if color < 1:
         raise ValueError(f"color must be >= 1, got {color}")
     if braid.k == 0 and braid.strands == 1:
-        return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0)
+        return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid)
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
 
-    chosen, mirror_used = choose_orientation(braid) if mirror_opt else (braid, False)
+    chosen, mirror_used = choose_orientation(braid, color) if mirror_opt else (braid, False)
     m = chosen.strands
     writhe = chosen.writhe()
     if (writhe - m + 1) % 2:
@@ -106,4 +138,4 @@ def colored_jones(
     polynomial = total.shift(framing_exponent)
     if mirror_used:
         polynomial = polynomial.invert_var()
-    return CjpResult(polynomial, mirror_used, framing_exponent, heights, len(level_one))
+    return CjpResult(polynomial, mirror_used, framing_exponent, heights, len(level_one), chosen)

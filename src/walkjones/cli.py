@@ -116,6 +116,7 @@ def cmd_compute(args) -> int:
             "framing_exponent": result.framing_exponent if result else None,
             "heights_summed": result.heights_summed if result else None,
             "simple_walks": result.simple_walk_count if result else None,
+            "braid_used": result.braid_used.text() if result else None,
             "terms": [{"exp": e, "coeff": c} for e, c in sorted(poly.terms.items())],
             "time_ms": elapsed_ms,
         }
@@ -150,12 +151,13 @@ def _bench_row(rec: KnotRecord, color: int, with_no_drl: bool) -> dict:
         "heights": result.heights_summed,
         "time_ms": f"{elapsed_ms:.3f}",
         "terms": len(result.polynomial.terms),
+        "simple_walks_used": result.simple_walk_count,
         "_poly": result.polynomial.format(),
     }
 
 
 BENCH_COLUMNS = ["name", "crossings", "strands", "simple_walks", "simple_walks_mirror",
-                 "walks_no_drl", "N", "heights", "time_ms", "terms"]
+                 "walks_no_drl", "N", "heights", "time_ms", "terms", "simple_walks_used"]
 
 
 def bench_rows(records, colors, with_no_drl=False, threads=1):
@@ -169,6 +171,9 @@ def bench_rows(records, colors, with_no_drl=False, threads=1):
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        print(f"walkjones: threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 1
     try:
         colors = _parse_colors(args.colors)
         records = [r for r in load_table(args.table) if r.crossings <= args.max_crossings]

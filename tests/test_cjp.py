@@ -1,9 +1,11 @@
 """End-to-end colored Jones pipeline: anchors, symmetries, Markov moves."""
 import pytest
 
+from walkjones import cjp
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
-from walkjones.cjp import choose_orientation, colored_jones, simple_walk_count
+from walkjones.cjp import choose_orientation, colored_jones, cut_candidates, simple_walk_count
 from walkjones.laurent import LaurentPolynomial
+from walkjones.table import load_table
 
 P = LaurentPolynomial.parse
 ONE = LaurentPolynomial.one()
@@ -73,6 +75,75 @@ def test_choose_orientation_tie_keeps_original():
     assert simple_walk_count(b) == simple_walk_count(b.mirror()) == 3
     chosen, inverted = choose_orientation(b)
     assert not inverted and chosen == b
+
+
+def test_cut_candidates_close_to_the_input_knot():
+    for rec in load_table():
+        b = rec.braid_word()
+        words = cut_candidates(b)
+        assert words[0] == b
+        for w in words:
+            assert w.is_knot_closure(), rec.name
+            assert (w.strands, w.writhe(), w.k) == (b.strands, b.writhe(), b.k), rec.name
+
+
+def test_cut_candidates_one_per_sigma_one_gap():
+    # sigma_1 sits at 0, 3 and 5 in the word and at 1, 2 and 4 in its flip
+    b = parse_braid("1 2 2 -1 2 1")
+    assert [w.text() for w in cut_candidates(b)] == [
+        "1 2 2 -1 2 1", "-1 2 1 1 2 2", "1 1 2 2 -1 2",
+        "2 1 1 -2 1 2", "1 -2 1 2 2 1", "1 2 2 1 1 -2",
+    ]
+
+
+def test_cut_candidates_drop_duplicates():
+    assert cut_candidates(parse_braid("1 1 1 1 1 1 1 1 1")) == [parse_braid("1 1 1 1 1 1 1 1 1")]
+    # cutting at the second sigma_1 gives the input word again
+    assert [w.text() for w in cut_candidates(parse_braid("-1 2 -1 2"))] == ["-1 2 -1 2", "-2 1 -2 1", "1 -2 1 -2"]
+
+
+def test_walk_count_constant_within_each_sigma_one_gap():
+    # the reason one cut per gap suffices: passing a sigma_i with i >= 2
+    # never changes the count, on every rotation of every bundled braid
+    for rec in load_table():
+        for word in (rec.braid_word(), rec.braid_word().flip()):
+            starts = [r for r, (i, _) in enumerate(word.crossings) if i == 1]
+            for r in range(word.k):
+                gap = next((s for s in starts if s >= r), starts[0])
+                assert simple_walk_count(word.rotated(r)) == simple_walk_count(word.rotated(gap)), (rec.name, r)
+
+
+def test_search_tie_keeps_input_word():
+    # 6_2: the input word and its cut "1 -2 1 1 1 -2" both have the fewest walks
+    b = parse_braid("1 1 1 -2 1 -2")
+    counts = [simple_walk_count(w) for c in cut_candidates(b) for w in (c, c.mirror())]
+    assert counts.count(min(counts)) == 2 and counts[0] == min(counts)
+    assert choose_orientation(b, 4) == (b, False)
+    # the figure eight's mirror ties with its flip and one cut of the flip
+    b = parse_braid("-1 2 -1 2")
+    assert [simple_walk_count(w) for c in cut_candidates(b) for w in (c, c.mirror())] == [5, 2, 2, 5, 2, 5]
+    assert choose_orientation(b, 4) == (b.mirror(), True)
+
+
+def test_search_finds_a_cheaper_cut():
+    b = parse_braid("1 1 2 -1 2 2 3 -2 3 4 -3 4")  # 9_5
+    assert simple_walk_count(b.mirror()) < simple_walk_count(b)
+    assert choose_orientation(b, 3) == (b.mirror(), True)
+    chosen, mirrored = choose_orientation(b, 4)
+    assert simple_walk_count(chosen) == 23 < simple_walk_count(b.mirror())
+    assert chosen in cut_candidates(b) and not mirrored
+    result = colored_jones(b, 4)
+    assert result.braid_used == chosen and result.simple_walk_count == 23
+
+
+def test_search_matches_two_candidate_run_at_four(monkeypatch):
+    records = load_table()
+    searched = [colored_jones(rec.braid_word(), 4) for rec in records]
+    monkeypatch.setattr(cjp, "SEARCH_FROM_COLOR", 5)
+    for rec, found in zip(records, searched):
+        plain = colored_jones(rec.braid_word(), 4)
+        assert found.polynomial == plain.polynomial, rec.name
+        assert found.simple_walk_count <= plain.simple_walk_count, rec.name
 
 
 def test_mirror_relation_small_knots():
@@ -163,5 +234,6 @@ def test_framing_exponent_matches_used_orientation():
     for text in ("1", "-1 2 -1 2", "1 1 1 2 -1 2", "1 1 2 -1 -3 2 -3"):
         b = parse_braid(text)
         result = colored_jones(b, 4)
-        used = b.mirror() if result.mirror_used else b
+        used = result.braid_used
+        assert used.writhe() == (-1 if result.mirror_used else 1) * b.writhe()
         assert 2 * result.framing_exponent == 3 * (used.writhe() - used.strands + 1)

@@ -44,7 +44,17 @@ def test_compute_json_roundtrips_text(capsys):
     assert payload["input"] == "3_1"
     assert payload["n"] == 2
     assert payload["simple_walks"] >= 1
+    assert payload["braid_used"] == "1 1 1"
     assert "time_ms" in payload
+
+
+@pytest.mark.parametrize("color, used", [("3", "-1 -1 -2 1 -2 -2 -3 2 -3 -4 3 -4"), ("4", "1 2 -1 2 2 3 -2 3 4 -3 4 1")])
+def test_compute_json_braid_used(capsys, color, used):
+    code, out, _ = run(capsys, "compute", "--knot", "9_5", "--color", color, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["braid_used"] == used
+    assert payload["mirror_used"] == (color == "3")
 
 
 def test_compute_eval_q(capsys):
@@ -117,8 +127,28 @@ def test_bench_csv_shape(capsys):
     assert [(r["name"], r["N"]) for r in rows] == [("3_1", "2"), ("3_1", "3"), ("4_1", "2"), ("4_1", "3")]
     for r in rows:
         assert int(r["simple_walks"]) <= int(r["walks_no_drl"])
+        assert int(r["simple_walks_used"]) == min(int(r["simple_walks"]), int(r["simple_walks_mirror"]))
     fig8 = rows[2]
     assert (fig8["simple_walks"], fig8["walks_no_drl"]) == ("5", "9")
+
+
+def test_bench_reports_walks_of_the_cut_that_ran(capsys, tmp_path):
+    table = tmp_path / "9_5.csv"
+    table.write_text("name,crossings,braid\n9_5,9,1 1 2 -1 2 2 3 -2 3 4 -3 4\n")
+    code, out, _ = run(capsys, "bench", "--table", str(table), "--colors", "3,4")
+    assert code == 0
+    rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [(r["N"], r["simple_walks"], r["simple_walks_mirror"], r["simple_walks_used"]) for r in rows] == [
+        ("3", "47", "45", "45"), ("4", "47", "45", "23"),
+    ]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bench_threads_below_one_exit_1(capsys, threads):
+    code, out, err = run(capsys, "bench", "--max-crossings", "3", "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert err == f"walkjones: threads must be >= 1, got {threads}\n"
 
 
 def test_bench_deterministic_nontime_columns(capsys):
