@@ -65,7 +65,10 @@ class BraidWord:
         return tuple(f)
 
     def is_knot_closure(self) -> bool:
-        """True iff the closure is a knot, i.e. the closure permutation is a single m-cycle."""
+        """True iff the closure is a knot, i.e. the closure permutation is a single m-cycle,
+        which takes at least m - 1 transpositions."""
+        if self.k < self.strands - 1:
+            return False
         perm = self.closure_permutation()
         seen = 1
         at = perm[0]

@@ -43,6 +43,8 @@ class CjpResult:
     says whether it is a mirror of the input). With pruning disabled
     simple_walk_count is the unrestricted level-one entry count.
     heights_summed counts the stack heights whose evaluation was added.
+    walk_counts maps each word choose_orientation measured (the input and
+    its mirror among them) to its simple-walk count; empty without mirror_opt.
     """
 
     polynomial: LaurentPolynomial
@@ -51,6 +53,7 @@ class CjpResult:
     heights_summed: int
     simple_walk_count: int
     braid_used: BraidWord
+    walk_counts: dict[BraidWord, int]
 
 
 def simple_walk_count(braid: BraidWord) -> int:
@@ -69,8 +72,9 @@ def cut_candidates(braid: BraidWord) -> list[BraidWord]:
     return list(dict.fromkeys(words))
 
 
-def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, bool]:
-    """Return (the word to run, whether it is a mirror of the input).
+def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, bool, dict[BraidWord, int]]:
+    """Return (the word to run, whether it is a mirror of the input, the
+    simple-walk count of every candidate word).
 
     The candidates are the braid and its mirror, and from ``color`` >=
     SEARCH_FROM_COLOR every cut_candidates word and its mirror. The one
@@ -79,7 +83,9 @@ def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, boo
     """
     words = cut_candidates(braid) if color >= SEARCH_FROM_COLOR else [braid]
     candidates = [(w.mirror() if mirrored else w, mirrored) for w in words for mirrored in (False, True)]
-    return min(candidates, key=lambda candidate: simple_walk_count(candidate[0]))
+    counts = {word: simple_walk_count(word) for word in dict.fromkeys(word for word, _ in candidates)}
+    chosen, mirrored = min(candidates, key=lambda candidate: counts[candidate[0]])
+    return chosen, mirrored, counts
 
 
 def colored_jones(
@@ -88,7 +94,6 @@ def colored_jones(
     *,
     mirror_opt: bool = True,
     drl: bool = True,
-    max_height: int | None = None,
 ) -> CjpResult:
     """Exact colored Jones polynomial J_{color} of the braid closure.
 
@@ -97,17 +102,17 @@ def colored_jones(
     pruning (simple walks only, and stack pruning at the given color);
     disabling it runs the same loop on the full walk sum, which must
     produce the identical polynomial.
-    ``max_height`` caps the stack height as a guard against nontermination
-    and defaults to 2 * color * crossings; exceeding it raises RuntimeError.
+    The stack height is capped at 2 * color * crossings as a guard against
+    nontermination; exceeding it raises RuntimeError.
     """
     if color < 1:
         raise ValueError(f"color must be >= 1, got {color}")
     if braid.k == 0 and braid.strands == 1:
-        return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid)
+        return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid, {})
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
 
-    chosen, mirror_used = choose_orientation(braid, color) if mirror_opt else (braid, False)
+    chosen, mirror_used, walk_counts = choose_orientation(braid, color) if mirror_opt else (braid, False, {})
     m = chosen.strands
     writhe = chosen.writhe()
     if (writhe - m + 1) % 2:
@@ -119,7 +124,7 @@ def colored_jones(
     signs = chosen.signs()
     level_one = walk_generator(chosen, prune_simple=drl)
     stack = level_one.filtered(color) if drl else level_one
-    cap = max_height if max_height is not None else 2 * color * chosen.k
+    cap = 2 * color * chosen.k
 
     total = LaurentPolynomial.one()
     heights = 0
@@ -138,4 +143,4 @@ def colored_jones(
     polynomial = total.shift(framing_exponent)
     if mirror_used:
         polynomial = polynomial.invert_var()
-    return CjpResult(polynomial, mirror_used, framing_exponent, heights, len(level_one), chosen)
+    return CjpResult(polynomial, mirror_used, framing_exponent, heights, len(level_one), chosen, walk_counts)

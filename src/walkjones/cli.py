@@ -11,9 +11,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .braid import BraidWord, NotAKnotError, parse_braid
-from .cjp import colored_jones, simple_walk_count
+from .cjp import colored_jones
 from .burau import unpruned_walk_count
-from .oracle import naive_colored_jones
 from .table import KnotRecord, knot_lookup, load_table
 
 
@@ -39,7 +38,6 @@ def _build_parser() -> _Parser:
     comp.add_argument("--no-mirror-opt", action="store_true", help="disable mirror orientation selection")
     comp.add_argument("--no-drl", action="store_true", help="disable duplicate-reduction pruning")
     comp.add_argument("--table", default=None, help="knot table CSV overriding the bundled one")
-    comp.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
     bench = sub.add_parser("bench", help="benchmark the knot table, CSV to stdout")
     bench.add_argument("--max-crossings", type=int, default=9)
@@ -47,7 +45,6 @@ def _build_parser() -> _Parser:
     bench.add_argument("--with-no-drl", action="store_true",
                        help="also count level-one walks without duplicate reduction")
     bench.add_argument("--table", default=None, help="knot table CSV overriding the bundled one")
-    bench.add_argument("--threads", type=int, default=1, help="worker threads (rows stay in table order)")
     return parser
 
 
@@ -82,21 +79,12 @@ def cmd_compute(args) -> int:
 
     start = time.perf_counter()
     try:
-        if args.oracle:
-            poly = naive_colored_jones(braid, args.color)
-            result = None
-        else:
-            result = colored_jones(
-                braid,
-                args.color,
-                mirror_opt=not args.no_mirror_opt,
-                drl=not args.no_drl,
-            )
-            poly = result.polynomial
+        result = colored_jones(braid, args.color, mirror_opt=not args.no_mirror_opt, drl=not args.no_drl)
     except NotAKnotError as exc:
         print(f"walkjones: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    poly = result.polynomial
 
     value = None
     if args.eval_q is not None:
@@ -112,16 +100,14 @@ def cmd_compute(args) -> int:
         payload = {
             "input": label,
             "n": args.color,
-            "mirror_used": result.mirror_used if result else False,
-            "framing_exponent": result.framing_exponent if result else None,
-            "heights_summed": result.heights_summed if result else None,
-            "simple_walks": result.simple_walk_count if result else None,
-            "braid_used": result.braid_used.text() if result else None,
+            "mirror_used": result.mirror_used,
+            "framing_exponent": result.framing_exponent,
+            "heights_summed": result.heights_summed,
+            "simple_walks": result.simple_walk_count,
+            "braid_used": result.braid_used.text(),
             "terms": [{"exp": e, "coeff": c} for e, c in sorted(poly.terms.items())],
             "time_ms": elapsed_ms,
         }
-        if args.oracle:
-            payload["oracle"] = True
         if value is not None:
             payload["eval"] = {"q": args.eval_q, "value": [value.real, value.imag]}
         print(json.dumps(payload))
@@ -134,8 +120,6 @@ def cmd_compute(args) -> int:
 
 def _bench_row(rec: KnotRecord, color: int, with_no_drl: bool) -> dict:
     braid = rec.braid_word()
-    walks = simple_walk_count(braid)
-    walks_mirror = simple_walk_count(braid.mirror())
     no_drl = unpruned_walk_count(braid) if with_no_drl else ""
     start = time.perf_counter()
     result = colored_jones(braid, color)
@@ -144,8 +128,8 @@ def _bench_row(rec: KnotRecord, color: int, with_no_drl: bool) -> dict:
         "name": rec.name,
         "crossings": rec.crossings,
         "strands": braid.strands,
-        "simple_walks": walks,
-        "simple_walks_mirror": walks_mirror,
+        "simple_walks": result.walk_counts[braid],
+        "simple_walks_mirror": result.walk_counts[braid.mirror()],
         "walks_no_drl": no_drl,
         "N": color,
         "heights": result.heights_summed,
@@ -171,9 +155,6 @@ def bench_rows(records, colors, with_no_drl=False, threads=1):
 
 
 def cmd_bench(args) -> int:
-    if args.threads < 1:
-        print(f"walkjones: threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 1
     try:
         colors = _parse_colors(args.colors)
         records = [r for r in load_table(args.table) if r.crossings <= args.max_crossings]
@@ -190,7 +171,7 @@ def cmd_bench(args) -> int:
         if not braid.is_knot_closure():
             print(f"walkjones: {rec.name}: closure of {braid} is not a knot", file=sys.stderr)
             return 2
-    rows = bench_rows(records, colors, with_no_drl=args.with_no_drl, threads=args.threads)
+    rows = bench_rows(records, colors, with_no_drl=args.with_no_drl)
     print(",".join(BENCH_COLUMNS))
     for row in rows:
         print(",".join(str(row[c]) for c in BENCH_COLUMNS))

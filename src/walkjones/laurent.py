@@ -144,12 +144,18 @@ class LaurentPolynomial:
 
     def eval_at(self, z: complex) -> complex:
         """Numerically evaluate at q = z. Rejects z = 0 (negative exponents)
-        and a non-finite z."""
+        and a z that is not finite or at which a power or the sum overflows."""
         if z == 0:
             raise ValueError("cannot evaluate at q = 0: Laurent polynomials allow negative exponents")
         if not cmath.isfinite(z):
             raise ValueError(f"cannot evaluate at q = {z}: not finite")
-        return sum(c * z**e for e, c in self._terms.items())
+        try:
+            value = sum(c * z**e for e, c in self._terms.items())
+            if cmath.isfinite(value):
+                return value
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise ValueError(f"cannot evaluate at q = {z}: the value overflows or is not finite")
 
     def format(self) -> str:
         """Canonical text form, terms in ascending exponent order."""

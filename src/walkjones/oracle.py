@@ -247,12 +247,10 @@ def _evaluate_height(walks_enc, positive, k, color, height) -> LaurentPolynomial
     return LaurentPolynomial._raw(total)
 
 
-def naive_colored_jones(
-    braid: BraidWord, color: int, max_height: int | None = None
-) -> LaurentPolynomial:
+def naive_colored_jones(braid: BraidWord, color: int) -> LaurentPolynomial:
     """Colored Jones polynomial by full expansion: every stack of walks is
     enumerated as a free word and evaluated separately. No pruning anywhere;
-    the only guard is the height cap (default 2 * color * crossings)."""
+    the only guard is the height cap of 2 * color * crossings."""
     if color < 1:
         raise ValueError(f"color must be >= 1, got {color}")
     if braid.k == 0 and braid.strands == 1:
@@ -266,7 +264,7 @@ def naive_colored_jones(
     walks = _free_walks(braid)
     positive = [s > 0 for s in signs]
     walks_enc = [(e, s, _encode(letters, signs)) for e, s, letters in walks]
-    cap = max_height if max_height is not None else 2 * color * k
+    cap = 2 * color * k
     total = LaurentPolynomial.one()
     if walks:
         height = 1

@@ -16,7 +16,7 @@ The two operations of the colored Jones height loop live here, both on
 Python integers. A coefficient is Kronecker-packed: its value at q = 2^B
 with a base exponent, B chosen from a bound on the result so that its
 signed B-bit digits decode exactly (_pack and _unpack). evaluate_walk_sum
-applies each evaluation factor as a shift and a subtract. With a
+applies each evaluation factor as a shift and a subtract. For any
 duplicate-reduction (DRL) limit, multiply_walk_sums also packs each key
 into one integer of fixed-width fields (d+s, d+r, d) per crossing, so that
 a key product is one add and the DRL test one add and one AND against the
@@ -301,10 +301,10 @@ def multiply_walk_sums(
 ) -> WalkSum:
     """Pairwise product a * b of two walk sums, accumulated into canonical form.
 
-    n = 0 sets no DRL limit and is one kernel_product call. With n > 0 any
-    product whose key fails drl_keep(key, n) is discarded (sound because the
-    filter is monotone under adding letters), and the product runs on packed
-    integers instead of the kernel.
+    With n > 0 any product whose key fails drl_keep(key, n) is discarded
+    (sound because the filter is monotone under adding letters). n = 0 sets
+    no DRL limit: it runs as a limit one above any field a sum can reach
+    (see W below), so the DRL test and the prefilter below never fire.
 
     Key layout. A key is read as one integer of 3k fields, W bits each, in
     key order, and then moved to fields (d+s, d+r, d) per crossing by adding
@@ -335,8 +335,6 @@ def multiply_walk_sums(
     inside the signed digit range (as in evaluate_walk_sum). The packed
     sums are decoded, and released, one key at a time.
     """
-    if n == 0:
-        return kernel_product(a, b, signs)
     if n < 0:
         raise ValueError(f"DRL limit must be >= 0, got {n}")
     if not a.entries or not b.entries:
@@ -348,8 +346,9 @@ def multiply_walk_sums(
     left_sum = sum(sum(map(abs, coeff.terms.values())) for coeff in a.entries.values())
     right_sum = max(sum(map(abs, coeff.terms.values())) for coeff in b.entries.values())
     bits = (left_sum * right_sum).bit_length() + 2
-    need = max(2 * (max(map(max, a.entries)) + max(map(max, b.entries))), n) if k else n
-    width = next((w for w in _KEY_CODES if need < 1 << (w - 1)), None)
+    top = 2 * (max(map(max, a.entries)) + max(map(max, b.entries))) if k else 0
+    n = n or top + 1
+    width = next((w for w in _KEY_CODES if max(top, n) < 1 << (w - 1)), None)
     if width is None:
         raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
     packer = Struct(f"<{length}{_KEY_CODES[width]}")

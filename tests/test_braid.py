@@ -63,6 +63,12 @@ def test_is_knot_closure():
     assert parse_braid("-1 2 -1 2").is_knot_closure()
     assert not parse_braid("1 1").is_knot_closure()
     assert parse_braid("", strands=1).is_knot_closure()
+    # an m-cycle needs m - 1 transpositions; fewer crossings answer at once,
+    # whatever the strand count
+    assert parse_braid("1 2").is_knot_closure()
+    assert not parse_braid("1", strands=3).is_knot_closure()
+    assert not parse_braid("1", strands=1 << 64).is_knot_closure()
+    assert not parse_braid(str(1 << 64)).is_knot_closure()
 
 
 def test_writhe():

@@ -64,16 +64,16 @@ def test_simple_walk_counts():
 
 
 def test_choose_orientation_prefers_fewer_walks():
-    chosen, inverted = choose_orientation(parse_braid("-1 -1 -1"))
+    chosen, inverted, _ = choose_orientation(parse_braid("-1 -1 -1"))
     assert inverted and chosen == parse_braid("1 1 1")
-    chosen, inverted = choose_orientation(parse_braid("1 1 1"))
+    chosen, inverted, _ = choose_orientation(parse_braid("1 1 1"))
     assert not inverted and chosen == parse_braid("1 1 1")
 
 
 def test_choose_orientation_tie_keeps_original():
     b = parse_braid("1 1 2 -1")  # unknot braid whose mirror ties at 3 simple walks
     assert simple_walk_count(b) == simple_walk_count(b.mirror()) == 3
-    chosen, inverted = choose_orientation(b)
+    chosen, inverted, _ = choose_orientation(b)
     assert not inverted and chosen == b
 
 
@@ -118,22 +118,32 @@ def test_search_tie_keeps_input_word():
     b = parse_braid("1 1 1 -2 1 -2")
     counts = [simple_walk_count(w) for c in cut_candidates(b) for w in (c, c.mirror())]
     assert counts.count(min(counts)) == 2 and counts[0] == min(counts)
-    assert choose_orientation(b, 4) == (b, False)
+    assert choose_orientation(b, 4)[:2] == (b, False)
     # the figure eight's mirror ties with its flip and one cut of the flip
     b = parse_braid("-1 2 -1 2")
     assert [simple_walk_count(w) for c in cut_candidates(b) for w in (c, c.mirror())] == [5, 2, 2, 5, 2, 5]
-    assert choose_orientation(b, 4) == (b.mirror(), True)
+    assert choose_orientation(b, 4)[:2] == (b.mirror(), True)
 
 
 def test_search_finds_a_cheaper_cut():
     b = parse_braid("1 1 2 -1 2 2 3 -2 3 4 -3 4")  # 9_5
     assert simple_walk_count(b.mirror()) < simple_walk_count(b)
-    assert choose_orientation(b, 3) == (b.mirror(), True)
-    chosen, mirrored = choose_orientation(b, 4)
+    assert choose_orientation(b, 3)[:2] == (b.mirror(), True)
+    chosen, mirrored, _ = choose_orientation(b, 4)
     assert simple_walk_count(chosen) == 23 < simple_walk_count(b.mirror())
     assert chosen in cut_candidates(b) and not mirrored
     result = colored_jones(b, 4)
     assert result.braid_used == chosen and result.simple_walk_count == 23
+
+
+def test_result_carries_every_measured_walk_count():
+    b = parse_braid("1 1 2 -1 2 2 3 -2 3 4 -3 4")  # 9_5
+    assert colored_jones(b, 3).walk_counts == {b: 47, b.mirror(): 45}
+    words = [w for c in cut_candidates(b) for w in (c, c.mirror())]
+    counts = colored_jones(b, 4).walk_counts
+    assert list(counts) == list(dict.fromkeys(words))
+    assert counts == {w: simple_walk_count(w) for w in words}
+    assert colored_jones(b, 4, mirror_opt=False).walk_counts == {}
 
 
 def test_search_matches_two_candidate_run_at_four(monkeypatch):
@@ -211,9 +221,11 @@ def test_rejects_bad_color():
         colored_jones(parse_braid("1 1 1"), 0)
 
 
-def test_height_cap_guard():
-    with pytest.raises(RuntimeError):
-        colored_jones(parse_braid("1 1 1"), 2, max_height=0)
+def test_height_cap_guard(monkeypatch):
+    # a stack that never shrinks passes the cap of 2 * color * crossings
+    monkeypatch.setattr(cjp, "multiply_walk_sums", lambda level_one, stack, signs, n: stack)
+    with pytest.raises(RuntimeError, match="height cap 12"):
+        colored_jones(parse_braid("1 1 1"), 2)
 
 
 def test_figure_eight_matches_cyclotomic_expansion():

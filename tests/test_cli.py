@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from walkjones import cli
+from walkjones import cjp, cli
+from walkjones.cjp import simple_walk_count
 from walkjones.cli import BENCH_COLUMNS, main
 from walkjones.laurent import LaurentPolynomial
 from walkjones.table import load_table
@@ -65,9 +66,10 @@ def test_compute_eval_q(capsys):
     assert "1" in lines[1]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "1+nanj", "0.5-infi"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "1+nanj", "0.5-infi", "1e200", "1e-200", "2e200j"])
 def test_compute_non_finite_eval_q_exit_1(capsys, value):
-    code, out, err = run(capsys, "compute", "--braid", "1 1 1", "--eval-q", value)
+    # the figure eight's q^2 term overflows at a huge q and its q^-2 at a tiny one
+    code, out, err = run(capsys, "compute", "--knot", "4_1", "--eval-q", value)
     assert code == 1
     assert out == ""
     assert err.startswith("walkjones: bad --eval-q value: ")
@@ -84,6 +86,14 @@ def test_compute_non_knot_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--braid", "1 1", "--color", "2")
     assert code == 2
     assert "not a knot" in err
+
+
+@pytest.mark.parametrize("argv", [("--braid", "99999999999999999999"), ("--braid", "1", "--strands", "99999999999999999999")])
+def test_compute_huge_strand_count_not_a_knot_exit_2(capsys, argv):
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("walkjones: closure of ") and err.endswith(" strands is not a knot\n")
 
 
 def test_compute_bad_braid_exit_1(capsys):
@@ -105,10 +115,12 @@ def test_compute_unknown_knot_exit_1(capsys):
     assert "99_99" in err
 
 
-def test_compute_oracle_flag_matches(capsys):
-    code, out, _ = run(capsys, "compute", "--knot", "4_1", "--oracle")
-    assert code == 0
-    assert out.strip() == "q^-2 - q^-1 + 1 - q + q^2"
+def test_compute_oracle_flag_exit_1(capsys):
+    # the brute-force oracle is a library function, not a CLI route
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--knot", "4_1", "--oracle"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
 
 def test_compute_strands_override(capsys):
@@ -143,12 +155,28 @@ def test_bench_reports_walks_of_the_cut_that_ran(capsys, tmp_path):
     ]
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_bench_threads_below_one_exit_1(capsys, threads):
-    code, out, err = run(capsys, "bench", "--max-crossings", "3", "--threads", threads)
-    assert code == 1
-    assert out == ""
-    assert err == f"walkjones: threads must be >= 1, got {threads}\n"
+def test_bench_threads_unknown_option_exit_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--max-crossings", "3", "--threads", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_bench_row_reuses_the_orientation_walk_counts(monkeypatch):
+    # at N <= 3 a row runs the level-one generator three times, all inside
+    # colored_jones: the input word, its mirror, and the word that ran
+    records = [r for r in load_table() if r.name in ("4_1", "9_5")]
+    calls = []
+    generator = cjp.walk_generator
+    monkeypatch.setattr(cjp, "walk_generator", lambda *args, **kw: calls.append(args) or generator(*args, **kw))
+    assert len(cli.bench_rows(records, [2])) == len(records)
+    assert len(calls) == 3 * len(records)
+    monkeypatch.undo()
+    rows = cli.bench_rows(records, [2, 4])
+    braids = [rec.braid_word() for rec in records for _ in (2, 4)]
+    assert [(row["simple_walks"], row["simple_walks_mirror"]) for row in rows] == [
+        (simple_walk_count(b), simple_walk_count(b.mirror())) for b in braids
+    ]
 
 
 def test_bench_deterministic_nontime_columns(capsys):
@@ -158,16 +186,6 @@ def test_bench_deterministic_nontime_columns(capsys):
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         runs.append([[c for i, c in enumerate(row) if BENCH_COLUMNS[i] != "time_ms"] for row in rows])
     assert runs[0] == runs[1]
-
-
-def test_bench_threads_preserve_order(capsys):
-    _, seq, _ = run(capsys, "bench", "--max-crossings", "5", "--colors", "2")
-    _, par, _ = run(capsys, "bench", "--max-crossings", "5", "--colors", "2", "--threads", "4")
-    strip = lambda out: [
-        [c for i, c in enumerate(line.split(",")) if BENCH_COLUMNS[i] != "time_ms"]
-        for line in out.strip().splitlines()[1:]
-    ]
-    assert strip(seq) == strip(par)
 
 
 def test_compute_missing_table_exit_1(capsys, tmp_path):

@@ -140,10 +140,14 @@ def test_eval_at_zero_rejected():
         P("q^2").eval_at(0)
 
 
-@pytest.mark.parametrize("z", [float("nan"), float("inf"), complex(1, float("-inf")), complex(float("nan"), 0)])
+@pytest.mark.parametrize("z", [
+    float("nan"), float("inf"), complex(1, float("-inf")), complex(float("nan"), 0),
+    1e200, complex(1e200), complex(0, -1e200), complex(1e-200), 1e-200,
+])
 def test_eval_at_non_finite_rejected(z):
+    # q^3 overflows at a huge q and q^-2 at a tiny one
     with pytest.raises(ValueError):
-        P("1 + q").eval_at(z)
+        P("q^-2 + 1 + q^3").eval_at(z)
 
 
 def test_ring_axioms_random():

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
-from walkjones import weyl
+from walkjones import kernels, weyl
 from walkjones.burau import walk_generator
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import FreeWord, free_normalize
@@ -370,11 +370,16 @@ def key_formats(monkeypatch):
 
 
 @pytest.mark.parametrize("simple, max_bits", [(False, 1024), (False, 2), (True, 1024), (True, 2)])
-def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats):
+def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats, monkeypatch):
     # 0-5 crossings, colors 1-6, DRL-filtered and unfiltered stacks, empty
     # operands, and multi-term coefficients with exponents -6..6: widths up
     # to +-2^1024 (+-2^80 among them), or only up to +-4, which gives the
-    # narrowest packing digits
+    # narrowest packing digits. Each case also runs with no DRL limit
+    # (n = 0), and neither limit calls the kernel.
+    kernel = kernels.active()
+    walk_products = kernel.walk_products
+    calls = []
+    monkeypatch.setattr(kernel, "walk_products", lambda *args: calls.append(args) or walk_products(*args))
     rng = random.Random(39 + simple + max_bits)
     widths = tuple(b for b in (2, 20, 80, 1024) if b <= max_bits)
     for case in range(600):
@@ -384,7 +389,11 @@ def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats):
         bits = rng.choice(widths)
         left = rand_left(rng, k, simple, rng.randint(0, 12), bits)
         stack = rand_stack(rng, k, n, case % 2 == 0, rng.randint(0, 30), bits)
-        assert multiply_walk_sums(left, stack, signs, n) == kernel_product(left, stack, signs, n)
+        for limit in (n, 0):
+            product = multiply_walk_sums(left, stack, signs, limit)
+            assert not calls
+            assert product == kernel_product(left, stack, signs, limit)
+            calls.clear()
     assert key_formats == {"B"}
 
 
