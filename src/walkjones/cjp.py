@@ -4,7 +4,12 @@ The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
 that height. The stack is rebuilt each height by left-multiplying with the
 level-one walk sum; the loop ends when the stack is empty or its evaluation
-is the zero polynomial.
+is the zero polynomial. From the second height on the stack is the packed
+walk sum multiply_walk_sums returns (see weyl): evaluate_walk_sum and the
+next multiply read it as it is, so it is never decoded into tuple keys
+and LaurentPolynomials, and the level-one sum and the first stack are
+packed once per job. Evaluation sums the monomials per multiset of
+(1 - q^e) factors and applies each multiset once.
 
 Orientation selection runs the word with the fewest simple walks among
 words whose closures are the same knot, compensating a mirror at the end

@@ -178,8 +178,19 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _join_eval_q(argv: list[str]) -> list[str]:
+    """argv with each "--eval-q VALUE" joined into "--eval-q=VALUE", so that
+    a value starting with "-", such as -0.5+0.5j, is not read as an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--eval-q" else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_eval_q(sys.argv[1:] if argv is None else argv))
     if args.command == "compute":
         return cmd_compute(args)
     return cmd_bench(args)

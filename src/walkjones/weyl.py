@@ -13,14 +13,33 @@ color evaluation of a monomial is its coefficient times a function of the
 key alone.
 
 The two operations of the colored Jones height loop live here, both on
-Python integers. A coefficient is Kronecker-packed: its value at q = 2^B
-with a base exponent, B chosen from a bound on the result so that its
-signed B-bit digits decode exactly (_pack and _unpack). evaluate_walk_sum
-applies each evaluation factor as a shift and a subtract. For any
-duplicate-reduction (DRL) limit, multiply_walk_sums also packs each key
-into one integer of fixed-width fields (d+s, d+r, d) per crossing, so that
-a key product is one add and the DRL test one add and one AND against the
-top bit of every field; a coefficient product is one integer multiply.
+Python integers, and both run on walk sums in packed form (_Packed):
+
+- A key is one integer of 3k fields, W bits each, holding the moved counts
+  (d+s, d+r, d) per crossing, so that a key product is one add and the
+  duplicate-reduction (DRL) test one add and one AND against the top bit
+  of every field.
+- A coefficient is Kronecker-packed: its value at q = 2^B with its own
+  base exponent, so that a coefficient product is one integer multiply.
+  B is one lane width for the whole sum; the signed B-bit digits decode
+  exactly (_pack and _unpack).
+- Bounds travel with the sum: its coefficient mass (the sum over entries
+  of sum |c|), a bound on every moved field, and a bound on the spread
+  between its lowest and highest exponent.
+
+Lane policy. The mass bounds every digit of every coefficient and of any
+sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2. B
+starts at 64 bits and doubles, re-digiting the sum, only when a carried
+mass needs it. W is the least of 8, 16, 32, 64 bits that the fields (and
+the DRL limit) need, and widens the same way, re-packing the keys.
+
+multiply_walk_sums returns its product packed and evaluate_walk_sum reads
+packed sums directly, so the stack stays packed from height to height:
+WalkSum.entries decodes a packed sum into tuple keys and LaurentPolynomials
+only when something reads it. A plain WalkSum is packed when it is passed
+in, so there is one arithmetic path. No packed integer may span more than
+PACKED_BITS_MAX bits: both operations check B times the exponent spread
+their bounds allow before any shift, and raise OverflowError past it.
 """
 from __future__ import annotations
 
@@ -35,6 +54,12 @@ _LETTER_SLOT = {"b": 0, "c": 1, "a": 2}
 
 # Little-endian struct code per packed key field width in bits.
 _KEY_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+# The narrowest coefficient lane in bits; wider lanes double it.
+_LANE_BITS = 64
+
+# The most bits one packed integer may take (2^30 bits, 128 MiB).
+PACKED_BITS_MAX = 1 << 30
 
 
 def zero_key(crossings: int) -> tuple[int, ...]:
@@ -60,11 +85,17 @@ class KeyedMonomial:
 
 
 class WalkSum:
-    """Canonical key -> coefficient map; zero coefficients are never stored."""
+    """Canonical key -> coefficient map; zero coefficients are never stored.
 
-    __slots__ = ("entries",)
+    A plain walk sum also keeps the packed form (a _Packed) that
+    multiply_walk_sums or evaluate_walk_sum made of it when it was passed
+    in; add_into drops it. multiply_walk_sums returns a _PackedSum.
+    """
+
+    __slots__ = ("entries", "_packed")
 
     def __init__(self, entries: Mapping[tuple[int, ...], LaurentPolynomial] | None = None):
+        self._packed = None
         self.entries: dict[tuple[int, ...], LaurentPolynomial] = {}
         if entries:
             for key, coeff in entries.items():
@@ -75,6 +106,7 @@ class WalkSum:
     def _raw(cls, entries: dict) -> "WalkSum":
         ws = cls.__new__(cls)
         ws.entries = entries
+        ws._packed = None
         return ws
 
     @classmethod
@@ -102,16 +134,18 @@ class WalkSum:
 
     def add_into(self, key: tuple[int, ...], coeff: LaurentPolynomial) -> None:
         """Accumulate one monomial (mutating; used while building sums)."""
-        cur = self.entries.get(key)
+        entries = self.entries  # decodes a packed sum before its packed form goes
+        self._packed = None
+        cur = entries.get(key)
         if cur is None:
             if coeff:
-                self.entries[key] = coeff
+                entries[key] = coeff
             return
         total = cur + coeff
         if total:
-            self.entries[key] = total
+            entries[key] = total
         else:
-            del self.entries[key]
+            del entries[key]
 
     def merged_with(self, other: "WalkSum") -> "WalkSum":
         out = dict(self.entries)
@@ -135,6 +169,30 @@ class WalkSum:
         return [(k, c.terms) for k, c in self.entries.items()]
 
 
+class _PackedSum(WalkSum):
+    """A walk sum held in packed form, whose entries are decoded the first
+    time they are read; a subclass, so that a plain WalkSum's attribute
+    reads stay plain slot reads."""
+
+    __slots__ = ()
+
+    def __init__(self, packed: "_Packed"):
+        self._packed = packed
+
+    def __getattr__(self, name: str):
+        # Reached only while the entries slot is unset.
+        if name != "entries":
+            raise AttributeError(name)
+        self.entries = self._packed.decode()
+        return self.entries
+
+    def __len__(self) -> int:
+        return len(self.entries) if self._packed is None else len(self._packed.coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self.entries if self._packed is None else self._packed.coeffs)
+
+
 def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) -> KeyedMonomial:
     """Product of two normal-form monomials over the same braid."""
     key, delta = kernels.active().key_product(left.key, right.key, signs)
@@ -150,82 +208,27 @@ def drl_keep(key: tuple[int, ...], n: int) -> bool:
     return kernels.active().drl_keep(key, n)
 
 
-def evaluate_monomial(mono: KeyedMonomial, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
-    """Color-n evaluation of one normal-form monomial (see evaluate_walk_sum)."""
-    return evaluate_walk_sum(WalkSum.single(mono.key, mono.coeff), signs, n)
+def _lane(needed: int, at_least: int = _LANE_BITS) -> int:
+    """The least lane width at_least * 2^i of at least ``needed`` bits."""
+    bits = at_least
+    while bits < needed:
+        bits *= 2
+    return bits
 
 
-def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
-    """Color-n evaluation of a walk sum (additive over monomials).
+def _key_width(bound: int) -> int | None:
+    """The least field width W with bound < 2^(W-1), or None past 64 bits."""
+    return next((w for w in _KEY_CODES if bound < 1 << (w - 1)), None)
 
-    Per positive crossing with counts (s, r, d) a word contributes
-    q^(r(n-1-d)) * prod_{h<d} (1 - q^(n-1-r-h)); per negative crossing
-    q^(-r(n-1)) * prod_{l<d} (1 - q^(r+l+1-n)). The s counts contribute
-    nothing. A monomial evaluates to its coefficient times the product over
-    crossings; some factor is (1 - q^0) = 0 exactly when r < n <= r + d at
-    a crossing with d > 0.
 
-    The arithmetic is Kronecker-packed: a Laurent polynomial q^E * sum_i
-    c_i q^i is held as the integer sum_i c_i 2^(B*i) together with its base
-    exponent E, so multiplying by (1 - q^e) is one shift and one subtract,
-    P - (P << B*e) for e > 0 and (P << B*(-e)) - P with E lowered by -e for
-    e < 0. Packed monomials are added per base exponent, the sums are
-    shifted to the lowest base and added into one integer, and that integer
-    is decoded once into signed B-bit digits.
-
-    Packing at q = 2^B is a ring homomorphism, so the arithmetic is exact
-    for any B; B only has to make the final digits decodable. Each factor
-    (1 - q^e) at most doubles the sum of absolute coefficients, so with #a
-    the a-count of a key every digit of every intermediate value and of the
-    result is at most X = sum over entries of (sum |c|) * 2^(#a) in absolute
-    value. B = X.bit_length() + 2 gives |digit| <= X < 2^(B-2), inside the
-    signed range (-2^(B-1), 2^(B-1)). The evaluation streams over the
-    entries twice, once for B and once to pack, and keeps one packed sum
-    per base exponent, nothing per entry.
-    """
-    if n < 1:
-        raise ValueError(f"color must be >= 1, got {n}")
-    width = 3 * len(signs)
-    bound = 0
-    for key, coeff in ws.entries.items():
-        if len(key) != width:
-            raise ValueError(f"key length {len(key)} does not match {len(signs)} crossings")
-        bound += sum(map(abs, coeff.terms.values())) << sum(key[2::3])
-    bits = bound.bit_length() + 2
-    top = n - 1
-    slots = [(3 * j + 1, sign > 0) for j, sign in enumerate(signs)]
-    by_base: dict[int, int] = {}
-    for key, coeff in ws.entries.items():
-        packed, base = _pack(coeff.terms, bits)
-        for i, positive in slots:
-            r = key[i]
-            d = key[i + 1]
-            if not d:
-                if r:
-                    base += r * top if positive else -r * top
-                continue
-            if r < n <= r + d:
-                break
-            if positive:
-                base += r * (top - d)
-                e, step = top - r, -1
-            else:
-                base -= r * top
-                e, step = r - top, 1
-            for _ in range(d):
-                if e > 0:
-                    packed -= packed << bits * e
-                else:
-                    packed = (packed << bits * -e) - packed
-                    base += e
-                e += step
-        else:
-            by_base[base] = by_base.get(base, 0) + packed
-    low = min(by_base, default=0)
-    total = 0
-    for base, packed in by_base.items():
-        total += packed << bits * (base - low)
-    return LaurentPolynomial._raw(_unpack(total, bits, low))
+def _check_span(bits: int, span: int) -> None:
+    """Reject a packed integer of span + 1 exponents at ``bits`` bits each
+    past PACKED_BITS_MAX, before anything of that size is built."""
+    if bits * (span + 1) > PACKED_BITS_MAX:
+        raise OverflowError(
+            f"coefficients spanning {span + 1} powers of q at {bits} bits each "
+            f"exceed the packed budget of {PACKED_BITS_MAX} bits"
+        )
 
 
 def _pack(terms: dict[int, int], bits: int) -> tuple[int, int]:
@@ -256,6 +259,267 @@ def _unpack(packed: int, bits: int, base: int) -> dict[int, int]:
     return out
 
 
+class _Keys:
+    """The key layout of a packed sum: 3k little-endian fields of ``width``
+    bits, holding (d+s, d+r, d) per crossing."""
+
+    __slots__ = ("k", "width", "struct", "d_fields")
+
+    def __init__(self, k: int, width: int):
+        self.k = k
+        self.width = width
+        self.struct = Struct(f"<{3 * k}{_KEY_CODES[width]}")
+        self.d_fields = int.from_bytes(self.struct.pack(*(0, 0, (1 << width) - 1) * k), "little")
+
+    def move(self, key: tuple[int, ...]) -> int:
+        """The packed integer of a key tuple."""
+        x = int.from_bytes(self.struct.pack(*key), "little")
+        d = x & self.d_fields
+        return x + (d >> self.width) + (d >> 2 * self.width)
+
+    def key(self, x: int) -> tuple[int, ...]:
+        """The key tuple of a packed integer (inverse of move)."""
+        d = x & self.d_fields
+        return self.fields(x - (d >> self.width) - (d >> 2 * self.width))
+
+    def fields(self, x: int) -> tuple[int, ...]:
+        """The moved fields (d+s, d+r, d, ...) of a packed integer."""
+        return self.struct.unpack(x.to_bytes(self.struct.size, "little"))
+
+    def join(self, fields: tuple[int, ...]) -> int:
+        """The packed integer of moved fields (inverse of fields)."""
+        return int.from_bytes(self.struct.pack(*fields), "little")
+
+
+class _Packed:
+    """A walk sum in packed form. ``coeffs`` maps each packed key to its
+    coefficient at q = 2^bits and ``low`` to that coefficient's base
+    exponent; no coefficient is zero. ``mass`` bounds the sum over entries
+    of sum |c| and is below 2^(bits-2); ``field_max`` bounds every moved field;
+    ``span`` bounds the highest minus the lowest exponent of all terms."""
+
+    __slots__ = ("keys", "bits", "coeffs", "low", "mass", "field_max", "span")
+
+    def __init__(self, keys: _Keys, bits: int, coeffs: dict, low: dict, mass: int, field_max: int, span: int):
+        self.keys = keys
+        self.bits = bits
+        self.coeffs = coeffs
+        self.low = low
+        self.mass = mass
+        self.field_max = field_max
+        self.span = span
+
+    def widened(self, keys: _Keys, bits: int) -> "_Packed":
+        """This sum at a layout and lane at least as wide as its own."""
+        if keys.width == self.keys.width and bits == self.bits:
+            return self
+        coeffs, low = {}, {}
+        for x, p in self.coeffs.items():
+            base = self.low[x]
+            if bits != self.bits:
+                p, base = _pack(_unpack(p, self.bits, base), bits)
+            if keys.width != self.keys.width:
+                x = keys.join(self.keys.fields(x))
+            coeffs[x] = p
+            low[x] = base
+        return _Packed(keys, bits, coeffs, low, self.mass, self.field_max, self.span)
+
+    def decode(self) -> dict[tuple[int, ...], LaurentPolynomial]:
+        keys, bits, low = self.keys, self.bits, self.low
+        return {
+            keys.key(x): LaurentPolynomial._raw(_unpack(p, bits, low[x]))
+            for x, p in self.coeffs.items()
+        }
+
+
+def _bounds(ws: WalkSum, k: int) -> tuple[int, int, int, int, int]:
+    """(mass, field_max, span, width, bits) of a nonempty walk sum on k
+    crossings: carried by a packed sum, measured on a plain one, whose
+    width and lane are the narrowest."""
+    packed = ws._packed
+    if packed is not None:
+        if packed.keys.k != k:
+            raise ValueError(f"walk sum on {packed.keys.k} crossings does not match {k}")
+        return packed.mass, packed.field_max, packed.span, packed.keys.width, packed.bits
+    entries = ws.entries
+    if {3 * k} != set(map(len, entries)):
+        raise ValueError(f"key lengths do not match {k} crossings")
+    coeffs = [c.terms for c in entries.values()]
+    mass = sum(sum(map(abs, terms.values())) for terms in coeffs)
+    fields = 2 * max(map(max, entries)) if k else 0
+    span = max(map(max, coeffs)) - min(map(min, coeffs))
+    return mass, fields, span, min(_KEY_CODES), _LANE_BITS
+
+
+def _as_packed(ws: WalkSum, keys: _Keys, bits: int, bounds: tuple) -> _Packed:
+    """A walk sum packed at the given layout and lane (see _bounds). A plain
+    sum keeps its packed form too, so it is packed once however often it
+    is passed in."""
+    packed = ws._packed
+    if packed is None:
+        coeffs, low = {}, {}
+        for key, coeff in ws.entries.items():
+            x = keys.move(key)
+            coeffs[x], low[x] = _pack(coeff.terms, bits)
+        packed = _Packed(keys, bits, coeffs, low, *bounds[:3])
+    ws._packed = packed = packed.widened(keys, bits)
+    return packed
+
+
+class _FactorTable(dict):
+    """For one crossing sign and color top + 1, maps the moved fields
+    (d+r, d) of a crossing to the integer that encodes its evaluation (see
+    evaluate_walk_sum), filling itself on first use. ``layout`` is
+    (count_bits, p_bound, flips_shift, hist_shift, zero): the width of a
+    count, the bias of p, where the flip count and the histogram start,
+    and the value of a zero factor."""
+
+    __slots__ = ("positive", "top", "layout")
+
+    def __init__(self, positive: bool, top: int, layout: tuple[int, int, int, int, int]):
+        self.positive = positive
+        self.top = top
+        self.layout = layout
+
+    def __missing__(self, moved: tuple[int, int]) -> int:
+        count_bits, p_bound, flips_shift, hist_shift, zero = self.layout
+        top = self.top
+        dr, d = moved
+        r = dr - d
+        if self.positive:
+            p = r * (top - d)
+            exponents = range(top - r, top - r - d, -1)
+        else:
+            p = -r * top
+            exponents = range(r - top, r - top + d)
+        flips = hist = 0
+        for e in exponents:
+            if not e:
+                self[moved] = zero
+                return zero
+            if e < 0:
+                p += e
+                flips += 1
+                e = -e
+            hist += 1 << count_bits * (e - 1)
+        value = self[moved] = p + p_bound + (flips << flips_shift) + (hist << hist_shift)
+        return value
+
+
+def evaluate_monomial(mono: KeyedMonomial, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
+    """Color-n evaluation of one normal-form monomial (see evaluate_walk_sum)."""
+    return evaluate_walk_sum(WalkSum.single(mono.key, mono.coeff), signs, n)
+
+
+def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
+    """Color-n evaluation of a walk sum (additive over monomials).
+
+    Per positive crossing with counts (s, r, d) a word contributes
+    q^(r(n-1-d)) * prod_{h<d} (1 - q^(n-1-r-h)); per negative crossing
+    q^(-r(n-1)) * prod_{l<d} (1 - q^(r+l+1-n)). The s counts contribute
+    nothing. A monomial evaluates to its coefficient times the product over
+    crossings; some factor is (1 - q^0) = 0 exactly when r < n <= r + d at
+    a crossing with d > 0.
+
+    Factor multisets. Every factor (1 - q^e) with e < 0 is -q^e (1 - q^-e),
+    so a monomial evaluates to +-q^p times its coefficient times the
+    product of (1 - q^e) over a multiset m of exponents e >= 1, with m of
+    size #a. The monomials are first summed, each +-q^p-shifted, into one
+    packed group per multiset, and each group's factors are applied once,
+    as a shift and a subtract: P - (P << B*e). Per crossing sign, a table
+    maps the moved fields (d+r, d) to one integer holding p (biased to be
+    nonnegative), the count of sign flips, and m as a histogram of
+    counts per exponent, in disjoint bit fields; the tables fill on first
+    use and a zero factor maps to a negative integer. A monomial's
+    contribution is then the sum of its crossings' table entries.
+
+    Lanes. A group's digits are bounded by the mass, so the groups are
+    summed at the sum's lane B. Each factor (1 - q^e) at most doubles the
+    sum of absolute coefficients, so every digit of a group after its
+    factors, and of the result, is at most mass * 2^a in absolute value,
+    with a the largest multiset size; only when that outgrows B are the
+    group sums re-digited to a wider lane. The groups are then added per
+    base exponent, shifted to the lowest base into one integer, and decoded
+    once.
+    """
+    if n < 1:
+        raise ValueError(f"color must be >= 1, got {n}")
+    if not ws:
+        return LaurentPolynomial.zero()
+    k = len(signs)
+    bounds = mass, fields, span, width, bits = _bounds(ws, k)
+    # a key has at most ``most`` factors; per crossing |p| is at most
+    # p_bound, and the exponents of m sum to at most grow in all
+    most = k * fields
+    p_bound = fields * (2 * n + 3 * fields)
+    grow = most * (n + 2 * fields)
+    _check_span(_lane(mass.bit_length() + most + 2, bits), span + 2 * k * p_bound + grow)
+    bits = _lane(mass.bit_length() + 2, bits)
+    keys = _Keys(k, max(width, _key_width(fields)))
+    stack = _as_packed(ws, keys, bits, bounds)
+
+    top = n - 1
+    count_bits = most.bit_length()
+    flips_shift = (2 * k * p_bound).bit_length()
+    hist_shift = flips_shift + count_bits
+    layout = (count_bits, p_bound, flips_shift, hist_shift, -1 << (hist_shift + count_bits * (n + 2 * fields)))
+    by_sign = {positive: _FactorTable(positive, top, layout) for positive in (True, False)}
+    tables = [by_sign[sign > 0] for sign in signs]
+    get = dict.__getitem__
+    pairs = Struct("<" + f"{keys.width // 8}x{_KEY_CODES[keys.width]}{_KEY_CODES[keys.width]}" * k)
+    unpack = pairs.unpack
+    size = pairs.size
+    p_mask = (1 << flips_shift) - 1
+    p_bias = k * p_bound
+    stack_low = stack.low
+    acc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    for x, packed in stack.coeffs.items():
+        f = unpack(x.to_bytes(size, "little"))
+        t = sum(map(get, tables, zip(f[::2], f[1::2])))
+        if t < 0:
+            continue
+        e = stack_low[x] + (t & p_mask) - p_bias
+        if t >> flips_shift & 1:
+            packed = -packed
+        group = t >> hist_shift
+        old = low.get(group)
+        if old is None:
+            low[group] = e
+            acc[group] = packed
+        elif e >= old:
+            acc[group] += packed << bits * (e - old)
+        else:
+            acc[group] = (acc[group] << bits * (old - e)) + packed
+            low[group] = e
+
+    count_mask = (1 << count_bits) - 1
+    groups = []
+    for group, packed in acc.items():
+        if packed:
+            base = low[group]
+            exponents = []
+            e = 1
+            while group:
+                exponents += [e] * (group & count_mask)
+                group >>= count_bits
+                e += 1
+            groups.append((packed, base, exponents))
+    out_bits = _lane(mass.bit_length() + max((len(m) for _, _, m in groups), default=0) + 2, bits)
+    by_base: dict[int, int] = {}
+    for packed, base, exponents in groups:
+        if out_bits != bits:
+            packed, base = _pack(_unpack(packed, bits, base), out_bits)
+        for e in exponents:
+            packed -= packed << out_bits * e
+        by_base[base] = by_base.get(base, 0) + packed
+    base = min(by_base, default=0)
+    total = 0
+    for b, packed in by_base.items():
+        total += packed << out_bits * (b - base)
+    return LaurentPolynomial._raw(_unpack(total, out_bits, base))
+
+
 def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int = 0) -> WalkSum:
     """All pairwise products of two walk sums in one kernel call; n_limit > 0
     discards products failing drl_keep(key, n_limit), 0 keeps every one."""
@@ -265,26 +529,36 @@ def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int 
     return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
 
 
-def _reorder_form(sign: int) -> tuple[tuple[int, ...], ...]:
+def _moved_form(sign: int) -> tuple[tuple[int, ...], ...]:
     """The q-power of key_product at one crossing of the given sign is
-    sum(ka[u] * form[u][t] * kb[t]) over the three slots u, t: it is
-    bilinear in the two keys, so the kernel on unit keys gives the form."""
+    bilinear in the two keys' counts (s, r, d), so the kernel on unit keys
+    gives its 3 x 3 form F. On moved fields (d+s, d+r, d), which give the
+    counts through M = ((1, 0, -1), (0, 1, -1), (0, 0, 1)), the form is
+    M^T F M."""
     key_product = kernels.active().key_product
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return tuple(tuple(key_product(u, t, (sign,))[1] for t in units) for u in units)
+    form = [[key_product(u, t, (sign,))[1] for t in units] for u in units]
+    m = ((1, 0, -1), (0, 1, -1), (0, 0, 1))
+    return tuple(
+        tuple(sum(m[u][i] * form[u][t] * m[t][j] for u in range(3) for t in range(3)) for j in range(3))
+        for i in range(3)
+    )
 
 
-# The reordering form per crossing, keyed by whether its sign is positive.
-_REORDER_FORMS = {True: _reorder_form(1), False: _reorder_form(-1)}
+# The moved reordering form per crossing, keyed by whether its sign is
+# positive, and the largest sum of absolute entries of either form.
+_MOVED_FORMS = {True: _moved_form(1), False: _moved_form(-1)}
+_FORM_NORM = max(sum(map(abs, sum(form, ()))) for form in _MOVED_FORMS.values())
 
 
-def _delta_terms(key: tuple[int, ...], forms: list) -> list[tuple[int, int]]:
-    """The (index, c) pairs with key_product(key, kb)'s q-power equal to
-    sum(c * kb[index]) for every kb; forms[j] is crossing j's reordering form."""
+def _delta_terms(fields: tuple[int, ...], forms: list) -> list[tuple[int, int]]:
+    """The (index, c) pairs such that the q-power of the product of a key
+    with moved fields ``fields`` by any key with moved fields fb is
+    sum(c * fb[index]); forms[j] is crossing j's moved form."""
     terms = []
     for j, form in enumerate(forms):
         i = 3 * j
-        s, r, d = key[i:i + 3]
+        s, r, d = fields[i:i + 3]
         if s or r or d:
             for t, (x, y, z) in enumerate(zip(*form)):
                 c = s * x + r * y + d * z
@@ -299,23 +573,22 @@ def multiply_walk_sums(
     signs: tuple[int, ...],
     n: int = 0,
 ) -> WalkSum:
-    """Pairwise product a * b of two walk sums, accumulated into canonical form.
+    """Pairwise product a * b of two walk sums, accumulated into canonical
+    form and returned packed.
 
     With n > 0 any product whose key fails drl_keep(key, n) is discarded
     (sound because the filter is monotone under adding letters). n = 0 sets
-    no DRL limit: it runs as a limit one above any field a sum can reach
-    (see W below), so the DRL test and the prefilter below never fire.
+    no DRL limit: it runs as a limit one above any field a product can
+    reach, so the DRL test and the prefilter below never fire.
 
-    Key layout. A key is read as one integer of 3k fields, W bits each, in
-    key order, and then moved to fields (d+s, d+r, d) per crossing by adding
-    the d fields shifted down one and two fields. The move is linear, so the
-    product key is one add, Ka + Kb. Since d + max(s, r) >= n holds exactly
-    when d+s >= n or d+r >= n, DRL drops the product iff some field of
-    Ka + Kb reaches n: with GUARD the top bit of every field and BIAS
-    2^(W-1) - n in every field, that is (Ka + Kb + BIAS) & GUARD != 0. W is
-    the least of 8, 16, 32, 64 that keeps n and twice the sum of the
-    largest counts of a and b, a bound on every field of a sum, below
-    2^(W-1), so no field carries into the next.
+    Keys. Both operands are packed at one layout (see the module
+    docstring); the move to (d+s, d+r, d) is linear, so the product key is
+    one add, Ka + Kb. Since d + max(s, r) >= n holds exactly when d+s >= n
+    or d+r >= n, DRL drops the product iff some field of Ka + Kb reaches n:
+    with GUARD the top bit of every field and BIAS 2^(W-1) - n in every
+    field, that is (Ka + Kb + BIAS) & GUARD != 0. W keeps n and the sum of
+    the two operands' field bounds below 2^(W-1), so no field carries into
+    the next.
 
     Saturation prefilter, from the same guard bits: the signature of a right
     entry marks its fields that are at least n - 1, the mask of a left entry
@@ -323,58 +596,54 @@ def multiply_walk_sums(
     when the two share no field. Doomed pairs are skipped this way without
     a key add; the admitted lefts are listed once per signature.
 
-    Coefficients. The q-power of reordering is bilinear in the two keys; its
-    3 x 3 form per crossing sign is read off the kernel's key_product on unit
-    keys, and each left gets its (index, c) list the first time it is
-    admitted. A coefficient is held as its value at q = 2^B with its own
-    base exponent, so a coefficient product is one integer multiply; each
-    output key keeps the lowest base of its contributions. For a fixed left
-    entry distinct right entries give distinct keys, so every digit of an
-    output coefficient is at most X = (sum over a of sum |c|) * (max over b
-    of sum |c|) in absolute value, and B = X.bit_length() + 2 keeps it
-    inside the signed digit range (as in evaluate_walk_sum). The packed
-    sums are decoded, and released, one key at a time.
+    Coefficients. The q-power of reordering is bilinear in the two keys'
+    moved fields (_moved_form), and each left gets its (index, c) list the
+    first time it is admitted. Each output key keeps the lowest base
+    exponent of its contributions. The product's mass is at most the
+    product of the operands' masses, which sets the lane; its fields are
+    below n, and its exponent spread is at most the sum of the operands'
+    spreads plus twice the largest reordering q-power the field bounds
+    allow. Zero sums are dropped; nothing is decoded.
     """
     if n < 0:
         raise ValueError(f"DRL limit must be >= 0, got {n}")
-    if not a.entries or not b.entries:
+    if not a or not b:
         return WalkSum.zero()
     k = len(signs)
-    length = 3 * k
-    if {length} != set(map(len, a.entries)) | set(map(len, b.entries)):
-        raise ValueError(f"key lengths do not match {k} crossings")
-    left_sum = sum(sum(map(abs, coeff.terms.values())) for coeff in a.entries.values())
-    right_sum = max(sum(map(abs, coeff.terms.values())) for coeff in b.entries.values())
-    bits = (left_sum * right_sum).bit_length() + 2
-    top = 2 * (max(map(max, a.entries)) + max(map(max, b.entries))) if k else 0
+    bounds_a = mass_a, fields_a, span_a, width_a, bits_a = _bounds(a, k)
+    bounds_b = mass_b, fields_b, span_b, width_b, bits_b = _bounds(b, k)
+    top = fields_a + fields_b
     n = n or top + 1
-    width = next((w for w in _KEY_CODES if max(top, n) < 1 << (w - 1)), None)
+    width = _key_width(max(top, n))
     if width is None:
         raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
-    packer = Struct(f"<{length}{_KEY_CODES[width]}")
-    width2 = 2 * width
-    unit = int.from_bytes(packer.pack(*[1] * length), "little")
+    mass = mass_a * mass_b
+    bits = _lane(mass.bit_length() + 2, max(bits_a, bits_b))
+    span = span_a + span_b + 2 * k * _FORM_NORM * fields_a * fields_b
+    _check_span(bits, span)
+    keys = _Keys(k, max(width, width_a, width_b))
+    left = _as_packed(a, keys, bits, bounds_a)
+    right = _as_packed(b, keys, bits, bounds_b)
+
+    width = keys.width
+    unpack = keys.struct.unpack
+    size = keys.struct.size
+    unit = keys.join((1,) * (3 * k))
     guard = unit << (width - 1)
-    d_fields = int.from_bytes(packer.pack(*(0, 0, (1 << width) - 1) * k), "little")
     bias = guard - n * unit
     saturated = bias + unit
     nonzero = guard - unit
 
-    def fields(key: tuple[int, ...]) -> int:
-        x = int.from_bytes(packer.pack(*key), "little")
-        d = x & d_fields
-        return x + (d >> width) + (d >> width2)
-
-    forms = [_REORDER_FORMS[sign > 0] for sign in signs]
-    lefts = list(a.entries.items())
-    packed_lefts = [fields(key) for key in a.entries]
-    masks = [(x + nonzero) & guard for x in packed_lefts]
+    forms = [_MOVED_FORMS[sign > 0] for sign in signs]
+    lefts = list(left.coeffs.items())
+    left_low = left.low
+    masks = [(x + nonzero) & guard for x, _ in lefts]
     ready: list[tuple | None] = [None] * len(lefts)
     admitted_by: dict[int, list] = {}
+    right_low = right.low
     acc: dict[int, int] = {}
     low: dict[int, int] = {}
-    for kb, cb in b.entries.items():
-        xb = fields(kb)
+    for xb, pb in right.coeffs.items():
         signature = (xb + saturated) & guard
         admitted = admitted_by.get(signature)
         if admitted is None:
@@ -382,21 +651,22 @@ def multiply_walk_sums(
             for i, mask in enumerate(masks):
                 if mask & signature:
                     continue
-                left = ready[i]
-                if left is None:
-                    ka, ca = lefts[i]
-                    left = ready[i] = (packed_lefts[i], *_pack(ca.terms, bits), _delta_terms(ka, forms))
-                admitted.append(left)
+                entry = ready[i]
+                if entry is None:
+                    xa, pa = lefts[i]
+                    entry = ready[i] = (xa, pa, left_low[xa], _delta_terms(unpack(xa.to_bytes(size, "little")), forms))
+                admitted.append(entry)
         if not admitted:
             continue
-        pb, eb = _pack(cb.terms, bits)
+        eb = right_low[xb]
+        fb = unpack(xb.to_bytes(size, "little"))
         for xa, pa, ea, delta in admitted:
             x = xa + xb
             if (x + bias) & guard:
                 continue
             e = ea + eb
             for j, c in delta:
-                e += c * kb[j]
+                e += c * fb[j]
             p = pa * pb
             old = low.get(x)
             if old is None:
@@ -407,12 +677,6 @@ def multiply_walk_sums(
             else:
                 acc[x] = (acc[x] << bits * (old - e)) + p
                 low[x] = e
-    out = {}
-    while acc:
-        x, p = acc.popitem()
-        terms = _unpack(p, bits, low.pop(x))
-        if terms:
-            d = x & d_fields
-            x -= (d >> width) + (d >> width2)
-            out[packer.unpack(x.to_bytes(packer.size, "little"))] = LaurentPolynomial._raw(terms)
-    return WalkSum._raw(out)
+    for x in [x for x, p in acc.items() if not p]:
+        del acc[x], low[x]
+    return _PackedSum(_Packed(keys, bits, acc, low, mass, min(top, n - 1), span))

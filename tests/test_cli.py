@@ -82,6 +82,18 @@ def test_compute_eval_q_imaginary_unit_i(capsys):
     assert out.splitlines()[1] == f"J(0.5+0.5i) = {P('q + q^3 - q^4').eval_at(0.5 + 0.5j)}"
 
 
+def test_compute_eval_q_negative_complex_space_separated(capsys):
+    # a value starting with "-" that argparse would read as an option
+    code, out, _ = run(capsys, "compute", "--knot", "3_1", "--eval-q", "-0.5+0.5j")
+    assert code == 0
+    assert out.splitlines()[1] == f"J(-0.5+0.5j) = {P('q + q^3 - q^4').eval_at(-0.5 + 0.5j)}"
+    code, out, err = run(capsys, "compute", "--knot", "3_1", "--eval-q", "-1e100j")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("walkjones: bad --eval-q value: ")
+    assert "not finite" in err
+
+
 def test_compute_non_knot_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--braid", "1 1", "--color", "2")
     assert code == 2

@@ -1,12 +1,15 @@
 """Normal-form monomial algebra: products, pruning, evaluation."""
 import random
 import struct
+import tracemalloc
 
 import pytest
 
 from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
 from walkjones import kernels, weyl
+from walkjones.braid import parse_braid
 from walkjones.burau import walk_generator
+from walkjones.cjp import colored_jones
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import FreeWord, free_normalize
 from walkjones.weyl import (
@@ -421,6 +424,19 @@ def test_packed_multiply_wide_fields(n, max_count, code, key_formats):
     assert key_formats == {code}
 
 
+def test_packed_multiply_drops_cancelled_keys():
+    # (1 + x)(x - 1) = x^2 - 1: the two x products cancel, and the packed
+    # product holds no entry for them, as the evaluation loop and len() see it
+    x = key_from_letters(2, "a1 c2")
+    a = WalkSum({zero_key(2): P("1"), x: P("1")})
+    b = WalkSum({x: P("1"), zero_key(2): P("-1")})
+    for n in (0, 5):
+        product = multiply_walk_sums(a, b, (1, -1), n)
+        assert len(product) == 2
+        assert product == kernel_product(a, b, (1, -1), n)
+        assert x not in product.entries
+
+
 def test_packed_multiply_rejects_bad_input():
     one = WalkSum.single((0, 0, 1), P("q"))
     with pytest.raises(ValueError):
@@ -442,3 +458,126 @@ def test_masked_multiply_sound_on_unfiltered_stacks():
         left = rand_left(rng, k, rng.random() < 0.5)
         stack = rand_walk_sum(rng, k, n, rng.randint(1, 20), 5)
         assert multiply_walk_sums(left, stack, signs, n) == kernel_product(left, stack, signs, n)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """The lane widths the packed arithmetic packs coefficients at."""
+    seen = set()
+    pack = weyl._pack
+
+    def recording(terms, bits):
+        seen.add(bits)
+        return pack(terms, bits)
+
+    monkeypatch.setattr(weyl, "_pack", recording)
+    return seen
+
+
+def test_grouped_evaluate_matches_reference_random(lanes):
+    # counts up to n + 2 at both crossing signs give zero factors
+    # (r < n <= r + d) and keys past the color (r >= n, as without DRL);
+    # each key's twin with other b counts shares its factor multiset and
+    # shift. Coefficients up to 2^120 widen the lane to 128 bits, and with
+    # enough factors the group sums to 256.
+    rng = random.Random(42)
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 6)
+        signs = rand_signs(rng, k)
+        ws = WalkSum.zero()
+        for _ in range(rng.randint(1, 6)):
+            key = [rng.randint(0, n + 2) for _ in range(3 * k)]
+            ws.add_into(tuple(key), rand_coeff(rng, rng.choice((3, 70, 120))))
+            key[0] += 1
+            ws.add_into(tuple(key), rand_coeff(rng, 3))
+        assert evaluate_walk_sum(ws, signs, n) == reference_evaluate_walk_sum(ws, signs, n)
+    assert {64, 128, 256} <= lanes
+
+
+@pytest.mark.parametrize("drl", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_packed_height_chain_matches_kernel_chain(n, drl, lanes):
+    # five heights of the colored_jones loop: the stack stays packed from
+    # multiply to multiply, and each height is evaluated before anything
+    # decodes it, against the same chain built with kernel_product;
+    # coefficients up to 2^70 make the lane double along the chain
+    rng = random.Random(43 + n + 10 * drl)
+    limit = n if drl else 0
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        signs = rand_signs(rng, k)
+        left = rand_left(rng, k, True, rng.randint(1, 4), rng.choice((2, 70)))
+        stack = reference = left.filtered(n) if drl else left
+        for _ in range(5):
+            assert evaluate_walk_sum(stack, signs, n) == reference_evaluate_walk_sum(reference, signs, n)
+            assert stack == reference
+            stack = multiply_walk_sums(left, stack, signs, limit)
+            reference = kernel_product(left, reference, signs, limit)
+    assert {64, 128, 256} <= lanes
+
+
+def test_packed_chain_widens_key_fields(key_formats):
+    # without a DRL limit the fields of a stack grow with its height, and
+    # the keys move from 8-bit to 16-bit fields on the third product
+    signs = (1, -1)
+    left = WalkSum({(20, 3, 1, 0, 2, 20): P("q - 2"), (1, 20, 0, 20, 0, 1): P("3*q^-1")})
+    stack = reference = left
+    for _ in range(3):
+        stack = multiply_walk_sums(left, stack, signs)
+        reference = kernel_product(left, reference, signs)
+    for n in (2, 5):
+        assert evaluate_walk_sum(stack, signs, n) == reference_evaluate_walk_sum(reference, signs, n)
+    assert stack == reference
+    assert key_formats == {"B", "H"}
+
+
+def test_untraced_colored_jones_never_decodes_the_stack(monkeypatch):
+    decoded = []
+    decode = weyl._Packed.decode
+    monkeypatch.setattr(weyl._Packed, "decode", lambda self: decoded.append(len(self.coeffs)) or decode(self))
+    for text, n in (("1 1 1", 4), ("-1 2 -1 2", 3), ("1 1 2 -1 -3 2 -3", 3)):
+        for drl in (True, False):
+            assert colored_jones(parse_braid(text), n, drl=drl).heights_summed >= 2
+    assert decoded == []
+    fig8 = parse_braid("-1 2 -1 2")
+    level_one = walk_generator(fig8)
+    assert multiply_walk_sums(level_one, level_one, fig8.signs(), 3).entries
+    assert len(decoded) == 1
+
+
+def test_add_into_drops_the_packed_form():
+    # a sum packed as an input, or returned packed, and then mutated is
+    # read from its entries again by len() and both operations
+    signs = (1, -1)
+    one = key_from_letters(2, "a1 c2")
+    ws = WalkSum.single(one, P("q"))
+    product = multiply_walk_sums(ws, ws, signs)
+    assert evaluate_walk_sum(ws, signs, 3) == reference_evaluate_walk_sum(ws, signs, 3)
+    for walks in (ws, product):
+        walks.add_into(zero_key(2), P("5"))
+        assert len(walks) == 2
+        assert evaluate_walk_sum(walks, signs, 3) == reference_evaluate_walk_sum(walks, signs, 3)
+        assert multiply_walk_sums(walks, ws, signs) == kernel_product(walks, ws, signs)
+
+
+def test_huge_letter_counts_fail_fast():
+    # reordering q-powers near 2^58 put two contributions to one key 2^59
+    # powers of q apart, and a factor exponent near 2^29 would shift by
+    # 2^35 bits: both raise before building anything that large
+    big = 1 << 29
+    walks = WalkSum({(0, big, 0): P("1"), (big, 0, 0): P("1")})
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match="packed budget"):
+            multiply_walk_sums(walks, walks, (1,))
+        with pytest.raises(OverflowError, match="packed budget"):
+            evaluate_walk_sum(WalkSum.single((0, big, big), P("1")), (1,), 3)
+        with pytest.raises(OverflowError, match="packed budget"):
+            evaluate_walk_sum(WalkSum.single((0, 1, 0), P("1")), (-1,), 1 << 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a huge color alone is no reason to refuse
+    assert evaluate_walk_sum(WalkSum.single((0, 0, 0), P("3*q")), (-1,), 1 << 40) == P("3*q")
