@@ -29,6 +29,7 @@ the 84 bundled knots (pure backend, 2 vCPUs) the whole table took
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError
@@ -62,7 +63,10 @@ class CjpResult:
 
 
 def simple_walk_count(braid: BraidWord) -> int:
-    """Number of simple walks in the level-one walk sum."""
+    """Number of simple walks in the level-one walk sum; 0 on one strand,
+    where the only braid is the unknot's empty word."""
+    if braid.strands < 2:
+        return 0
     return len(walk_generator(braid, prune_simple=True))
 
 
@@ -108,8 +112,13 @@ def colored_jones(
     disabling it runs the same loop on the full walk sum, which must
     produce the identical polynomial.
     The stack height is capped at 2 * color * crossings as a guard against
-    nontermination; exceeding it raises RuntimeError.
+    nontermination; exceeding it raises RuntimeError. A color that is not
+    an integer raises TypeError.
     """
+    try:
+        color = operator.index(color)
+    except TypeError:
+        raise TypeError(f"color must be an integer, got {color!r}") from None
     if color < 1:
         raise ValueError(f"color must be >= 1, got {color}")
     if braid.k == 0 and braid.strands == 1:

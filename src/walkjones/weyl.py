@@ -26,6 +26,12 @@ Python integers, and both run on walk sums in packed form (_Packed):
 - Bounds travel with the sum: its coefficient mass (the sum over entries
   of sum |c|), a bound on every moved field, and a bound on the spread
   between its lowest and highest exponent.
+- A product also carries a reordering row per key that the left operand
+  can still multiply: one integer of L-bit fields, field i holding the
+  q-power that the i-th entry of the left operand picks up when it is
+  moved in front of the key, plus 2^(L-1).
+  The next product with the same left reads a pair's q-power off the row
+  with one shift and mask (see multiply_walk_sums).
 
 Lane policy. The mass bounds every digit of every coefficient and of any
 sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2. B
@@ -57,6 +63,9 @@ _KEY_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 # The narrowest coefficient lane in bits; wider lanes double it.
 _LANE_BITS = 64
+
+# The narrowest reordering row field in bits; wider fields double it.
+_ROW_BITS = 16
 
 # The most bits one packed integer may take (2^30 bits, 128 MiB).
 PACKED_BITS_MAX = 1 << 30
@@ -296,11 +305,18 @@ class _Packed:
     coefficient at q = 2^bits and ``low`` to that coefficient's base
     exponent; no coefficient is zero. ``mass`` bounds the sum over entries
     of sum |c| and is below 2^(bits-2); ``field_max`` bounds every moved field;
-    ``span`` bounds the highest minus the lowest exponent of all terms."""
+    ``span`` bounds the highest minus the lowest exponent of all terms.
 
-    __slots__ = ("keys", "bits", "coeffs", "low", "mass", "field_max", "span")
+    A product also carries ``rows``, the reordering rows of its keys, valid
+    for the operator ``rows_for`` (see multiply_walk_sums); ``reorder``
+    caches the operator of this sum as a left operand."""
 
-    def __init__(self, keys: _Keys, bits: int, coeffs: dict, low: dict, mass: int, field_max: int, span: int):
+    __slots__ = ("keys", "bits", "coeffs", "low", "mass", "field_max", "span", "rows", "rows_for", "reorder")
+
+    def __init__(
+        self, keys: _Keys, bits: int, coeffs: dict, low: dict, mass: int, field_max: int, span: int,
+        rows: dict | None = None, rows_for: "_Reorder | None" = None,
+    ):
         self.keys = keys
         self.bits = bits
         self.coeffs = coeffs
@@ -308,21 +324,29 @@ class _Packed:
         self.mass = mass
         self.field_max = field_max
         self.span = span
+        self.rows = rows
+        self.rows_for = rows_for
+        self.reorder = None
 
     def widened(self, keys: _Keys, bits: int) -> "_Packed":
-        """This sum at a layout and lane at least as wide as its own."""
+        """This sum at a layout and lane at least as wide as its own, with
+        its rows and operator."""
         if keys.width == self.keys.width and bits == self.bits:
             return self
         coeffs, low = {}, {}
+        rows = None if self.rows is None else {}
         for x, p in self.coeffs.items():
             base = self.low[x]
             if bits != self.bits:
                 p, base = _pack(_unpack(p, self.bits, base), bits)
-            if keys.width != self.keys.width:
-                x = keys.join(self.keys.fields(x))
-            coeffs[x] = p
-            low[x] = base
-        return _Packed(keys, bits, coeffs, low, self.mass, self.field_max, self.span)
+            y = x if keys.width == self.keys.width else keys.join(self.keys.fields(x))
+            coeffs[y] = p
+            low[y] = base
+            if rows is not None and x in self.rows:
+                rows[y] = self.rows[x]
+        packed = _Packed(keys, bits, coeffs, low, self.mass, self.field_max, self.span, rows, self.rows_for)
+        packed.reorder = self.reorder
+        return packed
 
     def decode(self) -> dict[tuple[int, ...], LaurentPolynomial]:
         keys, bits, low = self.keys, self.bits, self.low
@@ -551,20 +575,57 @@ _MOVED_FORMS = {True: _moved_form(1), False: _moved_form(-1)}
 _FORM_NORM = max(sum(map(abs, sum(form, ()))) for form in _MOVED_FORMS.values())
 
 
-def _delta_terms(fields: tuple[int, ...], forms: list) -> list[tuple[int, int]]:
-    """The (index, c) pairs such that the q-power of the product of a key
-    with moved fields ``fields`` by any key with moved fields fb is
-    sum(c * fb[index]); forms[j] is crossing j's moved form."""
-    terms = []
-    for j, form in enumerate(forms):
-        i = 3 * j
-        s, r, d = fields[i:i + 3]
-        if s or r or d:
-            for t, (x, y, z) in enumerate(zip(*form)):
-                c = s * x + r * y + d * z
-                if c:
-                    terms.append((i + t, c))
-    return terms
+class _Reorder:
+    """The reordering operator of one left operand at one sign vector, with
+    row fields of ``width`` bits (see multiply_walk_sums): the weight W_j
+    of every moved field j, and the column of each left entry, built the
+    first time it is asked for."""
+
+    __slots__ = ("signs", "width", "weights", "columns", "bias")
+
+    def __init__(self, left: _Packed, signs: tuple[int, ...], width: int):
+        self.signs = signs
+        self.width = width
+        # FA_j holds field j of every left entry, entry i in row field i;
+        # width is at least the key width, so a key field's bytes fit
+        keys = left.keys
+        size = keys.struct.size
+        step = keys.width // 8
+        out = width // 8
+        data = b"".join(x.to_bytes(size, "little") for x in left.coeffs)
+        count = len(left.coeffs)
+        by_field = []
+        for j in range(3 * keys.k):
+            buf = bytearray(count * out)
+            for byte in range(step):
+                buf[byte::out] = data[j * step + byte::size]
+            by_field.append(int.from_bytes(buf, "little"))
+        # W_(3c+u) = sum over t of F_c[t][u] * FA_(3c+t)
+        weights = []
+        for c, sign in enumerate(signs):
+            form = _MOVED_FORMS[sign > 0]
+            fa = by_field[3 * c:3 * c + 3]
+            weights += [sum(form[t][u] * fa[t] for t in range(3)) for u in range(3)]
+        self.weights = weights
+        self.columns: list[int | None] = [None] * count
+        # 2^(width-1) in every row field
+        self.bias = ((1 << width * count) - 1) // ((1 << width) - 1) << (width - 1)
+
+    def row(self, fields: tuple[int, ...]) -> int:
+        """R_b of a key with these moved fields, built from its fields."""
+        return self.bias + self.combine(fields)
+
+    def combine(self, fields: tuple[int, ...]) -> int:
+        """Sum of fields[j] * W_j: field i is the q-power of reordering
+        left entry i in front of a key with these moved fields."""
+        return sum(f * w for f, w in zip(fields, self.weights) if f)
+
+    def column(self, i: int, fields: tuple[int, ...]) -> int:
+        """C_i, the combination of left entry i's own fields ``fields``."""
+        column = self.columns[i]
+        if column is None:
+            column = self.columns[i] = self.combine(fields)
+        return column
 
 
 def multiply_walk_sums(
@@ -596,14 +657,37 @@ def multiply_walk_sums(
     when the two share no field. Doomed pairs are skipped this way without
     a key add; the admitted lefts are listed once per signature.
 
-    Coefficients. The q-power of reordering is bilinear in the two keys'
-    moved fields (_moved_form), and each left gets its (index, c) list the
-    first time it is admitted. Each output key keeps the lowest base
-    exponent of its contributions. The product's mass is at most the
-    product of the operands' masses, which sets the lane; its fields are
-    below n, and its exponent spread is at most the sum of the operands'
-    spreads plus twice the largest reordering q-power the field bounds
-    allow. Zero sums are dropped; nothing is decoded.
+    Reordering rows. The q-power delta(a, b) that the product of a left
+    key a by a right key b picks up in reordering is bilinear in the two
+    keys' moved fields: the sum over crossings c of fa F_c fb on c's three
+    fields, with F_c the moved form of c's sign (_moved_form). The left's
+    operator (_Reorder, built once per left, sign vector and width, and
+    kept on the left's packed form) packs its entries a_0, a_1, ... into
+    L-bit fields:
+    - FA_j holds field j of every left entry, entry i in field i;
+    - the weight W_(3c+u) = sum over t of F_c[t][u] * FA_(3c+t), so that
+      sum over j of fb[j] * W_j holds delta(a_i, b) in field i;
+    - the column C_i = sum over j of fa_i[j] * W_j, built the first time
+      left i is admitted, holds delta(a_l, a_i) in field l.
+    The row of a right entry b is R_b = 2^(L-1) * ONES + sum of fb[j] * W_j,
+    so a pair's exponent is ea + eb + (R_b >> L*i & (2^L - 1)) - 2^(L-1).
+    The fields of a product key are fa_i + fb, so its row is one add,
+    R_b + C_i, and the product carries its rows for the next height. Under
+    a DRL limit, a key whose signature admits no left keeps no row: the
+    next height at the same limit never reads it. A right key with no row
+    valid for this operator (carried for another operator, dropped, or
+    from a plain sum) has it built from its fields. L is the least of 16, 32, 64, ... bits,
+    and at least the key width W, with k * _FORM_NORM * (left field
+    bound) * (right field bound) < 2^(L-1), so every field of a row is
+    one delta plus the bias, within 0 .. 2^L - 1. An operator narrower
+    than that (a chain without DRL, whose fields grow) is rebuilt wider,
+    and the rows with it.
+
+    Coefficients. Each output key keeps the lowest base exponent of its
+    contributions. The product's mass is at most the product of the
+    operands' masses, which sets the lane; its fields are below n, and its
+    exponent spread is at most the sum of the operands' spreads plus twice
+    the row bound. Zero sums are dropped; nothing is decoded.
     """
     if n < 0:
         raise ValueError(f"DRL limit must be >= 0, got {n}")
@@ -613,28 +697,36 @@ def multiply_walk_sums(
     bounds_a = mass_a, fields_a, span_a, width_a, bits_a = _bounds(a, k)
     bounds_b = mass_b, fields_b, span_b, width_b, bits_b = _bounds(b, k)
     top = fields_a + fields_b
+    limit = n
     n = n or top + 1
     width = _key_width(max(top, n))
     if width is None:
         raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
     mass = mass_a * mass_b
     bits = _lane(mass.bit_length() + 2, max(bits_a, bits_b))
-    span = span_a + span_b + 2 * k * _FORM_NORM * fields_a * fields_b
+    row_bound = k * _FORM_NORM * fields_a * fields_b
+    span = span_a + span_b + 2 * row_bound
     _check_span(bits, span)
     keys = _Keys(k, max(width, width_a, width_b))
     left = _as_packed(a, keys, bits, bounds_a)
     right = _as_packed(b, keys, bits, bounds_b)
+    row_width = _lane(max(row_bound.bit_length() + 1, keys.width), _ROW_BITS)
 
     width = keys.width
-    unpack = keys.struct.unpack
-    size = keys.struct.size
     unit = keys.join((1,) * (3 * k))
     guard = unit << (width - 1)
     bias = guard - n * unit
     saturated = bias + unit
     nonzero = guard - unit
 
-    forms = [_MOVED_FORMS[sign > 0] for sign in signs]
+    op = left.reorder
+    if op is None or op.signs != signs or op.width < row_width:
+        op = left.reorder = _Reorder(left, signs, row_width)
+    row_width = op.width
+    half = 1 << (row_width - 1)
+    row_mask = (1 << row_width) - 1
+    carried = right.rows if right.rows_for is op else {}
+    fields = keys.fields
     lefts = list(left.coeffs.items())
     left_low = left.low
     masks = [(x + nonzero) & guard for x, _ in lefts]
@@ -643,6 +735,8 @@ def multiply_walk_sums(
     right_low = right.low
     acc: dict[int, int] = {}
     low: dict[int, int] = {}
+    rows: dict[int, int] = {}
+    live: dict[int, bool] = {}
     for xb, pb in right.coeffs.items():
         signature = (xb + saturated) & guard
         admitted = admitted_by.get(signature)
@@ -654,24 +748,30 @@ def multiply_walk_sums(
                 entry = ready[i]
                 if entry is None:
                     xa, pa = lefts[i]
-                    entry = ready[i] = (xa, pa, left_low[xa], _delta_terms(unpack(xa.to_bytes(size, "little")), forms))
+                    entry = ready[i] = (xa, pa, left_low[xa] - half, row_width * i, op.column(i, fields(xa)))
                 admitted.append(entry)
         if not admitted:
             continue
         eb = right_low[xb]
-        fb = unpack(xb.to_bytes(size, "little"))
-        for xa, pa, ea, delta in admitted:
+        rb = carried.get(xb)
+        if rb is None:
+            rb = op.row(fields(xb))
+        for xa, pa, ea, shift, column in admitted:
             x = xa + xb
             if (x + bias) & guard:
                 continue
-            e = ea + eb
-            for j, c in delta:
-                e += c * fb[j]
+            e = ea + eb + (rb >> shift & row_mask)
             p = pa * pb
             old = low.get(x)
             if old is None:
                 low[x] = e
                 acc[x] = p
+                x_signature = (x + saturated) & guard
+                alive = live.get(x_signature)
+                if alive is None:
+                    alive = live[x_signature] = not limit or not all(mask & x_signature for mask in masks)
+                if alive:
+                    rows[x] = rb + column
             elif e >= old:
                 acc[x] += p << bits * (e - old)
             else:
@@ -679,4 +779,5 @@ def multiply_walk_sums(
                 low[x] = e
     for x in [x for x, p in acc.items() if not p]:
         del acc[x], low[x]
-    return _PackedSum(_Packed(keys, bits, acc, low, mass, min(top, n - 1), span))
+        rows.pop(x, None)
+    return _PackedSum(_Packed(keys, bits, acc, low, mass, min(top, n - 1), span, rows, op))

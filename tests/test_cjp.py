@@ -63,6 +63,16 @@ def test_simple_walk_counts():
     assert simple_walk_count(parse_braid("-1 -1 -1")) == 3
 
 
+def test_one_strand_unknot_has_no_walks():
+    # the word colored_jones accepts as the one-strand unknot, with its
+    # simple_walk_count of 0, has no level-one walks to count
+    b = parse_braid("")
+    assert simple_walk_count(b) == 0
+    assert colored_jones(b, 4).simple_walk_count == 0
+    for color in (2, 4):
+        assert choose_orientation(b, color) == (b, False, {b: 0})
+
+
 def test_choose_orientation_prefers_fewer_walks():
     chosen, inverted, _ = choose_orientation(parse_braid("-1 -1 -1"))
     assert inverted and chosen == parse_braid("1 1 1")
@@ -219,6 +229,15 @@ def test_writhe_parity_checked_without_asserts(monkeypatch):
 def test_rejects_bad_color():
     with pytest.raises(ValueError):
         colored_jones(parse_braid("1 1 1"), 0)
+
+
+@pytest.mark.parametrize("color", [2.0, 3.5, "3"])
+def test_rejects_color_that_is_not_an_integer(color):
+    # a float once reached the packed multiply and failed there with an
+    # AttributeError; an int subclass such as bool is still a color
+    with pytest.raises(TypeError, match="color"):
+        colored_jones(parse_braid("1 1 1"), color)
+    assert colored_jones(parse_braid("1 1 1"), True).polynomial == ONE
 
 
 def test_height_cap_guard(monkeypatch):

@@ -10,8 +10,10 @@ from walkjones import kernels, weyl
 from walkjones.braid import parse_braid
 from walkjones.burau import walk_generator
 from walkjones.cjp import colored_jones
+from walkjones.cli import bench_rows
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import FreeWord, free_normalize
+from walkjones.table import load_table
 from walkjones.weyl import (
     KeyedMonomial,
     WalkSum,
@@ -530,6 +532,133 @@ def test_packed_chain_widens_key_fields(key_formats):
         assert evaluate_walk_sum(stack, signs, n) == reference_evaluate_walk_sum(reference, signs, n)
     assert stack == reference
     assert key_formats == {"B", "H"}
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The row widths of every reordering row built from moved fields,
+    rather than carried on a product."""
+    seen = []
+    row = weyl._Reorder.row
+
+    def recording(self, fields):
+        seen.append(self.width)
+        return row(self, fields)
+
+    monkeypatch.setattr(weyl._Reorder, "row", recording)
+    return seen
+
+
+def grown_left(rng, k):
+    # counts of 12 put the bound on the reordering q-power of a product
+    # past 2^15 within six heights without DRL, so the rows widen
+    left = WalkSum.zero()
+    for _ in range(rng.randint(1, 2)):
+        key = tuple(rng.choice((0, 1, 12)) for _ in range(3 * k))
+        left.add_into(key, rand_coeff(rng, 20))
+    return left
+
+
+@pytest.mark.parametrize("drl", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rows_carried_along_height_chain(n, drl, row_builds):
+    # six heights of the colored_jones loop against the kernel_product
+    # chain, every height checked. The first stack is a plain sum, so its
+    # rows are built from its fields; from then on each product carries
+    # the rows of its keys, and no row is built again unless the row width
+    # grows. Without DRL the fields grow with the height, and so does the
+    # width, from 16 to 32 bits.
+    rng = random.Random(44 + n + 10 * drl)
+    limit = n if drl else 0
+    grown = False
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        signs = rand_signs(rng, k)
+        left = rand_left(rng, k, True, rng.randint(1, 4), 20) if drl else grown_left(rng, k)
+        stack = reference = left.filtered(n) if drl else left
+        widths = []
+        for height in range(6):
+            built = len(row_builds)
+            stack = multiply_walk_sums(left, stack, signs, limit)
+            reference = kernel_product(left, reference, signs, limit)
+            assert stack == reference
+            if not stack:
+                break
+            width = stack._packed.rows_for.width
+            assert (len(row_builds) > built) == (height == 0 or width > widths[-1])
+            assert set(row_builds[built:]) <= {width}
+            widths.append(width)
+        grown |= len(set(widths)) > 1
+    assert grown != drl
+
+
+def test_rows_rebuilt_for_another_operator(row_builds):
+    # a stack whose rows were built against one level-one sum, multiplied
+    # by another of the same size, by the same sum at other signs, and by
+    # the same sum after add_into changed it: each product matches the
+    # kernel, and the carried rows are rebuilt each time, not reused. At a
+    # higher DRL limit the same sum admits keys whose rows were dropped.
+    rng = random.Random(47)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        n = rng.randint(3, 6)
+        signs = rand_signs(rng, k)
+        size = rng.randint(2, 5)
+        left = rand_left(rng, k, True, size, 20)
+        stack = multiply_walk_sums(left, left.filtered(n), signs, n)
+        reference = kernel_product(left, left.filtered(n), signs, n)
+        if not stack:
+            continue
+        assert multiply_walk_sums(left, stack, signs, n + 2) == kernel_product(left, reference, signs, n + 2)
+        other = rand_left(rng, k, True, size, 20)
+        flipped = tuple(-s for s in signs)
+        changed = rand_left(rng, k, True, size, 20)
+        changed.add_into(zero_key(k), P("q^2"))
+        changed.add_into(rand_key(rng, k, 1), P("-3"))
+        for second, at in ((other, signs), (left, flipped), (changed, signs)):
+            built = len(row_builds)
+            product = multiply_walk_sums(second, stack, at, n)
+            assert product == kernel_product(second, reference, at, n)
+            if product:
+                assert len(row_builds) > built
+                assert product._packed.rows_for is second._packed.reorder
+
+
+def test_columns_built_once_per_level_one_entry(monkeypatch):
+    # one operator per job and at most one column per level-one entry,
+    # however many heights the stack climbs
+    built = []
+    operators = []
+    column = weyl._Reorder.column
+    init = weyl._Reorder.__init__
+
+    def recording_column(self, i, fields):
+        if self.columns[i] is None:
+            built.append((self, i))
+        return column(self, i, fields)
+
+    def recording_init(self, *args):
+        operators.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(weyl._Reorder, "column", recording_column)
+    monkeypatch.setattr(weyl._Reorder, "__init__", recording_init)
+    for text, n in (("1 1 1", 6), ("-1 2 -1 2", 5), ("1 1 2 -1 -3 2 -3", 4), ("1 1 1 2 -1 2 3 -2 3", 4)):
+        built.clear()
+        operators.clear()
+        result = colored_jones(parse_braid(text), n)
+        assert result.heights_summed >= 3
+        assert len(operators) == 1
+        assert len(built) == len(set(built)) <= result.simple_walk_count
+
+
+def test_threaded_bench_rows_match_single_threaded():
+    # each job keeps its operator on its own level-one sum, so jobs on
+    # worker threads share no state
+    records = load_table()
+    untimed = [[{k: v for k, v in row.items() if k != "time_ms"} for row in bench_rows(records, [4], threads=threads)]
+               for threads in (1, 2)]
+    assert untimed[0] == untimed[1]
 
 
 def test_untraced_colored_jones_never_decodes_the_stack(monkeypatch):
