@@ -63,7 +63,10 @@ def _resolve_braid(args) -> tuple[str, BraidWord]:
         if args.strands is not None:
             raise ValueError("--strands applies only to --braid")
         rec = knot_lookup(args.knot, load_table(args.table) if args.table else None)
-        return rec.name, rec.braid_word()
+        try:
+            return rec.name, rec.braid_word()
+        except ValueError as exc:
+            raise ValueError(f"{rec.name}: {exc}") from None
     return args.braid, parse_braid(args.braid, args.strands)
 
 

@@ -40,10 +40,16 @@ def load_table(path: str | Path | None = None) -> list[KnotRecord]:
     if missing:
         raise ValueError(f"{path or 'knots.csv'}: missing column(s) {', '.join(missing)}")
     for row in reader:
+        where = f"{path or 'knots.csv'}: row {reader.line_num}"
         gaps = [c for c in _COLUMNS if not (row[c] or "").strip()]
         if gaps:
-            raise ValueError(f"{path or 'knots.csv'}: row {reader.line_num}: missing {', '.join(gaps)}")
-        records.append(KnotRecord(row["name"].strip(), int(row["crossings"]), row["braid"].strip()))
+            raise ValueError(f"{where}: missing {', '.join(gaps)}")
+        crossings = row["crossings"].strip()
+        try:
+            count = int(crossings)
+        except ValueError:
+            raise ValueError(f"{where}: crossings {crossings!r} is not an integer") from None
+        records.append(KnotRecord(row["name"].strip(), count, row["braid"].strip()))
     return records
 
 

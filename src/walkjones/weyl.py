@@ -170,7 +170,7 @@ class WalkSum:
 
     def filtered(self, n: int) -> "WalkSum":
         """Entries whose keys survive drl_keep(key, n)."""
-        keep = kernels.active().drl_keep
+        keep = kernels.drl_keep
         return WalkSum._raw({k: c for k, c in self.entries.items() if keep(k, n)})
 
     def _items(self) -> list:
@@ -204,7 +204,7 @@ class _PackedSum(WalkSum):
 
 def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) -> KeyedMonomial:
     """Product of two normal-form monomials over the same braid."""
-    key, delta = kernels.active().key_product(left.key, right.key, signs)
+    key, delta = kernels.key_product(left.key, right.key, signs)
     coeff = (left.coeff * right.coeff).shift(delta)
     return KeyedMonomial(key, coeff)
 
@@ -214,7 +214,7 @@ def drl_keep(key: tuple[int, ...], n: int) -> bool:
     at any crossing. At n = 2 the survivors are exactly the simple walks."""
     if n < 1:
         raise ValueError(f"color must be >= 1, got {n}")
-    return kernels.active().drl_keep(key, n)
+    return kernels.drl_keep(key, n)
 
 
 def _lane(needed: int, at_least: int = _LANE_BITS) -> int:
@@ -549,17 +549,17 @@ def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int 
     discards products failing drl_keep(key, n_limit), 0 keeps every one."""
     if not a.entries or not b.entries:
         return WalkSum.zero()
-    raw = kernels.active().walk_products(a._items(), b._items(), signs, n_limit)
+    raw = kernels.walk_products(a._items(), b._items(), signs, n_limit)
     return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
 
 
 def _moved_form(sign: int) -> tuple[tuple[int, ...], ...]:
     """The q-power of key_product at one crossing of the given sign is
-    bilinear in the two keys' counts (s, r, d), so the kernel on unit keys
-    gives its 3 x 3 form F. On moved fields (d+s, d+r, d), which give the
-    counts through M = ((1, 0, -1), (0, 1, -1), (0, 0, 1)), the form is
-    M^T F M."""
-    key_product = kernels.active().key_product
+    bilinear in the two keys' counts (s, r, d), so key_product on unit keys
+    gives its 3 x 3 form F; the rule itself is stated only in the kernels
+    module. On moved fields (d+s, d+r, d), which give the counts through
+    M = ((1, 0, -1), (0, 1, -1), (0, 0, 1)), the form is M^T F M."""
+    key_product = kernels.key_product
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     form = [[key_product(u, t, (sign,))[1] for t in units] for u in units]
     m = ((1, 0, -1), (0, 1, -1), (0, 0, 1))

@@ -237,6 +237,26 @@ def test_table_missing_value_named(capsys, tmp_path, row, missing):
 
 
 @pytest.mark.parametrize(
+    "row, message",
+    [
+        ("4_1,x,-1 2 -1 2", "{table}: row 3: crossings 'x' is not an integer"),
+        ("4_1,4,-1 x -1 2", "4_1: bad braid token 'x': expected a nonzero signed integer"),
+    ],
+    ids=["crossings", "braid"],
+)
+def test_table_bad_value_named(capsys, tmp_path, row, message):
+    # compute and bench both name the file and row, or the knot
+    table = tmp_path / "bad.csv"
+    table.write_text(f"name,crossings,braid\n3_1,3,1 1 1\n{row}\n")
+    expected = f"walkjones: {message.format(table=table)}\n"
+    for argv in (("compute", "--knot", "4_1"), ("bench",)):
+        code, out, err = run(capsys, *argv, "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == expected
+
+
+@pytest.mark.parametrize(
     "braid, code, message",
     [("x", 1, "bad braid token 'x'"), ("1 1", 2, "closure of 1 1 on 2 strands is not a knot")],
 )
