@@ -8,7 +8,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .braid import BraidWord, NotAKnotError, parse_braid
 from .cjp import colored_jones
@@ -147,14 +146,9 @@ BENCH_COLUMNS = ["name", "crossings", "strands", "simple_walks", "simple_walks_m
                  "walks_no_drl", "N", "heights", "time_ms", "terms", "simple_walks_used"]
 
 
-def bench_rows(records, colors, with_no_drl=False, threads=1):
-    """Benchmark rows in table order regardless of completion order."""
-    jobs = [(rec, color) for rec in records for color in colors]
-    if threads <= 1:
-        return [_bench_row(rec, color, with_no_drl) for rec, color in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_bench_row, rec, color, with_no_drl) for rec, color in jobs]
-        return [f.result() for f in futures]
+def bench_rows(records, colors, with_no_drl=False):
+    """Benchmark rows in table order."""
+    return [_bench_row(rec, color, with_no_drl) for rec in records for color in colors]
 
 
 def cmd_bench(args) -> int:

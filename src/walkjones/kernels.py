@@ -38,22 +38,13 @@ def key_product(ka: tuple, kb: tuple, signs: tuple) -> tuple:
     return key, delta
 
 
-def drl_keep(key: tuple, n: int) -> bool:
-    """True iff every crossing satisfies (#a + max(#b, #c)) < n."""
-    for b in range(0, len(key), 3):
-        s = key[b]
-        r = key[b + 1]
-        if key[b + 2] + (s if s > r else r) >= n:
-            return False
-    return True
-
-
 def walk_products(items_a: list, items_b: list, signs: tuple, n_limit: int) -> dict:
     """All pairwise products of two walk sums, merged into a canonical map.
 
     items_*: lists of (key, coeff dict). n_limit > 0 discards any product
-    whose key fails drl_keep(key, n_limit) before accumulation; 0 disables
-    pruning. Returns {key: coeff dict} with no zero coefficients.
+    whose key fails weyl.drl_keep(key, n_limit), that is, with
+    #a + max(#b, #c) >= n_limit at some crossing, before accumulation; 0
+    disables pruning. Returns {key: coeff dict} with no zero coefficients.
     """
     k = len(signs)
     width = 3 * k

@@ -39,13 +39,16 @@ starts at 64 bits and doubles, re-digiting the sum, only when a carried
 mass needs it. W is the least of 8, 16, 32, 64 bits that the fields (and
 the DRL limit) need, and widens the same way, re-packing the keys.
 
-multiply_walk_sums returns its product packed and evaluate_walk_sum reads
-packed sums directly, so the stack stays packed from height to height:
-WalkSum.entries decodes a packed sum into tuple keys and LaurentPolynomials
-only when something reads it. A plain WalkSum is packed when it is passed
-in, so there is one arithmetic path. No packed integer may span more than
-PACKED_BITS_MAX bits: both operations check B times the exponent spread
-their bounds allow before any shift, and raise OverflowError past it.
+WalkSum is the one walk-sum class, and it holds either form or both: its
+decoded map and its packed form. multiply_walk_sums returns a sum with only
+the packed form and evaluate_walk_sum reads packed sums directly, so the
+stack stays packed from height to height: WalkSum.entries decodes the
+packed form into tuple keys and LaurentPolynomials only when something
+reads it. A sum with only its map is packed when it is passed in, and
+keeps that form, so there is one arithmetic path. No packed integer may
+span more than PACKED_BITS_MAX bits: both operations check B times the
+exponent spread their bounds allow before any shift, and raise
+OverflowError past it.
 """
 from __future__ import annotations
 
@@ -96,26 +99,29 @@ class KeyedMonomial:
 class WalkSum:
     """Canonical key -> coefficient map; zero coefficients are never stored.
 
-    A plain walk sum also keeps the packed form (a _Packed) that
-    multiply_walk_sums or evaluate_walk_sum made of it when it was passed
-    in; add_into drops it. multiply_walk_sums returns a _PackedSum.
+    A walk sum holds one or both of two forms: its decoded map and its
+    packed form (a _Packed). multiply_walk_sums returns the packed form
+    alone, and ``entries`` decodes it the first time it is read; a sum
+    built from entries keeps the packed form that multiply_walk_sums or
+    evaluate_walk_sum made of it when it was passed in. add_into drops the
+    packed form.
     """
 
-    __slots__ = ("entries", "_packed")
+    __slots__ = ("_entries", "_packed")
 
     def __init__(self, entries: Mapping[tuple[int, ...], LaurentPolynomial] | None = None):
         self._packed = None
-        self.entries: dict[tuple[int, ...], LaurentPolynomial] = {}
+        self._entries: dict[tuple[int, ...], LaurentPolynomial] = {}
         if entries:
             for key, coeff in entries.items():
                 if coeff:
-                    self.entries[key] = coeff
+                    self._entries[key] = coeff
 
     @classmethod
-    def _raw(cls, entries: dict) -> "WalkSum":
+    def _raw(cls, entries: dict | None, packed: "_Packed | None" = None) -> "WalkSum":
         ws = cls.__new__(cls)
-        ws.entries = entries
-        ws._packed = None
+        ws._entries = entries
+        ws._packed = packed
         return ws
 
     @classmethod
@@ -126,11 +132,18 @@ class WalkSum:
     def single(cls, key: tuple[int, ...], coeff: LaurentPolynomial) -> "WalkSum":
         return cls._raw({key: coeff} if coeff else {})
 
+    @property
+    def entries(self) -> dict[tuple[int, ...], LaurentPolynomial]:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = self._packed.decode()
+        return entries
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._packed.coeffs if self._entries is None else self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self._packed.coeffs if self._entries is None else self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WalkSum):
@@ -169,37 +182,10 @@ class WalkSum:
         return WalkSum._raw({k: c * factor for k, c in self.entries.items()})
 
     def filtered(self, n: int) -> "WalkSum":
-        """Entries whose keys survive drl_keep(key, n)."""
-        keep = kernels.drl_keep
-        return WalkSum._raw({k: c for k, c in self.entries.items() if keep(k, n)})
-
-    def _items(self) -> list:
-        # Raw (key, coefficient dict) view for the kernels.
-        return [(k, c.terms) for k, c in self.entries.items()]
-
-
-class _PackedSum(WalkSum):
-    """A walk sum held in packed form, whose entries are decoded the first
-    time they are read; a subclass, so that a plain WalkSum's attribute
-    reads stay plain slot reads."""
-
-    __slots__ = ()
-
-    def __init__(self, packed: "_Packed"):
-        self._packed = packed
-
-    def __getattr__(self, name: str):
-        # Reached only while the entries slot is unset.
-        if name != "entries":
-            raise AttributeError(name)
-        self.entries = self._packed.decode()
-        return self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries) if self._packed is None else len(self._packed.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries if self._packed is None else self._packed.coeffs)
+        """Entries whose keys survive drl_keep(key, n); n must be >= 1, also
+        for an empty sum."""
+        _check_color(n)
+        return WalkSum._raw({k: c for k, c in self.entries.items() if drl_keep(k, n)})
 
 
 def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) -> KeyedMonomial:
@@ -209,12 +195,21 @@ def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) 
     return KeyedMonomial(key, coeff)
 
 
+def _check_color(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"color must be >= 1, got {n}")
+
+
 def drl_keep(key: tuple[int, ...], n: int) -> bool:
     """Duplicate-reduction filter: discard keys with (#a + max(#b, #c)) >= n
     at any crossing. At n = 2 the survivors are exactly the simple walks."""
-    if n < 1:
-        raise ValueError(f"color must be >= 1, got {n}")
-    return kernels.drl_keep(key, n)
+    _check_color(n)
+    for b in range(0, len(key), 3):
+        s = key[b]
+        r = key[b + 1]
+        if key[b + 2] + (s if s > r else r) >= n:
+            return False
+    return True
 
 
 def _lane(needed: int, at_least: int = _LANE_BITS) -> int:
@@ -466,8 +461,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     base exponent, shifted to the lowest base into one integer, and decoded
     once.
     """
-    if n < 1:
-        raise ValueError(f"color must be >= 1, got {n}")
+    _check_color(n)
     if not ws:
         return LaurentPolynomial.zero()
     k = len(signs)
@@ -547,9 +541,12 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
 def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int = 0) -> WalkSum:
     """All pairwise products of two walk sums in one kernel call; n_limit > 0
     discards products failing drl_keep(key, n_limit), 0 keeps every one."""
-    if not a.entries or not b.entries:
+    entries_a, entries_b = a.entries, b.entries
+    if not entries_a or not entries_b:
         return WalkSum.zero()
-    raw = kernels.walk_products(a._items(), b._items(), signs, n_limit)
+    items_a = [(k, c.terms) for k, c in entries_a.items()]
+    items_b = [(k, c.terms) for k, c in entries_b.items()]
+    raw = kernels.walk_products(items_a, items_b, signs, n_limit)
     return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
 
 
@@ -578,8 +575,7 @@ _FORM_NORM = max(sum(map(abs, sum(form, ()))) for form in _MOVED_FORMS.values())
 class _Reorder:
     """The reordering operator of one left operand at one sign vector, with
     row fields of ``width`` bits (see multiply_walk_sums): the weight W_j
-    of every moved field j, and the column of each left entry, built the
-    first time it is asked for."""
+    of every moved field j, and the column C_i of each left entry i."""
 
     __slots__ = ("signs", "width", "weights", "columns", "bias")
 
@@ -607,7 +603,7 @@ class _Reorder:
             fa = by_field[3 * c:3 * c + 3]
             weights += [sum(form[t][u] * fa[t] for t in range(3)) for u in range(3)]
         self.weights = weights
-        self.columns: list[int | None] = [None] * count
+        self.columns = [self.combine(keys.fields(x)) for x in left.coeffs]
         # 2^(width-1) in every row field
         self.bias = ((1 << width * count) - 1) // ((1 << width) - 1) << (width - 1)
 
@@ -619,13 +615,6 @@ class _Reorder:
         """Sum of fields[j] * W_j: field i is the q-power of reordering
         left entry i in front of a key with these moved fields."""
         return sum(f * w for f, w in zip(fields, self.weights) if f)
-
-    def column(self, i: int, fields: tuple[int, ...]) -> int:
-        """C_i, the combination of left entry i's own fields ``fields``."""
-        column = self.columns[i]
-        if column is None:
-            column = self.columns[i] = self.combine(fields)
-        return column
 
 
 def multiply_walk_sums(
@@ -667,8 +656,8 @@ def multiply_walk_sums(
     - FA_j holds field j of every left entry, entry i in field i;
     - the weight W_(3c+u) = sum over t of F_c[t][u] * FA_(3c+t), so that
       sum over j of fb[j] * W_j holds delta(a_i, b) in field i;
-    - the column C_i = sum over j of fa_i[j] * W_j, built the first time
-      left i is admitted, holds delta(a_l, a_i) in field l.
+    - the column C_i = sum over j of fa_i[j] * W_j holds delta(a_l, a_i)
+      in field l.
     The row of a right entry b is R_b = 2^(L-1) * ONES + sum of fb[j] * W_j,
     so a pair's exponent is ea + eb + (R_b >> L*i & (2^L - 1)) - 2^(L-1).
     The fields of a product key are fa_i + fb, so its row is one add,
@@ -727,10 +716,12 @@ def multiply_walk_sums(
     row_mask = (1 << row_width) - 1
     carried = right.rows if right.rows_for is op else {}
     fields = keys.fields
-    lefts = list(left.coeffs.items())
     left_low = left.low
-    masks = [(x + nonzero) & guard for x, _ in lefts]
-    ready: list[tuple | None] = [None] * len(lefts)
+    lefts = [
+        ((x + nonzero) & guard, (x, p, left_low[x] - half, row_width * i, column))
+        for i, ((x, p), column) in enumerate(zip(left.coeffs.items(), op.columns))
+    ]
+    masks = [mask for mask, _ in lefts]
     admitted_by: dict[int, list] = {}
     right_low = right.low
     acc: dict[int, int] = {}
@@ -741,15 +732,7 @@ def multiply_walk_sums(
         signature = (xb + saturated) & guard
         admitted = admitted_by.get(signature)
         if admitted is None:
-            admitted = admitted_by[signature] = []
-            for i, mask in enumerate(masks):
-                if mask & signature:
-                    continue
-                entry = ready[i]
-                if entry is None:
-                    xa, pa = lefts[i]
-                    entry = ready[i] = (xa, pa, left_low[xa] - half, row_width * i, op.column(i, fields(xa)))
-                admitted.append(entry)
+            admitted = admitted_by[signature] = [entry for mask, entry in lefts if not mask & signature]
         if not admitted:
             continue
         eb = right_low[xb]
@@ -780,4 +763,4 @@ def multiply_walk_sums(
     for x in [x for x, p in acc.items() if not p]:
         del acc[x], low[x]
         rows.pop(x, None)
-    return _PackedSum(_Packed(keys, bits, acc, low, mass, min(top, n - 1), span, rows, op))
+    return WalkSum._raw(None, _Packed(keys, bits, acc, low, mass, min(top, n - 1), span, rows, op))

@@ -7,6 +7,7 @@ bounds where the criterion pins one.
 import os
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from conftest import rand_mono, rand_signs
 from walkjones.braid import BraidWord, parse_braid
@@ -246,8 +247,9 @@ def test_criterion_9_thread_determinism():
         records = load_table()
         outputs = []
         for threads in (1, 2, os.cpu_count() or 2):
-            rows = bench_rows(records, [2], with_no_drl=False, threads=threads)
-            outputs.append([(r["name"], r["_poly"]) for r in rows])
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                polys = list(pool.map(lambda rec: colored_jones(rec.braid_word(), 2).polynomial.format(), records))
+            outputs.append(list(zip((r.name for r in records), polys)))
         assert outputs[0] == outputs[1] == outputs[2]
     except BaseException:
         _fail_line(9, desc)

@@ -119,10 +119,11 @@ def reduced_burau(braid: BraidWord) -> list:
     return matrix
 
 
-def knot_determinant(braid: BraidWord) -> int:
-    """|Alexander(-1)|, where det(I - reduced Burau) = Alexander(t) times
-    1 + t + ... + t^(m-1) up to a unit; the division is done on polynomials
-    because the divisor vanishes at t = -1 for even m."""
+def alexander(braid: BraidWord) -> list:
+    """The Alexander polynomial's coefficients, lowest degree first, up to
+    a unit: det(I - reduced Burau) = Alexander(t) times 1 + t + ... +
+    t^(m-1) up to a unit; the division is done on polynomials because the
+    divisor vanishes at t = -1 for even m."""
     burau = reduced_burau(braid)
     n = len(burau)
     minus = [[laurent_sum([{0: 1} if u == v else {}, {e: -c for e, c in burau[u][v].items()}]) for v in range(n)]
@@ -144,7 +145,17 @@ def knot_determinant(braid: BraidWord) -> int:
             dividend[len(dividend) - 1 - j] -= lead
         dividend.pop()
     assert not any(dividend), "det(I - Burau) is not divisible by 1 + t + ... + t^(m-1)"
-    return abs(sum(c * (-1) ** e for e, c in enumerate(reversed(quotient))))
+    coeffs = quotient[::-1]
+    while not coeffs[-1]:
+        coeffs.pop()
+    while not coeffs[0]:
+        coeffs.pop(0)
+    return coeffs
+
+
+def knot_determinant(braid: BraidWord) -> int:
+    """|Alexander(-1)|."""
+    return abs(sum(c * (-1) ** e for e, c in enumerate(alexander(braid))))
 
 
 @pytest.mark.parametrize("name, det", [("3_1", 3), ("4_1", 5), ("5_1", 5), ("5_2", 7), ("6_1", 9), ("7_1", 7)])

@@ -2,15 +2,15 @@
 import random
 import struct
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
-from walkjones import kernels, weyl
+from walkjones import cli, kernels, weyl
 from walkjones.braid import parse_braid
 from walkjones.burau import walk_generator
 from walkjones.cjp import colored_jones
-from walkjones.cli import bench_rows
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import FreeWord, free_normalize
 from walkjones.table import load_table
@@ -95,6 +95,16 @@ def test_drl_keep_examples():
     assert drl_keep(key_from_letters(3, "a1 b2 c3"), 2)
     assert not drl_keep(key_from_letters(2, "a1"), 1)
     assert drl_keep(zero_key(3), 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_filtered_rejects_color_below_one(n):
+    walks = WalkSum.single(key_from_letters(1, "a1"), P("q"))
+    for ws in (walks, WalkSum.zero()):
+        with pytest.raises(ValueError, match=f"color must be >= 1, got {n}"):
+            ws.filtered(n)
+    with pytest.raises(ValueError, match=f"color must be >= 1, got {n}"):
+        drl_keep(zero_key(1), n)
 
 
 def test_drl_keep_monotone_random():
@@ -624,39 +634,33 @@ def test_rows_rebuilt_for_another_operator(row_builds):
 
 
 def test_columns_built_once_per_level_one_entry(monkeypatch):
-    # one operator per job and at most one column per level-one entry,
-    # however many heights the stack climbs
-    built = []
+    # one operator per job, holding one column per level-one entry, however
+    # many heights the stack climbs
     operators = []
-    column = weyl._Reorder.column
     init = weyl._Reorder.__init__
-
-    def recording_column(self, i, fields):
-        if self.columns[i] is None:
-            built.append((self, i))
-        return column(self, i, fields)
 
     def recording_init(self, *args):
         operators.append(self)
         init(self, *args)
 
-    monkeypatch.setattr(weyl._Reorder, "column", recording_column)
     monkeypatch.setattr(weyl._Reorder, "__init__", recording_init)
     for text, n in (("1 1 1", 6), ("-1 2 -1 2", 5), ("1 1 2 -1 -3 2 -3", 4), ("1 1 1 2 -1 2 3 -2 3", 4)):
-        built.clear()
         operators.clear()
         result = colored_jones(parse_braid(text), n)
         assert result.heights_summed >= 3
-        assert len(operators) == 1
-        assert len(built) == len(set(built)) <= result.simple_walk_count
+        (op,) = operators
+        assert len(op.columns) == result.simple_walk_count
 
 
 def test_threaded_bench_rows_match_single_threaded():
     # each job keeps its operator on its own level-one sum, so jobs on
     # worker threads share no state
     records = load_table()
-    untimed = [[{k: v for k, v in row.items() if k != "time_ms"} for row in bench_rows(records, [4], threads=threads)]
-               for threads in (1, 2)]
+    untimed = []
+    for threads in (1, 2):
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(lambda rec: cli._bench_row(rec, 4, False), records))
+        untimed.append([{k: v for k, v in row.items() if k != "time_ms"} for row in rows])
     assert untimed[0] == untimed[1]
 
 
