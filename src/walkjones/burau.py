@@ -9,14 +9,32 @@ sum over nonempty J of (-1)^(|J|-1) q^|J| det_q(R_J) = 1 - sum over all J
 of det_q((-qR)_J). One recursion expands every principal minor at once:
 at each column it leaves the column and its row out, or takes a free row,
 so each partial product is computed once for all minors that share it.
+
+The recursion runs on plain maps from keys to coefficient dicts and takes
+the product of a partial product by one entry as a parameter. In a simple
+walk each letter is used at most once (Armond, arXiv:1101.3810), so under
+prune_simple (DRL at level 2) every partial product is a set of letters:
+walk_generator keys them by letter bitmasks, which makes the DRL test of
+a pair one AND and its reordering q-power one popcount (_SimpleRule).
+quantum_det and the unpruned generator, whose letter counts grow past 1,
+multiply through the generic kernel and serve as the verification path.
+
+braid_matrix still multiplies through the kernel. Each of its entries is
+a set of paths with coefficient 1, so a kernel-free build would only set
+one letter slot per crossing, and it measured faster. It waits for the
+benchmark to stop keeping every polynomial it computes: until then a
+faster engine runs more passes in the same time and reads as a higher
+peak memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
+from . import kernels
 from .braid import BraidWord, NotAKnotError
 from .laurent import LaurentPolynomial
-from .weyl import WalkSum, kernel_product, letter_key, zero_key
+from .weyl import WalkSum, kernel_product, letter_key, reordering_form, zero_key
 
 
 @dataclass
@@ -99,40 +117,188 @@ def reduced_matrix(matrix: BurauMatrix) -> BurauMatrix:
     )
 
 
-def _minor_sum(entries, signs, limit, optional, total, col, used, skipped, inv, partial) -> None:
+def _items(ws: WalkSum, shift: int = 0, sign: int = 1) -> list:
+    """A walk sum as (key, coefficient dict) pairs, each coefficient times
+    sign * q^shift."""
+    return [(key, {e + shift: sign * c for e, c in coeff.terms.items()}) for key, coeff in ws.entries.items()]
+
+
+# ASCII binary digits to the counts 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+# (sign, t, u, negative): |F[t][u]| lanes for each entry of each sign's
+# reordering form F (see _SimpleRule)
+_LANES = tuple(
+    (sign, t, u, form[t][u] < 0)
+    for sign, form in ((1, reordering_form(1)), (-1, reordering_form(-1)))
+    for t in range(3)
+    for u in range(3)
+    for _ in range(abs(form[t][u]))
+)
+
+
+class _SimpleRule:
+    """Simple-walk products on letter bitmasks, for one sign vector.
+
+    Under DRL at level 2 every key has, per crossing, counts (s, r, d) in
+    {000, 100, 010, 110, 001}, so it is a set of letters: bit 3j + slot
+    holds the letter of crossing j, with slot b = 0, c = 1, a = 2 as in the
+    tuple keys. The product of two simple keys k1, k2 is k1 | k2, and it is
+    simple unless k1 & k2 != 0 or (K >> 2) & (K | K >> 1) & M != 0, where
+    K = k1 | k2 and M holds bit 0 of every crossing. Both tests are one:
+    k1 & conflicts(k2), where conflicts(k2) holds k2's letters, every slot
+    of a crossing where k2 has its a, and the a slot where k2 has b or c.
+
+    The reordering q-power of k1 times k2 is the sum over crossings j and
+    counts t, u of F[t][u] * (count t of k1 at j) * (count u of k2 at j),
+    F the form of j's sign (weyl.reordering_form), that is a sum of
+    F[t][u] * |(k1 >> t) & (k2 >> u) & M & S| over the sign masks S. One
+    popcount computes it (Knuth, TAOCP 4A, 7.1.3): the term (t, u, S)
+    takes |F[t][u]| lanes of 3k bits each. The right key holds
+    ((k2 >> u) & S) << t in each of them, and k1 * copies puts k1 in every
+    lane. Lanes of negative terms are flipped in the left, and
+    |~k1 & x| = |x| - |k1 & x|, so
+    |(k1 * copies ^ flip) & right(k2)| = q-power + |negative lanes of right(k2)|.
+    The right entry's exponents carry minus that last count.
+    """
+
+    __slots__ = ("width", "crossings", "copies", "flip", "bits", "rights")
+
+    def __init__(self, signs: tuple[int, ...]):
+        self.width = width = 3 * len(signs)
+        self.crossings = sum(1 << 3 * j for j in range(len(signs)))
+        self.copies = sum(1 << width * i for i in range(len(_LANES)))
+        self.flip = sum(((1 << width) - 1) << width * i for i, (*_, negative) in enumerate(_LANES) if negative)
+        # the mask and the right lanes of each single letter; at_first holds
+        # the right lanes of slot u at a first crossing of the given sign
+        self.bits = [1 << b for b in range(width)]
+        at_first = {
+            (sign, u): sum(1 << t + width * i for i, (s, t, v, _) in enumerate(_LANES) if (s, v) == (sign, u))
+            for sign in (1, -1)
+            for u in range(3)
+        }
+        self.rights = [at_first[1 if sign > 0 else -1, u] << 3 * j for j, sign in enumerate(signs) for u in range(3)]
+
+    def entry(self, ws: WalkSum, shift: int = 0, sign: int = 1) -> list:
+        """A matrix entry as (mask, conflicts, right lanes, exponent-coefficient
+        pairs), each coefficient times sign * q^shift; keys that are not
+        simple are dropped."""
+        crossings, bits, rights, flip = self.crossings, self.bits, self.rights, self.flip
+        out = []
+        for key, coeff in ws.entries.items():
+            if max(key, default=0) > 1:
+                continue
+            mask = sum(compress(bits, key))
+            a = (mask >> 2) & crossings
+            b_or_c = (mask | mask >> 1) & crossings
+            if a & b_or_c:
+                continue
+            right = sum(compress(rights, key))
+            shifted = shift - (right & flip).bit_count()
+            terms = tuple((e + shifted, sign * c) for e, c in coeff.terms.items())
+            out.append((mask, mask | a * 7 | b_or_c << 2, right, terms))
+        return out
+
+    def key(self, mask: int) -> tuple[int, ...]:
+        """The tuple key of a letter mask."""
+        return tuple(f"{mask:0{self.width}b}"[::-1].encode().translate(_DIGITS))
+
+
+def _simple_products(partial: dict, entry: list, rule: _SimpleRule) -> dict:
+    """partial * entry on simple walks: partial maps letter masks to
+    coefficient dicts, entry is a list from _SimpleRule.entry."""
+    copies, flip = rule.copies, rule.flip
+    out: dict = {}
+    cancelled = False
+    for k1, c1 in partial.items():
+        lanes = k1 * copies ^ flip
+        terms1 = c1.items()
+        for k2, conflicts, right, terms2 in entry:
+            if k1 & conflicts:
+                continue
+            delta = (lanes & right).bit_count()
+            key = k1 | k2
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            for e1, v1 in terms1:
+                e1 += delta
+                for e2, v2 in terms2:
+                    e = e1 + e2
+                    v = acc.get(e, 0) + v1 * v2
+                    if v:
+                        acc[e] = v
+                    else:
+                        del acc[e]
+                        cancelled = True
+    return {key: c for key, c in out.items() if c} if cancelled else out
+
+
+def _kernel_products(partial: dict, entry: list, rule: tuple) -> dict:
+    """partial * entry through the generic kernel; rule is (signs, DRL limit)."""
+    signs, limit = rule
+    return kernels.walk_products(list(partial.items()), entry, signs, limit)
+
+
+def _minor_sum(entries, product, rule, optional, total, col, used, skipped, inv, partial) -> None:
     """Add into ``total`` det_q of every principal minor of ``entries`` that
     leaves out only indices in the bitmask ``optional``. At column ``col``:
     leave it out, if optional and its row is free, or take each free row
-    whose column was not left out. ``limit`` > 0 applies the DRL filter to
-    each partial product. Module level, so that no closure cycle outlives a call.
+    whose column was not left out. Partial products and ``total`` map keys
+    to coefficient dicts, and product(partial, entry, rule) multiplies a
+    partial product by one entry. Module level, so that no closure cycle
+    outlives a call.
     """
     if not partial:
         return
     if col == len(entries):
-        coeff = LaurentPolynomial.q_power(inv, -1 if inv % 2 else 1)
-        for key, c in partial.scaled(coeff).entries.items():
-            total.add_into(key, c)
+        sign = -1 if inv % 2 else 1
+        for key, terms in partial.items():
+            acc = total.get(key)
+            if acc is None:
+                acc = total[key] = {}
+            for e, c in terms.items():
+                e += inv
+                v = acc.get(e, 0) + sign * c
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
         return
     bit = 1 << col
     if optional & bit and not used & bit:
-        _minor_sum(entries, signs, limit, optional, total, col + 1, used, skipped | bit, inv, partial)
+        _minor_sum(entries, product, rule, optional, total, col + 1, used, skipped | bit, inv, partial)
     for row, line in enumerate(entries):
         row_bit = 1 << row
         if line[col] and not (used | skipped) & row_bit:
             # rows already taken that are greater than this one each add an inversion
             added = bin(used >> (row + 1)).count("1")
-            product = kernel_product(partial, line[col], signs, limit)
             taken = used | row_bit
-            _minor_sum(entries, signs, limit, optional, total, col + 1, taken, skipped, inv + added, product)
+            _minor_sum(
+                entries, product, rule, optional, total, col + 1, taken, skipped, inv + added,
+                product(partial, line[col], rule),
+            )
+
+
+def _walk_sum(total: dict, key=None, sign: int = 1) -> WalkSum:
+    """A {key: coefficient dict} map as a walk sum, times sign, with keys
+    mapped through ``key`` if given."""
+    return WalkSum._raw({
+        key(k) if key else k: LaurentPolynomial._raw({e: sign * c for e, c in terms.items()})
+        for k, terms in total.items()
+        if terms
+    })
 
 
 def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None = None) -> WalkSum:
     """Quantum determinant: sum over permutations of (-q)^inv(pi) times the
     column-ordered entry product. ``prune_n`` applies the duplicate-reduction
     filter after each partial multiplication."""
-    total = WalkSum.zero()
-    _minor_sum(matrix.entries, signs, prune_n or 0, 0, total, 0, 0, 0, 0, _one(len(signs)))
-    return total
+    total: dict = {}
+    entries = [[_items(e) for e in row] for row in matrix.entries]
+    one = {zero_key(len(signs)): {0: 1}}
+    _minor_sum(entries, _kernel_products, (signs, prune_n or 0), 0, total, 0, 0, 0, 0, one)
+    return _walk_sum(total)
 
 
 def _permanent(sizes: list[list[int]], col: int = 0, used: int = 0) -> int:
@@ -168,16 +334,24 @@ def walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
     the sum over nonempty J of (-1)^(|J|-1) q^|J| det_q(R_J). Each entry is
     scaled by -q once and every index is optional in _minor_sum. With
     prune_simple, the duplicate-reduction filter at level 2 runs on each
-    partial product, leaving exactly the simple walks.
+    partial product, leaving exactly the simple walks, and partial products
+    are letter bitmasks (_SimpleRule); without it they go through the
+    generic kernel.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
     if braid.strands < 2:
         raise ValueError("walk generator needs at least 2 strands")
     signs = braid.signs()
-    minus_q, minus_one = LaurentPolynomial.q_power(1, -1), LaurentPolynomial.constant(-1)
-    scaled = [[e.scaled(minus_q) for e in row] for row in reduced_matrix(braid_matrix(braid)).entries]
-    total = WalkSum.single(zero_key(braid.k), minus_one)
-    every = (1 << len(scaled)) - 1
-    _minor_sum(scaled, signs, 2 if prune_simple else 0, every, total, 0, 0, 0, 0, _one(braid.k))
-    return total.scaled(minus_one)
+    reduced = reduced_matrix(braid_matrix(braid)).entries
+    if prune_simple:
+        rule = _SimpleRule(signs)
+        entries = [[rule.entry(e, 1, -1) for e in row] for row in reduced]
+        product, one, key = _simple_products, 0, rule.key
+    else:
+        entries = [[_items(e, 1, -1) for e in row] for row in reduced]
+        product, rule, one, key = _kernel_products, (signs, 0), zero_key(braid.k), None
+    total = {one: {0: -1}}
+    every = (1 << len(entries)) - 1
+    _minor_sum(entries, product, rule, every, total, 0, 0, 0, 0, {one: {0: 1}})
+    return _walk_sum(total, key, -1)

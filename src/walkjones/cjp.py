@@ -22,10 +22,10 @@ tried: on every rotation of every bundled braid and its flip, a rotation
 past sigma_i with i >= 2 left the count unchanged. Every candidate has the
 input's strands and writhe, up to the mirror's sign, so the polynomial
 and framing do not depend on the choice. Each candidate costs one level-one
-generator run, so the search pays only where the stack loop dominates: on
-the 84 bundled knots (2 vCPUs) the whole table took
-0.19 -> 0.76 s at N = 2 and 0.32 -> 0.83 s at N = 3 with the search, but
-1.49 -> 1.15 s at N = 4 and 10.9 -> 2.9 s at N = 5.
+generator run, so the search pays only where the stack loop dominates. On
+the 84 bundled knots (CPU time, 2 vCPUs, Python 3.11) the whole table took,
+without and with the search, 0.53 -> 2.10 s at N = 2, 0.74 -> 2.17 s at
+N = 3, 2.46 -> 2.67 s at N = 4 and 14.9 -> 5.4 s at N = 5.
 """
 from __future__ import annotations
 

@@ -90,7 +90,13 @@ class LaurentPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # a constant equals its int (see __eq__), so it hashes as that int
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
+        return hash(frozenset(terms.items()))
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._raw({e: -c for e, c in self._terms.items()})

@@ -550,15 +550,22 @@ def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int 
     return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
 
 
-def _moved_form(sign: int) -> tuple[tuple[int, ...], ...]:
+def reordering_form(sign: int) -> tuple[tuple[int, ...], ...]:
     """The q-power of key_product at one crossing of the given sign is
     bilinear in the two keys' counts (s, r, d), so key_product on unit keys
-    gives its 3 x 3 form F; the rule itself is stated only in the kernels
-    module. On moved fields (d+s, d+r, d), which give the counts through
-    M = ((1, 0, -1), (0, 1, -1), (0, 0, 1)), the form is M^T F M."""
+    gives its 3 x 3 form F: F[t][u] is the q-power of the left key's count
+    t against the right key's count u. The rule itself is stated only in
+    the kernels module."""
     key_product = kernels.key_product
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    form = [[key_product(u, t, (sign,))[1] for t in units] for u in units]
+    return tuple(tuple(key_product(u, t, (sign,))[1] for t in units) for u in units)
+
+
+def _moved_form(sign: int) -> tuple[tuple[int, ...], ...]:
+    """The reordering form F (reordering_form) on moved fields (d+s, d+r, d),
+    which give the counts through M = ((1, 0, -1), (0, 1, -1), (0, 0, 1)):
+    M^T F M."""
+    form = reordering_form(sign)
     m = ((1, 0, -1), (0, 1, -1), (0, 0, 1))
     return tuple(
         tuple(sum(m[u][i] * form[u][t] * m[t][j] for u in range(3) for t in range(3)) for j in range(3))

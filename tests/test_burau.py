@@ -6,8 +6,15 @@ import pytest
 
 from conftest import key_from_letters, rand_key, rand_signs
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
+from walkjones import kernels
 from walkjones.burau import (
     BurauMatrix,
+    _items,
+    _kernel_products,
+    _minor_sum,
+    _simple_products,
+    _SimpleRule,
+    _walk_sum,
     braid_matrix,
     generator_matrix,
     quantum_det,
@@ -16,8 +23,9 @@ from walkjones.burau import (
     walk_generator,
 )
 from walkjones.laurent import LaurentPolynomial
+from walkjones.cjp import cut_candidates
 from walkjones.table import load_table
-from walkjones.weyl import WalkSum, kernel_product, zero_key
+from walkjones.weyl import WalkSum, drl_keep, kernel_product, zero_key
 
 P = LaurentPolynomial.parse
 
@@ -369,3 +377,83 @@ def test_generator_leaves_no_reference_cycles(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Per-crossing (s, r, d) states of a simple key: {000, 100, 010, 110, 001}.
+SIMPLE_STATES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))
+
+
+def simple_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
+    """left * right with unit coefficients through the letter-mask product."""
+    rule = _SimpleRule(signs)
+    ((mask, *_),) = rule.entry(WalkSum.single(left, LaurentPolynomial.one()))
+    product = _simple_products({mask: {0: 1}}, rule.entry(WalkSum.single(right, LaurentPolynomial.one())), rule)
+    return _walk_sum(product, rule.key)
+
+
+def kernel_rule_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
+    """The same product by the kernel's rule, kept if drl_keep at level 2."""
+    key, delta = kernels.key_product(left, right, signs)
+    return WalkSum.single(key, LaurentPolynomial.q_power(delta)) if drl_keep(key, 2) else WalkSum.zero()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_simple_product_matches_kernel_rule_on_every_state_pair(sign):
+    kept = 0
+    for left in SIMPLE_STATES:
+        for right in SIMPLE_STATES:
+            product = simple_product(left, right, (sign,))
+            assert product == kernel_rule_product(left, right, (sign,)), (left, right)
+            kept += bool(product)
+    # the pairs that share no letter and put no a beside a b or c
+    assert kept == 11
+
+
+def test_simple_product_matches_kernel_rule_random():
+    rng = random.Random(83)
+    for _ in range(400):
+        k = rng.randint(1, 9)
+        signs = rand_signs(rng, k)
+        left, right = (sum((rng.choice(SIMPLE_STATES) for _ in range(k)), ()) for _ in range(2))
+        assert simple_product(left, right, signs) == kernel_rule_product(left, right, signs), (left, right, signs)
+
+
+def test_simple_entry_drops_keys_that_are_not_simple():
+    rule = _SimpleRule((1, -1))
+    entry = WalkSum({key: LaurentPolynomial.one() for key in [(1, 0, 1, 0, 0, 0), (0, 0, 2, 0, 0, 0), (1, 1, 0, 0, 0, 1)]})
+    assert [rule.key(mask) for mask, *_ in rule.entry(entry)] == [(1, 1, 0, 0, 0, 1)]
+
+
+def generic_walk_generator(braid: BraidWord) -> WalkSum:
+    """walk_generator's pruned sum through the generic kernel recursion."""
+    one = zero_key(braid.k)
+    entries = [[_items(e, 1, -1) for e in row] for row in reduced_matrix(braid_matrix(braid)).entries]
+    total = {one: {0: -1}}
+    every = (1 << len(entries)) - 1
+    _minor_sum(entries, _kernel_products, (braid.signs(), 2), every, total, 0, 0, 0, 0, {one: {0: 1}})
+    return _walk_sum(total, None, -1)
+
+
+def test_simple_generator_matches_generic_recursion_on_every_cut():
+    # every word the search from N = 4 runs: each cut of each table braid
+    # and of its flip, and each one's mirror
+    words = [w for rec in load_table() for cut in cut_candidates(rec.braid_word()) for w in (cut, cut.mirror())]
+    assert len(words) == 988
+    for word in words:
+        assert walk_generator(word) == generic_walk_generator(word), word
+
+
+def test_simple_generator_matches_generic_recursion_on_stabilized_words():
+    rng = random.Random(97)
+    records = load_table()
+    for target in range(3, 8):
+        for rec in rng.sample(records, 10):
+            word = list(rec.braid_word().crossings)
+            m = rec.braid_word().strands
+            while m < target:
+                word.append((m, rng.choice((1, -1))))
+                m += 1
+            r = rng.randrange(len(word))
+            braid = BraidWord(tuple(word[r:] + word[:r]), m)
+            assert braid.is_knot_closure()
+            assert walk_generator(braid) == generic_walk_generator(braid), braid

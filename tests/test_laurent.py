@@ -170,3 +170,13 @@ def test_no_zero_coefficients_stored():
         b = rand_poly(rng)
         for p in (a + b, a * b, a - b, -a):
             assert all(c != 0 for c in p.terms.values())
+
+
+def test_constants_hash_as_the_int_they_equal():
+    for c in (0, 1, -1, 5, 2**70):
+        poly = LaurentPolynomial.constant(c)
+        assert poly == c and hash(poly) == hash(c)
+        assert len({poly, c}) == 1
+    assert len({LaurentPolynomial.zero(), 0}) == 1
+    assert {P("5"): "five"}[5] == "five"
+    assert P("q") != 1 and P("1 + q") != 1
