@@ -14,17 +14,26 @@ The recursion runs on plain maps from keys to coefficient dicts and takes
 the product of a partial product by one entry as a parameter. In a simple
 walk each letter is used at most once (Armond, arXiv:1101.3810), so under
 prune_simple (DRL at level 2) every partial product is a set of letters:
-walk_generator keys them by letter bitmasks, which makes the DRL test of
-a pair one AND and its reordering q-power one popcount (_SimpleRule).
-quantum_det and the unpruned generator, whose letter counts grow past 1,
-multiply through the generic kernel and serve as the verification path.
+walk_generator keys them by letter bitmasks (_SimpleRule). Three
+invariants of the walk model make that short: a braid matrix entry is a
+set of paths with coefficient 1, so it is read as bare letter masks; the
+DRL test of a pair is one AND, and after it two keys share a crossing only
+as the left key's c and the right key's b; and the reordering form has
+F[b][c] = 0. A pair's q-power is then two popcounts, one per crossing
+sign. quantum_det and the unpruned generator, whose letter counts grow
+past 1, multiply through the generic kernel and serve as the verification
+path.
 
 braid_matrix still multiplies through the kernel. Each of its entries is
 a set of paths with coefficient 1, so a kernel-free build would only set
-one letter slot per crossing, and it measured faster. It waits for the
-benchmark to stop keeping every polynomial it computes: until then a
-faster engine runs more passes in the same time and reads as a higher
-peak memory.
+one letter slot per crossing. On top of the mask generator it measured
+119 -> 222 jobs/s on the benchmark's table-n2n3 workload and 58 -> 125 on
+markov-n2 (one 30 s run each, 2 vCPUs), but peak memory 24.2 -> 26.9 MB
+and 21.1 -> 22.1 MB. At equal pass counts the memory is the same (22.8
+and 22.7 MB after 20 passes, 25.8 and 26.0 MB after 40): the benchmark
+keeps every polynomial it computes, so a faster engine runs more passes
+in the same time and reads as a higher peak memory. The build waits for
+the benchmark to stop keeping them.
 """
 from __future__ import annotations
 
@@ -126,19 +135,13 @@ def _items(ws: WalkSum, shift: int = 0, sign: int = 1) -> list:
 # ASCII binary digits to the counts 0 and 1
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
-# (sign, t, u, negative): |F[t][u]| lanes for each entry of each sign's
-# reordering form F (see _SimpleRule)
-_LANES = tuple(
-    (sign, t, u, form[t][u] < 0)
-    for sign, form in ((1, reordering_form(1)), (-1, reordering_form(-1)))
-    for t in range(3)
-    for u in range(3)
-    for _ in range(abs(form[t][u]))
-)
+# (sign, F[c][b]) for each crossing sign's reordering form F (see _SimpleRule)
+_C_B = tuple((sign, reordering_form(sign)[1][0]) for sign in (1, -1))
 
 
 class _SimpleRule:
-    """Simple-walk products on letter bitmasks, for one sign vector.
+    """Simple-walk products on letter bitmasks, for one sign vector, with
+    each entry scaled by sign * q^shift.
 
     Under DRL at level 2 every key has, per crossing, counts (s, r, d) in
     {000, 100, 010, 110, 001}, so it is a set of letters: bit 3j + slot
@@ -149,54 +152,39 @@ class _SimpleRule:
     k1 & conflicts(k2), where conflicts(k2) holds k2's letters, every slot
     of a crossing where k2 has its a, and the a slot where k2 has b or c.
 
-    The reordering q-power of k1 times k2 is the sum over crossings j and
-    counts t, u of F[t][u] * (count t of k1 at j) * (count u of k2 at j),
-    F the form of j's sign (weyl.reordering_form), that is a sum of
-    F[t][u] * |(k1 >> t) & (k2 >> u) & M & S| over the sign masks S. One
-    popcount computes it (Knuth, TAOCP 4A, 7.1.3): the term (t, u, S)
-    takes |F[t][u]| lanes of 3k bits each. The right key holds
-    ((k2 >> u) & S) << t in each of them, and k1 * copies puts k1 in every
-    lane. Lanes of negative terms are flipped in the left, and
-    |~k1 & x| = |x| - |k1 & x|, so
-    |(k1 * copies ^ flip) & right(k2)| = q-power + |negative lanes of right(k2)|.
-    The right entry's exponents carry minus that last count.
+    Three invariants of the walk model keep the rest short:
+    - a braid matrix entry is a set of paths, each with coefficient 1 and
+      at most one letter per crossing, so an entry is its letter masks;
+    - after the conflict test, two keys share a crossing only as the left
+      key's c and the right key's b;
+    - the reordering form F of either sign (weyl.reordering_form) has
+      F[b][c] = 0.
+    So of the form's nine terms only F[c][b] fires, and a pair's q-power
+    is F+[c][b] * |(k1 >> 1) & k2 & B+| + F-[c][b] * |(k1 >> 1) & k2 & B-|,
+    B+ and B- the b slots of the crossings of each sign: per left key two
+    ANDs, then per pair two ANDs and two popcounts.
     """
 
-    __slots__ = ("width", "crossings", "copies", "flip", "bits", "rights")
+    __slots__ = ("width", "crossings", "bits", "signed", "shift", "sign")
 
-    def __init__(self, signs: tuple[int, ...]):
-        self.width = width = 3 * len(signs)
+    def __init__(self, signs: tuple[int, ...], shift: int, sign: int):
+        self.width = 3 * len(signs)
         self.crossings = sum(1 << 3 * j for j in range(len(signs)))
-        self.copies = sum(1 << width * i for i in range(len(_LANES)))
-        self.flip = sum(((1 << width) - 1) << width * i for i, (*_, negative) in enumerate(_LANES) if negative)
-        # the mask and the right lanes of each single letter; at_first holds
-        # the right lanes of slot u at a first crossing of the given sign
-        self.bits = [1 << b for b in range(width)]
-        at_first = {
-            (sign, u): sum(1 << t + width * i for i, (s, t, v, _) in enumerate(_LANES) if (s, v) == (sign, u))
-            for sign in (1, -1)
-            for u in range(3)
-        }
-        self.rights = [at_first[1 if sign > 0 else -1, u] << 3 * j for j, sign in enumerate(signs) for u in range(3)]
+        self.bits = [1 << b for b in range(self.width)]
+        # (F[c][b], B) for each crossing sign
+        self.signed = [
+            (weight, sum(1 << 3 * j for j, t in enumerate(signs) if (t > 0) == (s > 0))) for s, weight in _C_B
+        ]
+        self.shift, self.sign = shift, sign
 
-    def entry(self, ws: WalkSum, shift: int = 0, sign: int = 1) -> list:
-        """A matrix entry as (mask, conflicts, right lanes, exponent-coefficient
-        pairs), each coefficient times sign * q^shift; keys that are not
-        simple are dropped."""
-        crossings, bits, rights, flip = self.crossings, self.bits, self.rights, self.flip
+    def entry(self, ws: WalkSum) -> list:
+        """A braid matrix entry as (mask, conflicts) pairs."""
+        crossings, bits = self.crossings, self.bits
         out = []
-        for key, coeff in ws.entries.items():
-            if max(key, default=0) > 1:
-                continue
+        for key in ws.entries:
             mask = sum(compress(bits, key))
             a = (mask >> 2) & crossings
-            b_or_c = (mask | mask >> 1) & crossings
-            if a & b_or_c:
-                continue
-            right = sum(compress(rights, key))
-            shifted = shift - (right & flip).bit_count()
-            terms = tuple((e + shifted, sign * c) for e, c in coeff.terms.items())
-            out.append((mask, mask | a * 7 | b_or_c << 2, right, terms))
+            out.append((mask, mask | a * 7 | ((mask | mask >> 1) & crossings) << 2))
         return out
 
     def key(self, mask: int) -> tuple[int, ...]:
@@ -207,30 +195,29 @@ class _SimpleRule:
 def _simple_products(partial: dict, entry: list, rule: _SimpleRule) -> dict:
     """partial * entry on simple walks: partial maps letter masks to
     coefficient dicts, entry is a list from _SimpleRule.entry."""
-    copies, flip = rule.copies, rule.flip
+    (w_plus, b_plus), (w_minus, b_minus) = rule.signed
+    shift, sign = rule.shift, rule.sign
     out: dict = {}
     cancelled = False
     for k1, c1 in partial.items():
-        lanes = k1 * copies ^ flip
-        terms1 = c1.items()
-        for k2, conflicts, right, terms2 in entry:
+        c_plus, c_minus = (k1 >> 1) & b_plus, (k1 >> 1) & b_minus
+        terms1 = [(e + shift, sign * v) for e, v in c1.items()]
+        for k2, conflicts in entry:
             if k1 & conflicts:
                 continue
-            delta = (lanes & right).bit_count()
+            delta = w_plus * (c_plus & k2).bit_count() + w_minus * (c_minus & k2).bit_count()
             key = k1 | k2
             acc = out.get(key)
             if acc is None:
                 acc = out[key] = {}
-            for e1, v1 in terms1:
-                e1 += delta
-                for e2, v2 in terms2:
-                    e = e1 + e2
-                    v = acc.get(e, 0) + v1 * v2
-                    if v:
-                        acc[e] = v
-                    else:
-                        del acc[e]
-                        cancelled = True
+            for e, v in terms1:
+                e += delta
+                v += acc.get(e, 0)
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+                    cancelled = True
     return {key: c for key, c in out.items() if c} if cancelled else out
 
 
@@ -345,8 +332,8 @@ def walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
     signs = braid.signs()
     reduced = reduced_matrix(braid_matrix(braid)).entries
     if prune_simple:
-        rule = _SimpleRule(signs)
-        entries = [[rule.entry(e, 1, -1) for e in row] for row in reduced]
+        rule = _SimpleRule(signs, 1, -1)
+        entries = [[rule.entry(e) for e in row] for row in reduced]
         product, one, key = _simple_products, 0, rule.key
     else:
         entries = [[_items(e, 1, -1) for e in row] for row in reduced]

@@ -4,12 +4,13 @@ The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
 that height. The stack is rebuilt each height by left-multiplying with the
 level-one walk sum; the loop ends when the stack is empty or its evaluation
-is the zero polynomial. From the second height on the stack is the packed
-walk sum multiply_walk_sums returns (see weyl): evaluate_walk_sum and the
-next multiply read it as it is, so it is never decoded into tuple keys
-and LaurentPolynomials, and the level-one sum and the first stack are
-packed once per job. Evaluation sums the monomials per multiset of
-(1 - q^e) factors and applies each multiset once.
+is the zero polynomial. The first stack is the level-one sum itself, and
+from the second height on the stack is the packed walk sum
+multiply_walk_sums returns (see weyl): evaluate_walk_sum and the next
+multiply read it as it is, so it is never decoded into tuple keys and
+LaurentPolynomials, and the level-one sum is packed once per job.
+Evaluation sums the monomials per multiset of (1 - q^e) factors and
+applies each multiset once.
 
 Orientation selection runs the word with the fewest simple walks among
 words whose closures are the same knot, compensating a mirror at the end
@@ -62,6 +63,18 @@ class CjpResult:
     walk_counts: dict[BraidWord, int]
 
 
+def _checked_color(color) -> int:
+    """The color as an int: TypeError if it is not an integer, ValueError
+    if it is below 1."""
+    try:
+        color = operator.index(color)
+    except TypeError:
+        raise TypeError(f"color must be an integer, got {color!r}") from None
+    if color < 1:
+        raise ValueError(f"color must be >= 1, got {color}")
+    return color
+
+
 def simple_walk_count(braid: BraidWord) -> int:
     """Number of simple walks in the level-one walk sum; 0 on one strand,
     where the only braid is the unknot's empty word."""
@@ -88,9 +101,9 @@ def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, boo
     The candidates are the braid and its mirror, and from ``color`` >=
     SEARCH_FROM_COLOR every cut_candidates word and its mirror. The one
     with the fewest simple walks wins; ties keep the earlier candidate, so
-    the input word first.
+    the input word first. ``color`` is checked as in colored_jones.
     """
-    words = cut_candidates(braid) if color >= SEARCH_FROM_COLOR else [braid]
+    words = cut_candidates(braid) if _checked_color(color) >= SEARCH_FROM_COLOR else [braid]
     candidates = [(w.mirror() if mirrored else w, mirrored) for w in words for mirrored in (False, True)]
     counts = {word: simple_walk_count(word) for word in dict.fromkeys(word for word, _ in candidates)}
     chosen, mirrored = min(candidates, key=lambda candidate: counts[candidate[0]])
@@ -115,12 +128,7 @@ def colored_jones(
     nontermination; exceeding it raises RuntimeError. A color that is not
     an integer raises TypeError.
     """
-    try:
-        color = operator.index(color)
-    except TypeError:
-        raise TypeError(f"color must be an integer, got {color!r}") from None
-    if color < 1:
-        raise ValueError(f"color must be >= 1, got {color}")
+    color = _checked_color(color)
     if braid.k == 0 and braid.strands == 1:
         return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid, {})
     if not braid.is_knot_closure():
@@ -136,8 +144,10 @@ def colored_jones(
     framing_exponent = (color - 1) * (writhe - m + 1) // 2
 
     signs = chosen.signs()
-    level_one = walk_generator(chosen, prune_simple=drl)
-    stack = level_one.filtered(color) if drl else level_one
+    # The level-one sum is the first stack as built: every simple walk passes
+    # DRL at color >= 2, and at color 1 every level-one key has an a letter
+    # (a knot's closure permutation is one cycle), so it evaluates to zero.
+    level_one = stack = walk_generator(chosen, prune_simple=drl)
     cap = 2 * color * chosen.k
 
     total = LaurentPolynomial.one()

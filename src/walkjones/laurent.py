@@ -9,6 +9,7 @@ is deterministic and diff-friendly.
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from typing import Iterator, Mapping
 
@@ -38,8 +39,12 @@ class LaurentPolynomial:
         self._terms: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
+                try:
+                    e, c = operator.index(e), operator.index(c)
+                except TypeError:
+                    raise TypeError(f"term {c!r}*q^{e!r}: exponent and coefficient must be integers") from None
                 if c:
-                    self._terms[int(e)] = int(c)
+                    self._terms[e] = c
 
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> "LaurentPolynomial":

@@ -25,7 +25,7 @@ from walkjones.burau import (
 from walkjones.laurent import LaurentPolynomial
 from walkjones.cjp import cut_candidates
 from walkjones.table import load_table
-from walkjones.weyl import WalkSum, drl_keep, kernel_product, zero_key
+from walkjones.weyl import WalkSum, drl_keep, kernel_product, reordering_form, zero_key
 
 P = LaurentPolynomial.parse
 
@@ -310,9 +310,16 @@ def reference_walk_generator(braid: BraidWord, prune_simple: bool = True) -> Wal
     return total
 
 
+def has_a_letter(key: tuple) -> bool:
+    return any(key[2::3])
+
+
 def assert_generator_matches_reference(braid: BraidWord) -> None:
     for prune in (True, False) if braid.strands <= 5 else (True,):
-        assert walk_generator(braid, prune) == reference_walk_generator(braid, prune), (braid, prune)
+        level_one = walk_generator(braid, prune)
+        assert level_one == reference_walk_generator(braid, prune), (braid, prune)
+        # so the level-one sum evaluates to zero at color 1 (cjp.colored_jones)
+        assert all(map(has_a_letter, level_one.entries)), (braid, prune)
 
 
 def test_walk_generator_matches_reference_on_table():
@@ -385,8 +392,8 @@ SIMPLE_STATES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))
 
 def simple_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
     """left * right with unit coefficients through the letter-mask product."""
-    rule = _SimpleRule(signs)
-    ((mask, *_),) = rule.entry(WalkSum.single(left, LaurentPolynomial.one()))
+    rule = _SimpleRule(signs, 0, 1)
+    ((mask, _),) = rule.entry(WalkSum.single(left, LaurentPolynomial.one()))
     product = _simple_products({mask: {0: 1}}, rule.entry(WalkSum.single(right, LaurentPolynomial.one())), rule)
     return _walk_sum(product, rule.key)
 
@@ -399,6 +406,9 @@ def kernel_rule_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_simple_product_matches_kernel_rule_on_every_state_pair(sign):
+    # _SimpleRule reads only F[c][b]: F[b][c], the one other term that two
+    # keys admitted together can reach, must be 0
+    assert reordering_form(sign)[0][1] == 0
     kept = 0
     for left in SIMPLE_STATES:
         for right in SIMPLE_STATES:
@@ -418,16 +428,12 @@ def test_simple_product_matches_kernel_rule_random():
         assert simple_product(left, right, signs) == kernel_rule_product(left, right, signs), (left, right, signs)
 
 
-def test_simple_entry_drops_keys_that_are_not_simple():
-    rule = _SimpleRule((1, -1))
-    entry = WalkSum({key: LaurentPolynomial.one() for key in [(1, 0, 1, 0, 0, 0), (0, 0, 2, 0, 0, 0), (1, 1, 0, 0, 0, 1)]})
-    assert [rule.key(mask) for mask, *_ in rule.entry(entry)] == [(1, 1, 0, 0, 0, 1)]
-
-
-def generic_walk_generator(braid: BraidWord) -> WalkSum:
-    """walk_generator's pruned sum through the generic kernel recursion."""
+def generic_walk_generator(braid: BraidWord, matrix: BurauMatrix | None = None) -> WalkSum:
+    """walk_generator's pruned sum through the generic kernel recursion;
+    ``matrix`` is the braid's braid_matrix if already built."""
     one = zero_key(braid.k)
-    entries = [[_items(e, 1, -1) for e in row] for row in reduced_matrix(braid_matrix(braid)).entries]
+    reduced = reduced_matrix(matrix or braid_matrix(braid)).entries
+    entries = [[_items(e, 1, -1) for e in row] for row in reduced]
     total = {one: {0: -1}}
     every = (1 << len(entries)) - 1
     _minor_sum(entries, _kernel_products, (braid.signs(), 2), every, total, 0, 0, 0, 0, {one: {0: 1}})
@@ -440,7 +446,17 @@ def test_simple_generator_matches_generic_recursion_on_every_cut():
     words = [w for rec in load_table() for cut in cut_candidates(rec.braid_word()) for w in (cut, cut.mirror())]
     assert len(words) == 988
     for word in words:
-        assert walk_generator(word) == generic_walk_generator(word), word
+        matrix = braid_matrix(word)
+        # _SimpleRule.entry reads an entry as its letter masks: each key is
+        # one path, with coefficient 1 and at most one letter per crossing
+        for row in matrix.entries:
+            for entry in row:
+                for key, coeff in entry.entries.items():
+                    assert coeff.terms == {0: 1}, (word, key)
+                    assert all(sum(key[j : j + 3]) <= 1 for j in range(0, len(key), 3)), (word, key)
+        level_one = walk_generator(word)
+        assert level_one == generic_walk_generator(word, matrix), word
+        assert all(map(has_a_letter, level_one.entries)), word
 
 
 def test_simple_generator_matches_generic_recursion_on_stabilized_words():

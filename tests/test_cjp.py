@@ -240,6 +240,14 @@ def test_rejects_color_that_is_not_an_integer(color):
     assert colored_jones(parse_braid("1 1 1"), True).polynomial == ONE
 
 
+def test_choose_orientation_checks_color_as_colored_jones_does():
+    b = parse_braid("1 1 1")
+    for color, error in ((0, ValueError), (-3, ValueError), (4.5, TypeError), ("3", TypeError)):
+        with pytest.raises(error, match="color"):
+            choose_orientation(b, color)
+    assert choose_orientation(b, True) == choose_orientation(b, 1)
+
+
 def test_height_cap_guard(monkeypatch):
     # a stack that never shrinks passes the cap of 2 * color * crossings
     monkeypatch.setattr(cjp, "multiply_walk_sums", lambda level_one, stack, signs, n: stack)

@@ -70,6 +70,14 @@ def test_mirror_inverts_q(braid):
 
 @INVARIANTS
 @given(knot_braids())
+def test_color_one_is_one(braid):
+    # every level-one key carries an a letter, so the first height is zero
+    for drl in (True, False):
+        assert colored_jones(braid, 1, mirror_opt=False, drl=drl).polynomial == 1
+
+
+@INVARIANTS
+@given(knot_braids())
 def test_rmatrix_agrees(braid):
     assert rmatrix_trace(braid, COLOR) == engine_times_quantum_dimension(braid, COLOR)
 

@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic, codec and ring properties."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -180,3 +181,19 @@ def test_constants_hash_as_the_int_they_equal():
     assert len({LaurentPolynomial.zero(), 0}) == 1
     assert {P("5"): "five"}[5] == "five"
     assert P("q") != 1 and P("1 + q") != 1
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{1: 0.4}, {0.5: 1}, {0.5: 1, 0.7: 2}, {1: 2.0}, {"1": 1}, {1: "2"}, {1: Fraction(1, 2)}, {Fraction(2): 1}],
+)
+def test_constructor_rejects_terms_that_are_not_integers(terms):
+    # int() once truncated these: {1: 0.4} stored a zero term, {0.5: 1}
+    # equalled 1, and {0.5: 1, 0.7: 2} kept one of its two terms
+    with pytest.raises(TypeError, match="integers"):
+        LaurentPolynomial(terms)
+
+
+def test_constructor_drops_terms_that_are_zero_as_integers():
+    poly = LaurentPolynomial({2: False, True: 3, -1: 0})
+    assert poly.terms == {1: 3} and poly == LaurentPolynomial.q_power(1, 3)
