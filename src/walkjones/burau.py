@@ -20,9 +20,14 @@ set of paths with coefficient 1, so it is read as bare letter masks; the
 DRL test of a pair is one AND, and after it two keys share a crossing only
 as the left key's c and the right key's b; and the reordering form has
 F[b][c] = 0. A pair's q-power is then two popcounts, one per crossing
-sign. quantum_det and the unpruned generator, whose letter counts grow
-past 1, multiply through the generic kernel and serve as the verification
-path.
+sign. The sum is returned born packed (weyl.WalkSum.from_masks): each
+letter mask moves straight to its packed key, with no tuple keys and no
+LaurentPolynomials, and the sum carries its exact bounds: field bound 1,
+and mass equal to its walk count, since every coefficient is +-q^e (the
+tests pin this on every cut word of the table and on random braids). A
+walk count is then the length of that sum. quantum_det and the unpruned
+generator, whose letter counts grow past 1, multiply through the generic
+kernel and serve as the verification path.
 
 braid_matrix still multiplies through the kernel. Each of its entries is
 a set of paths with coefficient 1, so a kernel-free build would only set
@@ -132,9 +137,6 @@ def _items(ws: WalkSum, shift: int = 0, sign: int = 1) -> list:
     return [(key, {e + shift: sign * c for e, c in coeff.terms.items()}) for key, coeff in ws.entries.items()]
 
 
-# ASCII binary digits to the counts 0 and 1
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
 # (sign, F[c][b]) for each crossing sign's reordering form F (see _SimpleRule)
 _C_B = tuple((sign, reordering_form(sign)[1][0]) for sign in (1, -1))
 
@@ -165,12 +167,11 @@ class _SimpleRule:
     ANDs, then per pair two ANDs and two popcounts.
     """
 
-    __slots__ = ("width", "crossings", "bits", "signed", "shift", "sign")
+    __slots__ = ("crossings", "bits", "signed", "shift", "sign")
 
     def __init__(self, signs: tuple[int, ...], shift: int, sign: int):
-        self.width = 3 * len(signs)
         self.crossings = sum(1 << 3 * j for j in range(len(signs)))
-        self.bits = [1 << b for b in range(self.width)]
+        self.bits = [1 << b for b in range(3 * len(signs))]
         # (F[c][b], B) for each crossing sign
         self.signed = [
             (weight, sum(1 << 3 * j for j, t in enumerate(signs) if (t > 0) == (s > 0))) for s, weight in _C_B
@@ -186,10 +187,6 @@ class _SimpleRule:
             a = (mask >> 2) & crossings
             out.append((mask, mask | a * 7 | ((mask | mask >> 1) & crossings) << 2))
         return out
-
-    def key(self, mask: int) -> tuple[int, ...]:
-        """The tuple key of a letter mask."""
-        return tuple(f"{mask:0{self.width}b}"[::-1].encode().translate(_DIGITS))
 
 
 def _simple_products(partial: dict, entry: list, rule: _SimpleRule) -> dict:
@@ -267,11 +264,10 @@ def _minor_sum(entries, product, rule, optional, total, col, used, skipped, inv,
             )
 
 
-def _walk_sum(total: dict, key=None, sign: int = 1) -> WalkSum:
-    """A {key: coefficient dict} map as a walk sum, times sign, with keys
-    mapped through ``key`` if given."""
+def _walk_sum(total: dict, sign: int = 1) -> WalkSum:
+    """A {key: coefficient dict} map as a walk sum, times sign."""
     return WalkSum._raw({
-        key(k) if key else k: LaurentPolynomial._raw({e: sign * c for e, c in terms.items()})
+        k: LaurentPolynomial._raw({e: sign * c for e, c in terms.items()})
         for k, terms in total.items()
         if terms
     })
@@ -321,9 +317,9 @@ def walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
     the sum over nonempty J of (-1)^(|J|-1) q^|J| det_q(R_J). Each entry is
     scaled by -q once and every index is optional in _minor_sum. With
     prune_simple, the duplicate-reduction filter at level 2 runs on each
-    partial product, leaving exactly the simple walks, and partial products
-    are letter bitmasks (_SimpleRule); without it they go through the
-    generic kernel.
+    partial product, leaving exactly the simple walks, partial products
+    are letter bitmasks (_SimpleRule), and the sum is returned packed
+    (WalkSum.from_masks); without it they go through the generic kernel.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
@@ -334,11 +330,11 @@ def walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
     if prune_simple:
         rule = _SimpleRule(signs, 1, -1)
         entries = [[rule.entry(e) for e in row] for row in reduced]
-        product, one, key = _simple_products, 0, rule.key
+        product, one = _simple_products, 0
     else:
         entries = [[_items(e, 1, -1) for e in row] for row in reduced]
-        product, rule, one, key = _kernel_products, (signs, 0), zero_key(braid.k), None
+        product, rule, one = _kernel_products, (signs, 0), zero_key(braid.k)
     total = {one: {0: -1}}
     every = (1 << len(entries)) - 1
     _minor_sum(entries, product, rule, every, total, 0, 0, 0, 0, {one: {0: 1}})
-    return _walk_sum(total, key, -1)
+    return WalkSum.from_masks(braid.k, total, -1) if prune_simple else _walk_sum(total, -1)

@@ -4,13 +4,13 @@ The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
 that height. The stack is rebuilt each height by left-multiplying with the
 level-one walk sum; the loop ends when the stack is empty or its evaluation
-is the zero polynomial. The first stack is the level-one sum itself, and
+is the zero polynomial. The first stack is the level-one sum itself,
+which walk_generator returns already packed (WalkSum.from_masks), and
 from the second height on the stack is the packed walk sum
 multiply_walk_sums returns (see weyl): evaluate_walk_sum and the next
 multiply read it as it is, so it is never decoded into tuple keys and
-LaurentPolynomials, and the level-one sum is packed once per job.
-Evaluation sums the monomials per multiset of (1 - q^e) factors and
-applies each multiset once.
+LaurentPolynomials. Evaluation sums the monomials per multiset of
+(1 - q^e) factors and applies each multiset once.
 
 Orientation selection runs the word with the fewest simple walks among
 words whose closures are the same knot, compensating a mirror at the end
@@ -30,13 +30,12 @@ N = 3, 2.46 -> 2.67 s at N = 4 and 14.9 -> 5.4 s at N = 5.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError
 from .burau import walk_generator
 from .laurent import LaurentPolynomial
-from .weyl import WalkSum, evaluate_walk_sum, multiply_walk_sums
+from .weyl import checked_int, evaluate_walk_sum, multiply_walk_sums
 
 SEARCH_FROM_COLOR = 4
 
@@ -61,18 +60,6 @@ class CjpResult:
     simple_walk_count: int
     braid_used: BraidWord
     walk_counts: dict[BraidWord, int]
-
-
-def _checked_color(color) -> int:
-    """The color as an int: TypeError if it is not an integer, ValueError
-    if it is below 1."""
-    try:
-        color = operator.index(color)
-    except TypeError:
-        raise TypeError(f"color must be an integer, got {color!r}") from None
-    if color < 1:
-        raise ValueError(f"color must be >= 1, got {color}")
-    return color
 
 
 def simple_walk_count(braid: BraidWord) -> int:
@@ -103,7 +90,7 @@ def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, boo
     with the fewest simple walks wins; ties keep the earlier candidate, so
     the input word first. ``color`` is checked as in colored_jones.
     """
-    words = cut_candidates(braid) if _checked_color(color) >= SEARCH_FROM_COLOR else [braid]
+    words = cut_candidates(braid) if checked_int(color) >= SEARCH_FROM_COLOR else [braid]
     candidates = [(w.mirror() if mirrored else w, mirrored) for w in words for mirrored in (False, True)]
     counts = {word: simple_walk_count(word) for word in dict.fromkeys(word for word, _ in candidates)}
     chosen, mirrored = min(candidates, key=lambda candidate: counts[candidate[0]])
@@ -128,7 +115,7 @@ def colored_jones(
     nontermination; exceeding it raises RuntimeError. A color that is not
     an integer raises TypeError.
     """
-    color = _checked_color(color)
+    color = checked_int(color)
     if braid.k == 0 and braid.strands == 1:
         return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid, {})
     if not braid.is_knot_closure():

@@ -63,12 +63,13 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPolynomial":
-        return cls._raw({0: int(c)} if c else {})
+        """The constant c; TypeError if c is not an integer."""
+        return cls({0: c})
 
     @classmethod
     def q_power(cls, e: int, c: int = 1) -> "LaurentPolynomial":
-        """The monomial c * q**e."""
-        return cls._raw({int(e): int(c)} if c else {})
+        """The monomial c * q**e; TypeError if e or c is not an integer."""
+        return cls({e: c})
 
     @property
     def terms(self) -> dict[int, int]:

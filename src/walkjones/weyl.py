@@ -23,6 +23,7 @@ Python integers, and both run on walk sums in packed form (_Packed):
   base exponent, so that a coefficient product is one integer multiply.
   B is one lane width for the whole sum; the signed B-bit digits decode
   exactly (_pack and _unpack).
+- Keys, coefficients and base exponents are three aligned lists.
 - Bounds travel with the sum: its coefficient mass (the sum over entries
   of sum |c|), a bound on every moved field, and a bound on the spread
   between its lowest and highest exponent.
@@ -32,6 +33,15 @@ Python integers, and both run on walk sums in packed form (_Packed):
   moved in front of the key, plus 2^(L-1).
   The next product with the same left reads a pair's q-power off the row
   with one shift and mask (see multiply_walk_sums).
+
+The level-one sum is born packed (WalkSum.from_masks): its letter masks
+move straight to packed keys, every coefficient is +-q^e, and it carries
+its exact bounds, mass equal to its walk count and field bound 1. With a
+left field bound of 1 and right fields below the DRL limit, the
+multiply's saturation prefilter is exact, so no pair runs the DRL test,
+and a +-1 left coefficient makes a pair's coefficient +-pb. Evaluation reads each key's factor class from tables
+keyed by runs of crossings cut straight off the packed key, and sums
+coefficients per class and base exponent before it shifts anything.
 
 Lane policy. The mass bounds every digit of every coefficient and of any
 sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2. B
@@ -48,11 +58,13 @@ reads it. A sum with only its map is packed when it is passed in, and
 keeps that form, so there is one arithmetic path. No packed integer may
 span more than PACKED_BITS_MAX bits: both operations check B times the
 exponent spread their bounds allow before any shift, and raise
-OverflowError past it.
+OverflowError past it. Colors and DRL limits pass one check, checked_int.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from struct import Struct
 from typing import Mapping
 
@@ -69,6 +81,20 @@ _LANE_BITS = 64
 
 # The narrowest reordering row field in bits; wider fields double it.
 _ROW_BITS = 16
+
+# Crossings per run of an evaluation class table (see evaluate_walk_sum).
+_RUN = 3
+
+
+def _moved_digit(letters: int) -> str:
+    """One crossing's moved fields (d, d+r, d+s) as 8-bit characters, most
+    significant first, from its letter bits (b = 1, c = 2, a = 4)."""
+    s, r, d = letters & 1, letters >> 1 & 1, letters >> 2
+    return "".join(map(chr, (d, d + r, d + s)))
+
+
+# Each octal digit of a letter mask to its crossing's moved fields.
+_MOVED_DIGITS = str.maketrans({str(letters): _moved_digit(letters) for letters in range(8)})
 
 # The most bits one packed integer may take (2^30 bits, 128 MiB).
 PACKED_BITS_MAX = 1 << 30
@@ -100,11 +126,11 @@ class WalkSum:
     """Canonical key -> coefficient map; zero coefficients are never stored.
 
     A walk sum holds one or both of two forms: its decoded map and its
-    packed form (a _Packed). multiply_walk_sums returns the packed form
-    alone, and ``entries`` decodes it the first time it is read; a sum
-    built from entries keeps the packed form that multiply_walk_sums or
-    evaluate_walk_sum made of it when it was passed in. add_into drops the
-    packed form.
+    packed form (a _Packed). multiply_walk_sums and from_masks return the
+    packed form alone, and ``entries`` decodes it the first time it is
+    read; a sum built from entries keeps the packed form that
+    multiply_walk_sums or evaluate_walk_sum made of it when it was passed
+    in. add_into drops the packed form.
     """
 
     __slots__ = ("_entries", "_packed")
@@ -139,11 +165,41 @@ class WalkSum:
             entries = self._entries = self._packed.decode()
         return entries
 
+    @classmethod
+    def from_masks(cls, k: int, walks: Mapping[int, Mapping[int, int]], sign: int = 1) -> "WalkSum":
+        """A walk sum on k crossings from letter masks, born packed: ``walks``
+        maps a mask, bit 3j + slot holding a letter of crossing j (slot b = 0,
+        c = 1, a = 2, as in the tuple keys), to a coefficient dict, and each
+        coefficient is taken times sign. Empty dicts are skipped.
+
+        A mask moves straight to its packed key at 8-bit fields: each octal
+        digit of the mask is one crossing's letters, and _MOVED_DIGITS maps
+        it to that crossing's three moved fields. The sum carries exact
+        bounds: its mass is the sum of |c|, which is the walk count when
+        every coefficient is +-q^e; its field bound is 1 unless some
+        crossing holds its a beside its b or c, and then 2."""
+        walks = {mask: terms for mask, terms in walks.items() if terms}
+        if not walks:
+            return cls.zero()
+        mass = sum(sum(map(abs, terms.values())) for terms in walks.values())
+        bits = _lane(mass.bit_length() + 2)
+        keys = [int.from_bytes(f"{mask:o}".translate(_MOVED_DIGITS).encode("latin-1"), "big") for mask in walks]
+        coeffs, low = [], []
+        clash = 0
+        for mask, terms in walks.items():
+            packed, base = _pack(terms, bits)
+            coeffs.append(sign * packed)
+            low.append(base)
+            clash |= mask >> 2 & (mask | mask >> 1)
+        span = max(map(max, walks.values())) - min(low)
+        fields = 2 if clash & sum(1 << 3 * j for j in range(k)) else 1
+        return cls._raw(None, _Packed(_Keys(k, 8), bits, keys, coeffs, low, mass, fields, span))
+
     def __len__(self) -> int:
-        return len(self._packed.coeffs if self._entries is None else self._entries)
+        return len(self._packed.keys if self._entries is None else self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self._packed.coeffs if self._entries is None else self._entries)
+        return bool(self._packed.keys if self._entries is None else self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WalkSum):
@@ -184,7 +240,7 @@ class WalkSum:
     def filtered(self, n: int) -> "WalkSum":
         """Entries whose keys survive drl_keep(key, n); n must be >= 1, also
         for an empty sum."""
-        _check_color(n)
+        n = checked_int(n)
         return WalkSum._raw({k: c for k, c in self.entries.items() if drl_keep(k, n)})
 
 
@@ -195,15 +251,23 @@ def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) 
     return KeyedMonomial(key, coeff)
 
 
-def _check_color(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"color must be >= 1, got {n}")
+def checked_int(value, least: int = 1, name: str = "color") -> int:
+    """``value`` as an int: TypeError if it is not an integer, ValueError if
+    it is below ``least``. Colors are checked with least 1, a DRL limit with
+    least 0 (no limit)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def drl_keep(key: tuple[int, ...], n: int) -> bool:
     """Duplicate-reduction filter: discard keys with (#a + max(#b, #c)) >= n
     at any crossing. At n = 2 the survivors are exactly the simple walks."""
-    _check_color(n)
+    n = checked_int(n)
     for b in range(0, len(key), 3):
         s = key[b]
         r = key[b + 1]
@@ -296,24 +360,30 @@ class _Keys:
 
 
 class _Packed:
-    """A walk sum in packed form. ``coeffs`` maps each packed key to its
-    coefficient at q = 2^bits and ``low`` to that coefficient's base
-    exponent; no coefficient is zero. ``mass`` bounds the sum over entries
-    of sum |c| and is below 2^(bits-2); ``field_max`` bounds every moved field;
-    ``span`` bounds the highest minus the lowest exponent of all terms.
+    """A walk sum in packed form, as three aligned lists: ``keys`` holds
+    the distinct packed keys (laid out by ``layout``), ``coeffs`` each
+    key's coefficient at q = 2^bits, never zero, and ``low`` that
+    coefficient's base exponent. ``mass`` bounds the sum over entries of
+    sum |c| and is below 2^(bits-2); ``field_max`` bounds every moved
+    field; ``span`` bounds the highest minus the lowest exponent of all
+    terms.
 
-    A product also carries ``rows``, the reordering rows of its keys, valid
-    for the operator ``rows_for`` (see multiply_walk_sums); ``reorder``
-    caches the operator of this sum as a left operand."""
+    A product also carries ``rows``, aligned with the keys: each key's
+    reordering row for the operator ``rows_for``, or None where it keeps
+    none (see multiply_walk_sums); ``reorder`` caches the operator of
+    this sum as a left operand."""
 
-    __slots__ = ("keys", "bits", "coeffs", "low", "mass", "field_max", "span", "rows", "rows_for", "reorder")
+    __slots__ = (
+        "layout", "bits", "keys", "coeffs", "low", "mass", "field_max", "span", "rows", "rows_for", "reorder",
+    )
 
     def __init__(
-        self, keys: _Keys, bits: int, coeffs: dict, low: dict, mass: int, field_max: int, span: int,
-        rows: dict | None = None, rows_for: "_Reorder | None" = None,
+        self, layout: _Keys, bits: int, keys: list, coeffs: list, low: list, mass: int, field_max: int,
+        span: int, rows: list | None = None, rows_for: "_Reorder | None" = None,
     ):
-        self.keys = keys
+        self.layout = layout
         self.bits = bits
+        self.keys = keys
         self.coeffs = coeffs
         self.low = low
         self.mass = mass
@@ -323,31 +393,27 @@ class _Packed:
         self.rows_for = rows_for
         self.reorder = None
 
-    def widened(self, keys: _Keys, bits: int) -> "_Packed":
+    def widened(self, layout: _Keys, bits: int) -> "_Packed":
         """This sum at a layout and lane at least as wide as its own, with
         its rows and operator."""
-        if keys.width == self.keys.width and bits == self.bits:
+        if layout.width == self.layout.width and bits == self.bits:
             return self
-        coeffs, low = {}, {}
-        rows = None if self.rows is None else {}
-        for x, p in self.coeffs.items():
-            base = self.low[x]
-            if bits != self.bits:
-                p, base = _pack(_unpack(p, self.bits, base), bits)
-            y = x if keys.width == self.keys.width else keys.join(self.keys.fields(x))
-            coeffs[y] = p
-            low[y] = base
-            if rows is not None and x in self.rows:
-                rows[y] = self.rows[x]
-        packed = _Packed(keys, bits, coeffs, low, self.mass, self.field_max, self.span, rows, self.rows_for)
+        keys, coeffs, low = self.keys, self.coeffs, self.low
+        if bits != self.bits:
+            repacked = [_pack(_unpack(p, self.bits, base), bits) for p, base in zip(coeffs, low)]
+            coeffs = [p for p, _ in repacked]
+            low = [base for _, base in repacked]
+        if layout.width != self.layout.width:
+            keys = [layout.join(self.layout.fields(x)) for x in keys]
+        packed = _Packed(layout, bits, keys, coeffs, low, self.mass, self.field_max, self.span, self.rows, self.rows_for)
         packed.reorder = self.reorder
         return packed
 
     def decode(self) -> dict[tuple[int, ...], LaurentPolynomial]:
-        keys, bits, low = self.keys, self.bits, self.low
+        key, bits = self.layout.key, self.bits
         return {
-            keys.key(x): LaurentPolynomial._raw(_unpack(p, bits, low[x]))
-            for x, p in self.coeffs.items()
+            key(x): LaurentPolynomial._raw(_unpack(p, bits, base))
+            for x, p, base in zip(self.keys, self.coeffs, self.low)
         }
 
 
@@ -357,9 +423,9 @@ def _bounds(ws: WalkSum, k: int) -> tuple[int, int, int, int, int]:
     width and lane are the narrowest."""
     packed = ws._packed
     if packed is not None:
-        if packed.keys.k != k:
-            raise ValueError(f"walk sum on {packed.keys.k} crossings does not match {k}")
-        return packed.mass, packed.field_max, packed.span, packed.keys.width, packed.bits
+        if packed.layout.k != k:
+            raise ValueError(f"walk sum on {packed.layout.k} crossings does not match {k}")
+        return packed.mass, packed.field_max, packed.span, packed.layout.width, packed.bits
     entries = ws.entries
     if {3 * k} != set(map(len, entries)):
         raise ValueError(f"key lengths do not match {k} crossings")
@@ -370,18 +436,21 @@ def _bounds(ws: WalkSum, k: int) -> tuple[int, int, int, int, int]:
     return mass, fields, span, min(_KEY_CODES), _LANE_BITS
 
 
-def _as_packed(ws: WalkSum, keys: _Keys, bits: int, bounds: tuple) -> _Packed:
+def _as_packed(ws: WalkSum, layout: _Keys, bits: int, bounds: tuple) -> _Packed:
     """A walk sum packed at the given layout and lane (see _bounds). A plain
     sum keeps its packed form too, so it is packed once however often it
     is passed in."""
     packed = ws._packed
     if packed is None:
-        coeffs, low = {}, {}
-        for key, coeff in ws.entries.items():
-            x = keys.move(key)
-            coeffs[x], low[x] = _pack(coeff.terms, bits)
-        packed = _Packed(keys, bits, coeffs, low, *bounds[:3])
-    ws._packed = packed = packed.widened(keys, bits)
+        entries = ws.entries
+        keys = list(map(layout.move, entries))
+        coeffs, low = [], []
+        for coeff in entries.values():
+            p, base = _pack(coeff.terms, bits)
+            coeffs.append(p)
+            low.append(base)
+        packed = _Packed(layout, bits, keys, coeffs, low, *bounds[:3])
+    ws._packed = packed = packed.widened(layout, bits)
     return packed
 
 
@@ -425,6 +494,25 @@ class _FactorTable(dict):
         return value
 
 
+class _RunTable(dict):
+    """For a run of consecutive crossings, maps a packed key masked to the
+    (d+r, d) fields of the run to the sum of the run's _FactorTable
+    values, filling itself on first use. ``crossings`` lists (j, table)
+    for each crossing j of the run and ``fields`` reads a packed key's
+    moved fields."""
+
+    __slots__ = ("fields", "crossings")
+
+    def __init__(self, fields, crossings: list):
+        self.fields = fields
+        self.crossings = crossings
+
+    def __missing__(self, x: int) -> int:
+        f = self.fields(x)
+        value = self[x] = sum(table[f[3 * j + 1], f[3 * j + 2]] for j, table in self.crossings)
+        return value
+
+
 def evaluate_monomial(mono: KeyedMonomial, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
     """Color-n evaluation of one normal-form monomial (see evaluate_walk_sum)."""
     return evaluate_walk_sum(WalkSum.single(mono.key, mono.coeff), signs, n)
@@ -440,17 +528,27 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     crossings; some factor is (1 - q^0) = 0 exactly when r < n <= r + d at
     a crossing with d > 0.
 
-    Factor multisets. Every factor (1 - q^e) with e < 0 is -q^e (1 - q^-e),
+    Factor classes. Every factor (1 - q^e) with e < 0 is -q^e (1 - q^-e),
     so a monomial evaluates to +-q^p times its coefficient times the
     product of (1 - q^e) over a multiset m of exponents e >= 1, with m of
-    size #a. The monomials are first summed, each +-q^p-shifted, into one
-    packed group per multiset, and each group's factors are applied once,
-    as a shift and a subtract: P - (P << B*e). Per crossing sign, a table
-    maps the moved fields (d+r, d) to one integer holding p (biased to be
-    nonnegative), the count of sign flips, and m as a histogram of
-    counts per exponent, in disjoint bit fields; the tables fill on first
-    use and a zero factor maps to a negative integer. A monomial's
-    contribution is then the sum of its crossings' table entries.
+    size #a. Per crossing sign, a table (_FactorTable) maps the moved
+    fields (d+r, d) to one integer holding p (biased to be nonnegative),
+    the count of sign flips, and m as a histogram of counts per exponent,
+    in disjoint bit fields; a zero factor maps to a negative integer that
+    outweighs every other sum. A monomial's class is the sum of its
+    crossings' entries. The crossings are cut into runs of _RUN, and a
+    table per run (_RunTable) maps the key, masked to the run's (d+r, d)
+    fields, straight to the sum of the run's entries: one AND and one
+    lookup per run, with no unpacking. Both kinds of table fill on first
+    use.
+
+    Buckets. The p field also has room for the key's base exponent less
+    the lowest one, so the class plus that offset names the monomial's
+    multiset, flip count and base exponent at once. The monomials are
+    first summed per such bucket with no shift at all; then each bucket is
+    negated for an odd flip count and shifted into one packed group per
+    multiset, and each group's factors are applied once, as a shift and a
+    subtract: P - (P << B*e).
 
     Lanes. A group's digits are bounded by the mass, so the groups are
     summed at the sum's lane B. Each factor (1 - q^e) at most doubles the
@@ -461,7 +559,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     base exponent, shifted to the lowest base into one integer, and decoded
     once.
     """
-    _check_color(n)
+    n = checked_int(n)
     if not ws:
         return LaurentPolynomial.zero()
     k = len(signs)
@@ -473,33 +571,42 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     grow = most * (n + 2 * fields)
     _check_span(_lane(mass.bit_length() + most + 2, bits), span + 2 * k * p_bound + grow)
     bits = _lane(mass.bit_length() + 2, bits)
-    keys = _Keys(k, max(width, _key_width(fields)))
-    stack = _as_packed(ws, keys, bits, bounds)
+    layout = _Keys(k, max(width, _key_width(fields)))
+    stack = _as_packed(ws, layout, bits, bounds)
 
-    top = n - 1
+    base_min = min(stack.low)
     count_bits = most.bit_length()
-    flips_shift = (2 * k * p_bound).bit_length()
+    flips_shift = (2 * k * p_bound + span).bit_length()
     hist_shift = flips_shift + count_bits
-    layout = (count_bits, p_bound, flips_shift, hist_shift, -1 << (hist_shift + count_bits * (n + 2 * fields)))
-    by_sign = {positive: _FactorTable(positive, top, layout) for positive in (True, False)}
-    tables = [by_sign[sign > 0] for sign in signs]
-    get = dict.__getitem__
-    pairs = Struct("<" + f"{keys.width // 8}x{_KEY_CODES[keys.width]}{_KEY_CODES[keys.width]}" * k)
-    unpack = pairs.unpack
-    size = pairs.size
+    factor_layout = (count_bits, p_bound, flips_shift, hist_shift, -1 << (hist_shift + count_bits * (n + 2 * fields)))
+    by_sign = {positive: _FactorTable(positive, n - 1, factor_layout) for positive in (True, False)}
+    full = (1 << layout.width) - 1
+    runs = []
+    for first in range(0, k, _RUN):
+        run = range(first, min(first + _RUN, k))
+        keep = [0] * (3 * k)
+        for j in run:
+            keep[3 * j + 1] = keep[3 * j + 2] = full
+        runs.append((_RunTable(layout.fields, [(j, by_sign[signs[j] > 0]) for j in run]), layout.join(keep)))
+    buckets: dict[int, int] = {}
+    get = buckets.get
+    for x, packed, base in zip(stack.keys, stack.coeffs, stack.low):
+        t = base - base_min
+        for table, keep in runs:
+            t += table[x & keep]
+        if t >= 0:
+            buckets[t] = get(t, 0) + packed
+
     p_mask = (1 << flips_shift) - 1
-    p_bias = k * p_bound
-    stack_low = stack.low
+    offset = base_min - k * p_bound
     acc: dict[int, int] = {}
     low: dict[int, int] = {}
-    for x, packed in stack.coeffs.items():
-        f = unpack(x.to_bytes(size, "little"))
-        t = sum(map(get, tables, zip(f[::2], f[1::2])))
-        if t < 0:
+    for t, packed in buckets.items():
+        if not packed:
             continue
-        e = stack_low[x] + (t & p_mask) - p_bias
         if t >> flips_shift & 1:
             packed = -packed
+        e = (t & p_mask) + offset
         group = t >> hist_shift
         old = low.get(group)
         if old is None:
@@ -591,14 +698,14 @@ class _Reorder:
         self.width = width
         # FA_j holds field j of every left entry, entry i in row field i;
         # width is at least the key width, so a key field's bytes fit
-        keys = left.keys
-        size = keys.struct.size
-        step = keys.width // 8
+        layout = left.layout
+        size = layout.struct.size
+        step = layout.width // 8
         out = width // 8
-        data = b"".join(x.to_bytes(size, "little") for x in left.coeffs)
-        count = len(left.coeffs)
+        data = b"".join(x.to_bytes(size, "little") for x in left.keys)
+        count = len(left.keys)
         by_field = []
-        for j in range(3 * keys.k):
+        for j in range(3 * layout.k):
             buf = bytearray(count * out)
             for byte in range(step):
                 buf[byte::out] = data[j * step + byte::size]
@@ -610,7 +717,7 @@ class _Reorder:
             fa = by_field[3 * c:3 * c + 3]
             weights += [sum(form[t][u] * fa[t] for t in range(3)) for u in range(3)]
         self.weights = weights
-        self.columns = [self.combine(keys.fields(x)) for x in left.coeffs]
+        self.columns = [self.combine(layout.fields(x)) for x in left.keys]
         # 2^(width-1) in every row field
         self.bias = ((1 << width * count) - 1) // ((1 << width) - 1) << (width - 1)
 
@@ -651,7 +758,14 @@ def multiply_walk_sums(
     entry marks its fields that are at least n - 1, the mask of a left entry
     its fields that are at least 1, and a left is paired with a right only
     when the two share no field. Doomed pairs are skipped this way without
-    a key add; the admitted lefts are listed once per signature.
+    a key add; the admitted lefts are listed once per signature. When the
+    left's fields are at most 1 and the right's below n, a field of a
+    product reaches n only as 1 + (n - 1), which is what the prefilter
+    tests, so it is exact and no pair runs the DRL test; nor does any pair
+    when the two field bounds sum below n. Otherwise each admitted pair
+    still runs it. The level-one sum is born with field bound 1
+    (WalkSum.from_masks) and every product has fields below n, so in the
+    colored_jones loop the test never runs.
 
     Reordering rows. The q-power delta(a, b) that the product of a left
     key a by a right key b picks up in reordering is bilinear in the two
@@ -679,14 +793,17 @@ def multiply_walk_sums(
     than that (a chain without DRL, whose fields grow) is rebuilt wider,
     and the rows with it.
 
-    Coefficients. Each output key keeps the lowest base exponent of its
-    contributions. The product's mass is at most the product of the
+    Coefficients. A pair's coefficient is pa * pb, or +-pb when the left
+    coefficient is +-1, as every level-one coefficient is. Each output key
+    gets a slot on its first product, with one dict lookup per pair
+    (setdefault on the key), and its coefficient and lowest base exponent
+    live in two lists at that slot, which become the product's aligned
+    lists as they are. The product's mass is at most the product of the
     operands' masses, which sets the lane; its fields are below n, and its
     exponent spread is at most the sum of the operands' spreads plus twice
     the row bound. Zero sums are dropped; nothing is decoded.
     """
-    if n < 0:
-        raise ValueError(f"DRL limit must be >= 0, got {n}")
+    n = checked_int(n, 0, "DRL limit")
     if not a or not b:
         return WalkSum.zero()
     k = len(signs)
@@ -698,18 +815,20 @@ def multiply_walk_sums(
     width = _key_width(max(top, n))
     if width is None:
         raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
+    # whether an admitted pair can still fail DRL (see the prefilter above)
+    drl_test = top >= n and not (fields_a <= 1 and fields_b < n)
     mass = mass_a * mass_b
     bits = _lane(mass.bit_length() + 2, max(bits_a, bits_b))
     row_bound = k * _FORM_NORM * fields_a * fields_b
     span = span_a + span_b + 2 * row_bound
     _check_span(bits, span)
-    keys = _Keys(k, max(width, width_a, width_b))
-    left = _as_packed(a, keys, bits, bounds_a)
-    right = _as_packed(b, keys, bits, bounds_b)
-    row_width = _lane(max(row_bound.bit_length() + 1, keys.width), _ROW_BITS)
+    layout = _Keys(k, max(width, width_a, width_b))
+    left = _as_packed(a, layout, bits, bounds_a)
+    right = _as_packed(b, layout, bits, bounds_b)
+    row_width = _lane(max(row_bound.bit_length() + 1, layout.width), _ROW_BITS)
 
-    width = keys.width
-    unit = keys.join((1,) * (3 * k))
+    width = layout.width
+    unit = layout.join((1,) * (3 * k))
     guard = unit << (width - 1)
     bias = guard - n * unit
     saturated = bias + unit
@@ -721,53 +840,55 @@ def multiply_walk_sums(
     row_width = op.width
     half = 1 << (row_width - 1)
     row_mask = (1 << row_width) - 1
-    carried = right.rows if right.rows_for is op else {}
-    fields = keys.fields
-    left_low = left.low
+    carried = right.rows if right.rows_for is op else repeat(None)
+    fields = layout.fields
     lefts = [
-        ((x + nonzero) & guard, (x, p, left_low[x] - half, row_width * i, column))
-        for i, ((x, p), column) in enumerate(zip(left.coeffs.items(), op.columns))
+        ((x + nonzero) & guard, (x, p, base - half, row_width * i, column))
+        for i, (x, p, base, column) in enumerate(zip(left.keys, left.coeffs, left.low, op.columns))
     ]
     masks = [mask for mask, _ in lefts]
     admitted_by: dict[int, list] = {}
-    right_low = right.low
-    acc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    rows: dict[int, int] = {}
+    slots: dict[int, int] = {}
+    slot_of = slots.setdefault
+    coeffs: list[int] = []
+    low: list[int] = []
+    rows: list[int | None] = []
     live: dict[int, bool] = {}
-    for xb, pb in right.coeffs.items():
+    count = 0
+    for xb, pb, eb, rb in zip(right.keys, right.coeffs, right.low, carried):
         signature = (xb + saturated) & guard
         admitted = admitted_by.get(signature)
         if admitted is None:
             admitted = admitted_by[signature] = [entry for mask, entry in lefts if not mask & signature]
         if not admitted:
             continue
-        eb = right_low[xb]
-        rb = carried.get(xb)
         if rb is None:
             rb = op.row(fields(xb))
         for xa, pa, ea, shift, column in admitted:
             x = xa + xb
-            if (x + bias) & guard:
+            if drl_test and (x + bias) & guard:
                 continue
             e = ea + eb + (rb >> shift & row_mask)
-            p = pa * pb
-            old = low.get(x)
-            if old is None:
-                low[x] = e
-                acc[x] = p
+            p = pb if pa == 1 else -pb if pa == -1 else pa * pb
+            slot = slot_of(x, count)
+            if slot == count:
+                count += 1
+                coeffs.append(p)
+                low.append(e)
                 x_signature = (x + saturated) & guard
                 alive = live.get(x_signature)
                 if alive is None:
                     alive = live[x_signature] = not limit or not all(mask & x_signature for mask in masks)
-                if alive:
-                    rows[x] = rb + column
-            elif e >= old:
-                acc[x] += p << bits * (e - old)
+                rows.append(rb + column if alive else None)
             else:
-                acc[x] = (acc[x] << bits * (old - e)) + p
-                low[x] = e
-    for x in [x for x, p in acc.items() if not p]:
-        del acc[x], low[x]
-        rows.pop(x, None)
-    return WalkSum._raw(None, _Packed(keys, bits, acc, low, mass, min(top, n - 1), span, rows, op))
+                old = low[slot]
+                if e >= old:
+                    coeffs[slot] += p << bits * (e - old)
+                else:
+                    coeffs[slot] = (coeffs[slot] << bits * (old - e)) + p
+                    low[slot] = e
+    keys = list(slots)
+    if 0 in coeffs:
+        nonzero_sums = [bool(p) for p in coeffs]
+        keys, coeffs, low, rows = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low, rows))
+    return WalkSum._raw(None, _Packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op))

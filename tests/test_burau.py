@@ -395,7 +395,7 @@ def simple_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
     rule = _SimpleRule(signs, 0, 1)
     ((mask, _),) = rule.entry(WalkSum.single(left, LaurentPolynomial.one()))
     product = _simple_products({mask: {0: 1}}, rule.entry(WalkSum.single(right, LaurentPolynomial.one())), rule)
-    return _walk_sum(product, rule.key)
+    return WalkSum.from_masks(len(signs), product)
 
 
 def kernel_rule_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
@@ -437,7 +437,7 @@ def generic_walk_generator(braid: BraidWord, matrix: BurauMatrix | None = None) 
     total = {one: {0: -1}}
     every = (1 << len(entries)) - 1
     _minor_sum(entries, _kernel_products, (braid.signs(), 2), every, total, 0, 0, 0, 0, {one: {0: 1}})
-    return _walk_sum(total, None, -1)
+    return _walk_sum(total, -1)
 
 
 def test_simple_generator_matches_generic_recursion_on_every_cut():
@@ -473,3 +473,34 @@ def test_simple_generator_matches_generic_recursion_on_stabilized_words():
             braid = BraidWord(tuple(word[r:] + word[:r]), m)
             assert braid.is_knot_closure()
             assert walk_generator(braid) == generic_walk_generator(braid), braid
+
+
+def assert_born_packed(word: BraidWord) -> None:
+    """The level-one sum comes back packed with the bounds the height loop's
+    fast paths read: field bound 1, and mass equal to its length, so that
+    every coefficient is +-q^e. Its decoded entries are the unpruned
+    generator's after DRL at level 2."""
+    level_one = walk_generator(word)
+    assert level_one == walk_generator(word, prune_simple=False).filtered(2), word
+    if not level_one:
+        return
+    packed = level_one._packed
+    assert packed is not None and packed.field_max == 1 and packed.mass == len(level_one), word
+    assert all(abs(c) == 1 for coeff in level_one.entries.values() for c in coeff.terms.values()), word
+
+
+def test_level_one_sum_is_born_packed_with_exact_bounds():
+    # every word the search from N = 4 runs and each one's mirror, then
+    # seeded random knot braids on 2-6 strands
+    for rec in load_table():
+        for cut in cut_candidates(rec.braid_word()):
+            assert_born_packed(cut)
+            assert_born_packed(cut.mirror())
+    rng = random.Random(1601)
+    found = 0
+    while found < 150:
+        m = rng.randint(2, 6)
+        braid = BraidWord(tuple((rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(rng.randint(1, 12))), m)
+        if braid.is_knot_closure():
+            assert_born_packed(braid)
+            found += 1

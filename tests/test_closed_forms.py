@@ -44,7 +44,7 @@ def test_two_strand_torus_knots(p, colors):
     for n in colors:
         total = LaurentPolynomial.zero()
         for j in range(n):
-            total += V(-p * j * (j + 1), (-1) ** ((n - 1 - j) * p)) * quantum_integer(2 * j + 1)
+            total += V(-p * j * (j + 1), -1 if (n - 1 - j) * p % 2 else 1) * quantum_integer(2 * j + 1)
         assert quantum_integer(n) * engine(word, n) == V(p * (n * n - 1)) * total, (p, n)
 
 

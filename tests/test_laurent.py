@@ -197,3 +197,18 @@ def test_constructor_rejects_terms_that_are_not_integers(terms):
 def test_constructor_drops_terms_that_are_zero_as_integers():
     poly = LaurentPolynomial({2: False, True: 3, -1: 0})
     assert poly.terms == {1: 3} and poly == LaurentPolynomial.q_power(1, 3)
+
+
+def test_constant_and_q_power_reject_terms_that_are_not_integers():
+    # both once truncated through int(): constant(0.4) stored a zero term
+    # that formatted as -0, and q_power(0.5) equalled 1
+    for call in (
+        lambda: LaurentPolynomial.constant(0.4),
+        lambda: LaurentPolynomial.q_power(0.5),
+        lambda: LaurentPolynomial.q_power(2, 1.0),
+        lambda: LaurentPolynomial.q_power(-3, -1.0),
+    ):
+        with pytest.raises(TypeError, match="integers"):
+            call()
+    assert LaurentPolynomial.constant(0).is_zero() and LaurentPolynomial.q_power(4, 0).is_zero()
+    assert LaurentPolynomial.q_power(True, -2) == P("-2*q")

@@ -107,6 +107,27 @@ def test_filtered_rejects_color_below_one(n):
         drl_keep(zero_key(1), n)
 
 
+@pytest.mark.parametrize("bad", [4.5, 1.5, 2.5, "3"])
+def test_colors_and_limits_must_be_integers(bad):
+    # one check, weyl.checked_int, for every color and DRL limit: a float
+    # once reached bit_length, an &, or passed drl_keep outright
+    walks = WalkSum.single(key_from_letters(1, "a1"), P("q"))
+    calls = (
+        lambda: evaluate_walk_sum(walks, (1,), bad),
+        lambda: drl_keep(zero_key(1), bad),
+        lambda: walks.filtered(bad),
+        lambda: WalkSum.zero().filtered(bad),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="color must be an integer"):
+            call()
+    with pytest.raises(TypeError, match="DRL limit must be an integer"):
+        multiply_walk_sums(walks, walks, (1,), bad)
+    # an int subclass such as bool is still an integer
+    assert drl_keep(zero_key(1), True)
+    assert multiply_walk_sums(walks, walks, (1,), False) == multiply_walk_sums(walks, walks, (1,), 0)
+
+
 def test_drl_keep_monotone_random():
     rng = random.Random(33)
     for _ in range(500):
@@ -384,13 +405,39 @@ def key_formats(monkeypatch):
     return seen
 
 
+# Per-crossing letter masks of a simple key: none, b, c, b and c, a.
+SIMPLE_MASKS = (0b000, 0b001, 0b010, 0b011, 0b100)
+
+
+def rand_mask_left(rng, k, unit, clash, max_bits=4):
+    """A left operand born packed from letter masks (WalkSum.from_masks):
+    coefficients +-q^e when unit, else random; with clash, one mask puts
+    an a beside a b, which makes a moved field 2."""
+    walks = {}
+    for _ in range(rng.randint(1, 12)):
+        mask = sum(rng.choice(SIMPLE_MASKS) << 3 * j for j in range(k))
+        walks[mask] = {rng.randint(-6, 6): rng.choice((1, -1))} if unit else rand_coeff(rng, max_bits).terms
+    if clash:
+        walks[0b101 << 3 * rng.randrange(k)] = {0: rng.choice((1, -1))}
+    left = WalkSum.from_masks(k, walks)
+    assert left._packed.field_max == (2 if clash else 1)
+    if unit:
+        assert left._packed.mass == len(left)
+    return left
+
+
 @pytest.mark.parametrize("simple, max_bits", [(False, 1024), (False, 2), (True, 1024), (True, 2)])
 def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats, monkeypatch):
     # 0-5 crossings, colors 1-6, DRL-filtered and unfiltered stacks, empty
     # operands, and multi-term coefficients with exponents -6..6: widths up
     # to +-2^1024 (+-2^80 among them), or only up to +-4, which gives the
     # narrowest packing digits. Each case also runs with no DRL limit
-    # (n = 0), and neither limit calls the kernel.
+    # (n = 0), and neither limit calls the kernel. Simple lefts are also
+    # born packed from letter masks (field bound 1, so the prefilter is
+    # exact and the DRL test is skipped), with +-q^e or general
+    # coefficients, or with a field of 2; the stack is also a product
+    # built at limit n + 2, whose fields reach n. Both of the latter make
+    # every admitted pair run the DRL test.
     walk_products = kernels.walk_products
     calls = []
     monkeypatch.setattr(kernels, "walk_products", lambda *args: calls.append(args) or walk_products(*args))
@@ -401,8 +448,13 @@ def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats, m
         n = rng.randint(1, 6)
         signs = rand_signs(rng, k)
         bits = rng.choice(widths)
-        left = rand_left(rng, k, simple, rng.randint(0, 12), bits)
+        if simple and k and case % 3:
+            left = rand_mask_left(rng, k, case % 3 == 1, case % 4 == 0, bits)
+        else:
+            left = rand_left(rng, k, simple, rng.randint(0, 12), bits)
         stack = rand_stack(rng, k, n, case % 2 == 0, rng.randint(0, 30), bits)
+        if simple and case % 5 == 0:
+            stack = multiply_walk_sums(rand_mask_left(rng, k, True, False) if k else left, stack, signs, n + 2)
         for limit in (n, 0):
             product = multiply_walk_sums(left, stack, signs, limit)
             assert not calls
@@ -452,7 +504,7 @@ def test_packed_multiply_rejects_bad_input():
     one = WalkSum.single((0, 0, 1), P("q"))
     with pytest.raises(ValueError):
         multiply_walk_sums(one, WalkSum.single((0, 1, 0, 0, 0, 0), P("1")), (1, 1), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="DRL limit must be >= 0, got -1"):
         multiply_walk_sums(one, one, (1,), -1)
     huge = WalkSum.single((1 << 62, 0, 0), P("1"))
     with pytest.raises(OverflowError):
@@ -490,10 +542,13 @@ def test_grouped_evaluate_matches_reference_random(lanes):
     # (r < n <= r + d) and keys past the color (r >= n, as without DRL);
     # each key's twin with other b counts shares its factor multiset and
     # shift. Coefficients up to 2^120 widen the lane to 128 bits, and with
-    # enough factors the group sums to 256.
+    # enough factors the group sums to 256. Crossing counts 1-7 end the
+    # last run of class tables both on and off a run boundary (runs of
+    # weyl._RUN), and each sum also holds keys whose one zero factor sits
+    # at a chosen crossing, so that zero factors fall in every run.
     rng = random.Random(42)
-    for _ in range(400):
-        k = rng.randint(1, 4)
+    for case in range(420):
+        k = 1 + case % 7
         n = rng.randint(1, 6)
         signs = rand_signs(rng, k)
         ws = WalkSum.zero()
@@ -502,6 +557,11 @@ def test_grouped_evaluate_matches_reference_random(lanes):
             ws.add_into(tuple(key), rand_coeff(rng, rng.choice((3, 70, 120))))
             key[0] += 1
             ws.add_into(tuple(key), rand_coeff(rng, 3))
+        for j in rng.sample(range(k), min(k, 2)):
+            # d = 1 and r = n - 1 at crossing j: a (1 - q^0) factor
+            key = [rng.randint(0, 1) if slot % 3 else rng.randint(0, 2) for slot in range(3 * k)]
+            key[3 * j + 1: 3 * j + 3] = [n - 1, 1]
+            ws.add_into(tuple(key), rand_coeff(rng, 20))
         assert evaluate_walk_sum(ws, signs, n) == reference_evaluate_walk_sum(ws, signs, n)
     assert {64, 128, 256} <= lanes
 
