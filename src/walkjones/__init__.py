@@ -10,9 +10,9 @@ arithmetic is exact over integer-coefficient Laurent polynomials in q.
 from .braid import BraidWord, NotAKnotError, parse_braid
 from .cjp import CjpResult, choose_orientation, colored_jones, simple_walk_count
 from .laurent import LaurentParseError, LaurentPolynomial
-from .oracle import FreeWord, free_normalize, naive_colored_jones, right_quantum_check
+from .oracle import FreeWord, KeyedMonomial, free_normalize, naive_colored_jones, right_quantum_check
 from .table import KnotRecord, knot_lookup, load_table
-from .weyl import KeyedMonomial, WalkSum
+from .weyl import WalkSum
 
 __version__ = "0.1.0"
 

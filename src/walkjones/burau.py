@@ -10,35 +10,51 @@ of det_q((-qR)_J). One recursion expands every principal minor at once:
 at each column it leaves the column and its row out, or takes a free row,
 so each partial product is computed once for all minors that share it.
 
-The recursion runs on plain maps from keys to coefficient dicts and takes
-the product of a partial product by one entry as a parameter. In a simple
-walk each letter is used at most once (Armond, arXiv:1101.3810), so under
-prune_simple (DRL at level 2) every partial product is a set of letters:
-walk_generator keys them by letter bitmasks (_SimpleRule). Three
-invariants of the walk model make that short: a braid matrix entry is a
-set of paths with coefficient 1, so it is read as bare letter masks; the
-DRL test of a pair is one AND, and after it two keys share a crossing only
-as the left key's c and the right key's b; and the reordering form has
-F[b][c] = 0. A pair's q-power is then two popcounts, one per crossing
-sign. The sum is returned born packed (weyl.WalkSum.from_masks): each
-letter mask moves straight to its packed key, with no tuple keys and no
-LaurentPolynomials, and the sum carries its exact bounds: field bound 1,
-and mass equal to its walk count, since every coefficient is +-q^e (the
-tests pin this on every cut word of the table and on random braids). A
-walk count is then the length of that sum. quantum_det and the unpruned
-generator, whose letter counts grow past 1, multiply through the generic
-kernel and serve as the verification path.
+The generic recursion runs on plain maps from keys to coefficient dicts
+and takes two steps as parameters: the product of a partial product by
+one entry, and the leaf step that adds a finished minor. quantum_det and
+the unpruned generator, whose letter counts grow past 1, multiply through
+the generic kernel and serve as the verification path.
 
-braid_matrix still multiplies through the kernel. Each of its entries is
-a set of paths with coefficient 1, so a kernel-free build would only set
-one letter slot per crossing. On top of the mask generator it measured
-119 -> 222 jobs/s on the benchmark's table-n2n3 workload and 58 -> 125 on
-markov-n2 (one 30 s run each, 2 vCPUs), but peak memory 24.2 -> 26.9 MB
-and 21.1 -> 22.1 MB. At equal pass counts the memory is the same (22.8
-and 22.7 MB after 20 passes, 25.8 and 26.0 MB after 40): the benchmark
-keeps every polynomial it computes, so a faster engine runs more passes
-in the same time and reads as a higher peak memory. The build waits for
-the benchmark to stop keeping them.
+Under prune_simple (DRL, duplicate-reduction pruning, at level 2) each
+letter of a walk is used at most once (Armond, arXiv:1101.3810), and a
+walk is fixed by its set of letters: walk_generator keys partial products
+by letter bitmasks (_SimpleRule), and a letter mask fixes its whole path
+system. A term of det_q(R_J) is a system of paths through the braid, one
+from each strand u in J to strand pi(u), and its mask is the union of
+their letters. A crossing on strands i, i+1 reads [[a, b], [c, 0]] when
+positive: a path on i leaves it by a (stays) or b (moves to i+1), a path
+on i+1 only by c (moves to i); a negative crossing, [[0, c], [b, a]], is
+the mirror of this. Then:
+- Two paths never share a strand. They start on distinct strands and end
+  on distinct ones, and two paths on one strand would need two letters
+  leaving it at the next crossing that touches it: the same letter twice,
+  or a beside b, which DRL prunes.
+- DRL keeps per crossing one of {}, {a}, {b}, {c}, {b, c}, so at most one
+  letter leaves each strand of a crossing, and every strand a path is on
+  has one. The letters of crossing j say which of its two strands carry a
+  path just before it and where each goes.
+- So replaying the mask through the word gives back every path, hence J,
+  the permutation pi and its inversion count. In a knot every strand
+  meets a crossing, so whether a strand starts in J is read off the first
+  crossing it meets.
+Hence no two partial products of one _simple_products call share a mask,
+nor do any two leaves of the recursion, and every level-one coefficient
+is +-q^e: one simple walk is one (mask, exponent, sign) item, with no
+coefficient arithmetic and nothing to merge. Three invariants of the walk
+model keep the product short: a braid matrix entry is a set of paths with
+coefficient 1, so it is read as bare letter masks; the DRL test of a pair
+is one AND, and after it two keys share a crossing only as the left key's
+c and the right key's b; and the reordering form has F[b][c] = 0. A pair's
+q-power is then two popcounts, one per crossing sign. The sum is returned
+born packed (weyl.WalkSum.from_masks), and a walk count is its length.
+
+braid_matrix still multiplies through the kernel. A kernel-free build is
+exact: every kernel product in braid_matrix has q-power 0, because each
+new letter's crossing comes after every letter already in the entry, so
+each entry is a set of paths with coefficient 1 and the build would only
+set one letter slot per crossing. It waits on the benchmark change that
+stops keeping every computed polynomial (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -78,28 +94,6 @@ def _block(crossings: int, ordinal: int, sign: int) -> tuple:
     if sign > 0:
         return (a, b), (c, WalkSum.zero())
     return (WalkSum.zero(), c), (b, a)
-
-
-def generator_matrix(
-    crossing_ordinal: int,
-    index: int,
-    sign: int,
-    m: int,
-    crossings: int | None = None,
-) -> BurauMatrix:
-    """The m x m crossing matrix for generator sigma_index^sign.
-
-    ``crossings`` fixes the key width (total crossing count of the ambient
-    braid); it defaults to ``crossing_ordinal``, which suffices for a
-    matrix considered on its own.
-    """
-    if not 1 <= index <= m - 1:
-        raise ValueError(f"generator index {index} out of range for {m} strands")
-    k = crossings if crossings is not None else crossing_ordinal
-    rows = _identity(m, k)
-    i = index - 1
-    rows[i][i : i + 2], rows[i + 1][i : i + 2] = _block(k, crossing_ordinal, sign)
-    return BurauMatrix(m, rows)
 
 
 def braid_matrix(braid: BraidWord) -> BurauMatrix:
@@ -142,8 +136,7 @@ _C_B = tuple((sign, reordering_form(sign)[1][0]) for sign in (1, -1))
 
 
 class _SimpleRule:
-    """Simple-walk products on letter bitmasks, for one sign vector, with
-    each entry scaled by sign * q^shift.
+    """Simple-walk products on letter bitmasks, for one sign vector.
 
     Under DRL at level 2 every key has, per crossing, counts (s, r, d) in
     {000, 100, 010, 110, 001}, so it is a set of letters: bit 3j + slot
@@ -167,16 +160,15 @@ class _SimpleRule:
     ANDs, then per pair two ANDs and two popcounts.
     """
 
-    __slots__ = ("crossings", "bits", "signed", "shift", "sign")
+    __slots__ = ("crossings", "bits", "signed")
 
-    def __init__(self, signs: tuple[int, ...], shift: int, sign: int):
+    def __init__(self, signs: tuple[int, ...]):
         self.crossings = sum(1 << 3 * j for j in range(len(signs)))
         self.bits = [1 << b for b in range(3 * len(signs))]
         # (F[c][b], B) for each crossing sign
         self.signed = [
             (weight, sum(1 << 3 * j for j, t in enumerate(signs) if (t > 0) == (s > 0))) for s, weight in _C_B
         ]
-        self.shift, self.sign = shift, sign
 
     def entry(self, ws: WalkSum) -> list:
         """A braid matrix entry as (mask, conflicts) pairs."""
@@ -189,33 +181,28 @@ class _SimpleRule:
         return out
 
 
-def _simple_products(partial: dict, entry: list, rule: _SimpleRule) -> dict:
-    """partial * entry on simple walks: partial maps letter masks to
-    coefficient dicts, entry is a list from _SimpleRule.entry."""
+def _simple_products(partial: list, entry: list, rule: _SimpleRule) -> list:
+    """partial * entry on simple walks: partial is a list of (letter mask,
+    exponent) and entry a list from _SimpleRule.entry. The products need no
+    merging: no two share a mask (see the module docstring)."""
     (w_plus, b_plus), (w_minus, b_minus) = rule.signed
-    shift, sign = rule.shift, rule.sign
-    out: dict = {}
-    cancelled = False
-    for k1, c1 in partial.items():
+    out = []
+    for k1, e1 in partial:
         c_plus, c_minus = (k1 >> 1) & b_plus, (k1 >> 1) & b_minus
-        terms1 = [(e + shift, sign * v) for e, v in c1.items()]
         for k2, conflicts in entry:
-            if k1 & conflicts:
-                continue
-            delta = w_plus * (c_plus & k2).bit_count() + w_minus * (c_minus & k2).bit_count()
-            key = k1 | k2
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = {}
-            for e, v in terms1:
-                e += delta
-                v += acc.get(e, 0)
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-                    cancelled = True
-    return {key: c for key, c in out.items() if c} if cancelled else out
+            if not k1 & conflicts:
+                out.append((k1 | k2, e1 + w_plus * (c_plus & k2).bit_count() + w_minus * (c_minus & k2).bit_count()))
+    return out
+
+
+def _simple_leaf(walks: list, partial: list, used: int, inv: int) -> None:
+    """Append the simple walks of one minor of -sum over J of det_q((-qR)_J)
+    to ``walks`` as (mask, exponent, sign) items: the minor J = ``used``
+    with inv inversions scales each partial product by
+    -(-1)^(|J|+inv) q^(|J|+inv)."""
+    shift = used.bit_count() + inv
+    sign = 1 if shift % 2 else -1
+    walks += [(mask, e + shift, sign) for mask, e in partial]
 
 
 def _kernel_products(partial: dict, entry: list, rule: tuple) -> dict:
@@ -224,34 +211,42 @@ def _kernel_products(partial: dict, entry: list, rule: tuple) -> dict:
     return kernels.walk_products(list(partial.items()), entry, signs, limit)
 
 
-def _minor_sum(entries, product, rule, optional, total, col, used, skipped, inv, partial) -> None:
-    """Add into ``total`` det_q of every principal minor of ``entries`` that
-    leaves out only indices in the bitmask ``optional``. At column ``col``:
-    leave it out, if optional and its row is free, or take each free row
-    whose column was not left out. Partial products and ``total`` map keys
-    to coefficient dicts, and product(partial, entry, rule) multiplies a
-    partial product by one entry. Module level, so that no closure cycle
-    outlives a call.
+def _add_minor(total: dict, partial: dict, used: int, inv: int) -> None:
+    """Add one minor's partial products into ``total``, a map from keys to
+    coefficient dicts, times (-q)^inv."""
+    sign = -1 if inv % 2 else 1
+    for key, terms in partial.items():
+        acc = total.get(key)
+        if acc is None:
+            acc = total[key] = {}
+        for e, c in terms.items():
+            e += inv
+            v = acc.get(e, 0) + sign * c
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+
+
+def _minor_sum(entries, product, rule, leaf, optional, out, col, used, skipped, inv, partial) -> None:
+    """Add into ``out`` det_q of every principal minor of ``entries`` that
+    leaves out only indices in the bitmask ``optional``, but the empty one
+    when ``optional`` is not 0. At column ``col``: leave it out, if
+    optional and its row is free, or take each free row whose column was
+    not left out. product(partial, entry, rule) multiplies a partial
+    product by one entry, and leaf(out, partial, used, inv) adds a finished
+    minor: the rows in ``used``, with ``inv`` inversions. Module level, so
+    that no closure cycle outlives a call.
     """
     if not partial:
         return
     if col == len(entries):
-        sign = -1 if inv % 2 else 1
-        for key, terms in partial.items():
-            acc = total.get(key)
-            if acc is None:
-                acc = total[key] = {}
-            for e, c in terms.items():
-                e += inv
-                v = acc.get(e, 0) + sign * c
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
+        if used or not optional:
+            leaf(out, partial, used, inv)
         return
     bit = 1 << col
     if optional & bit and not used & bit:
-        _minor_sum(entries, product, rule, optional, total, col + 1, used, skipped | bit, inv, partial)
+        _minor_sum(entries, product, rule, leaf, optional, out, col + 1, used, skipped | bit, inv, partial)
     for row, line in enumerate(entries):
         row_bit = 1 << row
         if line[col] and not (used | skipped) & row_bit:
@@ -259,7 +254,7 @@ def _minor_sum(entries, product, rule, optional, total, col, used, skipped, inv,
             added = bin(used >> (row + 1)).count("1")
             taken = used | row_bit
             _minor_sum(
-                entries, product, rule, optional, total, col + 1, taken, skipped, inv + added,
+                entries, product, rule, leaf, optional, out, col + 1, taken, skipped, inv + added,
                 product(partial, line[col], rule),
             )
 
@@ -280,7 +275,7 @@ def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None
     total: dict = {}
     entries = [[_items(e) for e in row] for row in matrix.entries]
     one = {zero_key(len(signs)): {0: 1}}
-    _minor_sum(entries, _kernel_products, (signs, prune_n or 0), 0, total, 0, 0, 0, 0, one)
+    _minor_sum(entries, _kernel_products, (signs, prune_n or 0), _add_minor, 0, total, 0, 0, 0, 0, one)
     return _walk_sum(total)
 
 
@@ -310,31 +305,41 @@ def unpruned_walk_count(braid: BraidWord) -> int:
     return _permanent(sizes) - 1
 
 
+def _simple_walks(braid: BraidWord) -> list:
+    """The simple walks of a knot braid's level-one sum as (letter mask,
+    exponent, sign) items, one per walk and no two with one mask: the walk
+    sign * q^exponent * (the letters of mask, in normal form). Bit 3j + slot
+    of a mask holds a letter of crossing j, with slot b = 0, c = 1, a = 2."""
+    rule = _SimpleRule(braid.signs())
+    reduced = reduced_matrix(braid_matrix(braid)).entries
+    entries = [[rule.entry(e) for e in row] for row in reduced]
+    walks: list = []
+    every = (1 << len(entries)) - 1
+    _minor_sum(entries, _simple_products, rule, _simple_leaf, every, walks, 0, 0, 0, 0, [(0, 0)])
+    return walks
+
+
 def walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
     """The level-one walk sum of a braid whose closure is a knot:
     1 - sum over all J of det_q((-qR)_J), R the reduced braid matrix. The
     empty minor is 1 and det_q((-qR)_J) = (-q)^|J| det_q(R_J), so this is
-    the sum over nonempty J of (-1)^(|J|-1) q^|J| det_q(R_J). Each entry is
-    scaled by -q once and every index is optional in _minor_sum. With
-    prune_simple, the duplicate-reduction filter at level 2 runs on each
-    partial product, leaving exactly the simple walks, partial products
-    are letter bitmasks (_SimpleRule), and the sum is returned packed
-    (WalkSum.from_masks); without it they go through the generic kernel.
+    minus the sum over nonempty J of det_q((-qR)_J), and every index is
+    optional in _minor_sum. With prune_simple, the duplicate-reduction
+    filter at level 2 runs on each partial product, leaving exactly the
+    simple walks (_simple_walks), and the sum is returned packed
+    (WalkSum.from_masks); without it each entry is scaled by -q once and
+    the partial products go through the generic kernel.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
     if braid.strands < 2:
         raise ValueError("walk generator needs at least 2 strands")
-    signs = braid.signs()
-    reduced = reduced_matrix(braid_matrix(braid)).entries
     if prune_simple:
-        rule = _SimpleRule(signs, 1, -1)
-        entries = [[rule.entry(e) for e in row] for row in reduced]
-        product, one = _simple_products, 0
-    else:
-        entries = [[_items(e, 1, -1) for e in row] for row in reduced]
-        product, rule, one = _kernel_products, (signs, 0), zero_key(braid.k)
-    total = {one: {0: -1}}
+        return WalkSum.from_masks(braid.k, _simple_walks(braid))
+    reduced = reduced_matrix(braid_matrix(braid)).entries
+    entries = [[_items(e, 1, -1) for e in row] for row in reduced]
+    total: dict = {}
     every = (1 << len(entries)) - 1
-    _minor_sum(entries, product, rule, every, total, 0, 0, 0, 0, {one: {0: 1}})
-    return WalkSum.from_masks(braid.k, total, -1) if prune_simple else _walk_sum(total, -1)
+    one = {zero_key(braid.k): {0: 1}}
+    _minor_sum(entries, _kernel_products, (braid.signs(), 0), _add_minor, every, total, 0, 0, 0, 0, one)
+    return _walk_sum(total, -1)

@@ -5,7 +5,8 @@ sum over stack heights of the color evaluation of the walk sum raised to
 that height. The stack is rebuilt each height by left-multiplying with the
 level-one walk sum; the loop ends when the stack is empty or its evaluation
 is the zero polynomial. The first stack is the level-one sum itself,
-which walk_generator returns already packed (WalkSum.from_masks), and
+which walk_generator returns already packed from its simple walks, one
+(letter mask, exponent, sign) item per walk (WalkSum.from_masks), and
 from the second height on the stack is the packed walk sum
 multiply_walk_sums returns (see weyl): evaluate_walk_sum and the next
 multiply read it as it is, so it is never decoded into tuple keys and

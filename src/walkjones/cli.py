@@ -1,6 +1,7 @@
 """Command line interface: compute one polynomial, or benchmark the table.
 
-Exit codes: 0 success, 1 bad arguments, 2 braid closure is not a knot.
+Exit codes: 0 success, 1 bad arguments (a color or braid past the engine's
+size limit among them), 2 braid closure is not a knot.
 """
 from __future__ import annotations
 
@@ -85,6 +86,9 @@ def cmd_compute(args) -> int:
     except NotAKnotError as exc:
         print(f"walkjones: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # the engine's size limit, e.g. a huge color
+        print(f"walkjones: {exc}", file=sys.stderr)
+        return 1
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     poly = result.polynomial
 
@@ -168,7 +172,11 @@ def cmd_bench(args) -> int:
         if not braid.is_knot_closure():
             print(f"walkjones: {rec.name}: closure of {braid} is not a knot", file=sys.stderr)
             return 2
-    rows = bench_rows(records, colors, with_no_drl=args.with_no_drl)
+    try:
+        rows = bench_rows(records, colors, with_no_drl=args.with_no_drl)
+    except OverflowError as exc:
+        print(f"walkjones: {exc}", file=sys.stderr)
+        return 1
     print(",".join(BENCH_COLUMNS))
     for row in rows:
         print(",".join(str(row[c]) for c in BENCH_COLUMNS))

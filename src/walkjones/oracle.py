@@ -14,10 +14,18 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError
 from .laurent import LaurentPolynomial
-from .weyl import KeyedMonomial, zero_key
+from .weyl import zero_key
 
 _SLOT = {"b": 0, "c": 1, "a": 2}
 _RANK = {"b": 0, "c": 1, "a": 2}  # normal order within a crossing is b, c, a
+
+
+@dataclass(frozen=True)
+class KeyedMonomial:
+    """A normal-form monomial: coefficient times the word encoded by key."""
+
+    key: tuple[int, ...]
+    coeff: LaurentPolynomial
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,16 @@ Python integers, and both run on walk sums in packed form (_Packed):
   The next product with the same left reads a pair's q-power off the row
   with one shift and mask (see multiply_walk_sums).
 
-The level-one sum is born packed (WalkSum.from_masks): its letter masks
-move straight to packed keys, every coefficient is +-q^e, and it carries
-its exact bounds, mass equal to its walk count and field bound 1. With a
-left field bound of 1 and right fields below the DRL limit, the
-multiply's saturation prefilter is exact, so no pair runs the DRL test,
-and a +-1 left coefficient makes a pair's coefficient +-pb. Evaluation reads each key's factor class from tables
-keyed by runs of crossings cut straight off the packed key, and sums
-coefficients per class and base exponent before it shifts anything.
+The level-one sum is born packed (WalkSum.from_masks) from its simple
+walks, one (letter mask, exponent, sign) item per walk: a mask moves
+straight to its packed key and a coefficient is its sign at its exponent,
+so the sum carries exact bounds, mass equal to its walk count and field
+bound 1. With a left field bound of 1 and right fields below the DRL
+limit, the multiply's saturation prefilter is exact, so no pair runs the
+DRL test, and a +-1 left coefficient makes a pair's coefficient +-pb.
+Evaluation reads each key's factor class from tables keyed by runs of
+crossings cut straight off the packed key, and sums coefficients per
+class and base exponent before it shifts anything.
 
 Lane policy. The mass bounds every digit of every coefficient and of any
 sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2. B
@@ -63,7 +65,6 @@ OverflowError past it. Colors and DRL limits pass one check, checked_int.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import compress, repeat
 from struct import Struct
 from typing import Mapping
@@ -114,14 +115,6 @@ def letter_key(crossings: int, crossing: int, kind: str) -> tuple[int, ...]:
     return tuple(key)
 
 
-@dataclass(frozen=True)
-class KeyedMonomial:
-    """A normal-form monomial: coefficient times the word encoded by key."""
-
-    key: tuple[int, ...]
-    coeff: LaurentPolynomial
-
-
 class WalkSum:
     """Canonical key -> coefficient map; zero coefficients are never stored.
 
@@ -166,34 +159,25 @@ class WalkSum:
         return entries
 
     @classmethod
-    def from_masks(cls, k: int, walks: Mapping[int, Mapping[int, int]], sign: int = 1) -> "WalkSum":
-        """A walk sum on k crossings from letter masks, born packed: ``walks``
-        maps a mask, bit 3j + slot holding a letter of crossing j (slot b = 0,
-        c = 1, a = 2, as in the tuple keys), to a coefficient dict, and each
-        coefficient is taken times sign. Empty dicts are skipped.
+    def from_masks(cls, k: int, walks: list) -> "WalkSum":
+        """The level-one sum on k crossings, born packed from its simple walks
+        (burau._simple_walks): ``walks`` lists (letter mask, exponent, sign)
+        items with distinct masks, bit 3j + slot of a mask holding a letter
+        of crossing j (slot b = 0, c = 1, a = 2, as in the tuple keys).
 
         A mask moves straight to its packed key at 8-bit fields: each octal
         digit of the mask is one crossing's letters, and _MOVED_DIGITS maps
-        it to that crossing's three moved fields. The sum carries exact
-        bounds: its mass is the sum of |c|, which is the walk count when
-        every coefficient is +-q^e; its field bound is 1 unless some
-        crossing holds its a beside its b or c, and then 2."""
-        walks = {mask: terms for mask, terms in walks.items() if terms}
+        it to that crossing's three moved fields. Each coefficient is its
+        sign at its exponent. The sum carries exact bounds: its mass is the
+        walk count, and its field bound is 1, since a simple walk holds no a
+        beside a b or c."""
         if not walks:
             return cls.zero()
-        mass = sum(sum(map(abs, terms.values())) for terms in walks.values())
+        masks, low, coeffs = zip(*walks)
+        keys = [int.from_bytes(f"{mask:o}".translate(_MOVED_DIGITS).encode("latin-1"), "big") for mask in masks]
+        mass = len(walks)
         bits = _lane(mass.bit_length() + 2)
-        keys = [int.from_bytes(f"{mask:o}".translate(_MOVED_DIGITS).encode("latin-1"), "big") for mask in walks]
-        coeffs, low = [], []
-        clash = 0
-        for mask, terms in walks.items():
-            packed, base = _pack(terms, bits)
-            coeffs.append(sign * packed)
-            low.append(base)
-            clash |= mask >> 2 & (mask | mask >> 1)
-        span = max(map(max, walks.values())) - min(low)
-        fields = 2 if clash & sum(1 << 3 * j for j in range(k)) else 1
-        return cls._raw(None, _Packed(_Keys(k, 8), bits, keys, coeffs, low, mass, fields, span))
+        return cls._raw(None, _Packed(_Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 1, max(low) - min(low)))
 
     def __len__(self) -> int:
         return len(self._packed.keys if self._entries is None else self._entries)
@@ -231,24 +215,6 @@ class WalkSum:
         for key, coeff in other.entries.items():
             result.add_into(key, coeff)
         return result
-
-    def scaled(self, factor: LaurentPolynomial) -> "WalkSum":
-        if not factor:
-            return WalkSum.zero()
-        return WalkSum._raw({k: c * factor for k, c in self.entries.items()})
-
-    def filtered(self, n: int) -> "WalkSum":
-        """Entries whose keys survive drl_keep(key, n); n must be >= 1, also
-        for an empty sum."""
-        n = checked_int(n)
-        return WalkSum._raw({k: c for k, c in self.entries.items() if drl_keep(k, n)})
-
-
-def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) -> KeyedMonomial:
-    """Product of two normal-form monomials over the same braid."""
-    key, delta = kernels.key_product(left.key, right.key, signs)
-    coeff = (left.coeff * right.coeff).shift(delta)
-    return KeyedMonomial(key, coeff)
 
 
 def checked_int(value, least: int = 1, name: str = "color") -> int:
@@ -511,11 +477,6 @@ class _RunTable(dict):
         f = self.fields(x)
         value = self[x] = sum(table[f[3 * j + 1], f[3 * j + 2]] for j, table in self.crossings)
         return value
-
-
-def evaluate_monomial(mono: KeyedMonomial, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
-    """Color-n evaluation of one normal-form monomial (see evaluate_walk_sum)."""
-    return evaluate_walk_sum(WalkSum.single(mono.key, mono.coeff), signs, n)
 
 
 def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPolynomial:

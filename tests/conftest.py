@@ -5,7 +5,8 @@ import pytest
 
 from walkjones.braid import parse_braid
 from walkjones.laurent import LaurentPolynomial
-from walkjones.weyl import KeyedMonomial, zero_key
+from walkjones.oracle import KeyedMonomial
+from walkjones.weyl import zero_key
 
 LETTER_SLOT = {"b": 0, "c": 1, "a": 2}
 

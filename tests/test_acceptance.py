@@ -10,6 +10,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from conftest import rand_mono, rand_signs
+from walk_helpers import mono_mul
 from walkjones.braid import BraidWord, parse_braid
 from walkjones.burau import unpruned_walk_count, walk_generator
 from walkjones.cjp import colored_jones, simple_walk_count
@@ -17,12 +18,13 @@ from walkjones.cli import bench_rows
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import (
     FreeWord,
+    KeyedMonomial,
     _normalize_random_schedule,
     free_normalize,
     naive_colored_jones,
 )
 from walkjones.table import knot_lookup, load_table
-from walkjones.weyl import KeyedMonomial, WalkSum, mono_mul, zero_key
+from walkjones.weyl import WalkSum, zero_key
 
 P = LaurentPolynomial.parse
 ONE = LaurentPolynomial.one()

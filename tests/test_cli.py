@@ -278,3 +278,18 @@ def test_compute_strands_with_knot_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert "--strands" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("compute", "--knot", "3_1", "--color", "100000000"), ("bench", "--max-crossings", "3", "--colors", "100000000")],
+    ids=["compute", "bench"],
+)
+def test_size_limit_exit_1(capsys, argv):
+    # the packed arithmetic's size check fires before anything that large
+    # is built, and the command reports it instead of a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("walkjones: coefficients spanning ")
+    assert err.endswith(" bits\n") and "exceed the packed budget" in err

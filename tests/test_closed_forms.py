@@ -1,8 +1,9 @@
 """Closed forms of J_N at colors past the R-matrix state sum's reach.
 
-The torus and Habiro forms are compared in v = q^(1/2): the engine's J_N(q)
-becomes J_N(v^2), and each side is a Laurent polynomial in v, so that no
-division is needed. Masbaum's twist-knot form is a sum of rational
+The two-strand torus and Habiro forms are compared in v = q^(1/2): the
+engine's J_N(q) becomes J_N(v^2), and each side is a Laurent polynomial in
+v, so that no division is needed. The form for torus knots on more
+strands is compared the same way in w = q^(1/4). Masbaum's twist-knot form is a sum of rational
 functions, so it is compared by exact values at rational points.
 """
 from fractions import Fraction
@@ -46,6 +47,26 @@ def test_two_strand_torus_knots(p, colors):
         for j in range(n):
             total += V(-p * j * (j + 1), -1 if (n - 1 - j) * p % 2 else 1) * quantum_integer(2 * j + 1)
         assert quantum_integer(n) * engine(word, n) == V(p * (n * n - 1)) * total, (p, n)
+
+
+@pytest.mark.parametrize(
+    "s, t, top",
+    [(3, 4, 10), (3, 5, 4), (4, 5, 4), (3, -5, 5), (3, 7, 5), (4, 7, 3), (5, 6, 3)],
+)
+def test_torus_knots(s, t, top):
+    # Rosso and Jones; Morton: on the word (sigma_1 ... sigma_(s-1))^t, in
+    # w = q^(1/4) and with k = h/2 for h = 1-N, 3-N, ..., N-1,
+    # (w^2N - w^-2N) J_N(w^-4) =
+    # w^(st(1-N^2)) sum_h (w^(st h^2 + 2(s+t)h + 2) - w^(st h^2 + 2(s-t)h - 2)).
+    # This runs DRL on 3-5 strands, which the two-strand forms do not.
+    word = " ".join(str(i if t > 0 else -i) for _ in range(abs(t)) for i in range(1, s))
+    for n in range(2, top + 1):
+        poly = colored_jones(parse_braid(word), n).polynomial
+        engine_w = LaurentPolynomial({-4 * e: c for e, c in poly.terms.items()})
+        total = LaurentPolynomial.zero()
+        for h in range(1 - n, n, 2):
+            total += V(s * t * h * h + 2 * (s + t) * h + 2) - V(s * t * h * h + 2 * (s - t) * h - 2)
+        assert braces(2 * n) * engine_w == V(s * t * (1 - n * n)) * total, (s, t, n)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

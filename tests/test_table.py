@@ -2,6 +2,7 @@
 import pytest
 
 from test_invariants import alexander
+from walk_helpers import filtered
 from walkjones.braid import BraidWord, parse_braid
 from walkjones.table import knot_lookup, load_table
 
@@ -56,7 +57,7 @@ def test_pruned_walks_equal_filtered_walks_table_wide(records):
     for rec in records:
         braid = rec.braid_word()
         full = walk_generator(braid, prune_simple=False)
-        assert full.filtered(2) == walk_generator(braid, prune_simple=True), rec.name
+        assert filtered(full, 2) == walk_generator(braid, prune_simple=True), rec.name
         width = 3 * braid.k
         assert all(len(key) == width for key in full.entries), rec.name
 

@@ -7,21 +7,19 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
+from walk_helpers import evaluate_monomial, filtered, mono_mul, packed_from_masks
 from walkjones import cli, kernels, weyl
 from walkjones.braid import parse_braid
 from walkjones.burau import walk_generator
 from walkjones.cjp import colored_jones
 from walkjones.laurent import LaurentPolynomial
-from walkjones.oracle import FreeWord, free_normalize
+from walkjones.oracle import FreeWord, KeyedMonomial, free_normalize
 from walkjones.table import load_table
 from walkjones.weyl import (
-    KeyedMonomial,
     WalkSum,
     drl_keep,
-    evaluate_monomial,
     evaluate_walk_sum,
     kernel_product,
-    mono_mul,
     multiply_walk_sums,
     zero_key,
 )
@@ -102,7 +100,7 @@ def test_filtered_rejects_color_below_one(n):
     walks = WalkSum.single(key_from_letters(1, "a1"), P("q"))
     for ws in (walks, WalkSum.zero()):
         with pytest.raises(ValueError, match=f"color must be >= 1, got {n}"):
-            ws.filtered(n)
+            filtered(ws, n)
     with pytest.raises(ValueError, match=f"color must be >= 1, got {n}"):
         drl_keep(zero_key(1), n)
 
@@ -115,8 +113,8 @@ def test_colors_and_limits_must_be_integers(bad):
     calls = (
         lambda: evaluate_walk_sum(walks, (1,), bad),
         lambda: drl_keep(zero_key(1), bad),
-        lambda: walks.filtered(bad),
-        lambda: WalkSum.zero().filtered(bad),
+        lambda: filtered(walks, bad),
+        lambda: filtered(WalkSum.zero(), bad),
     )
     for call in calls:
         with pytest.raises(TypeError, match="color must be an integer"):
@@ -410,16 +408,21 @@ SIMPLE_MASKS = (0b000, 0b001, 0b010, 0b011, 0b100)
 
 
 def rand_mask_left(rng, k, unit, clash, max_bits=4):
-    """A left operand born packed from letter masks (WalkSum.from_masks):
-    coefficients +-q^e when unit, else random; with clash, one mask puts
-    an a beside a b, which makes a moved field 2."""
+    """A left operand packed from letter masks: coefficients +-q^e when
+    unit, else random; with clash, one mask puts an a beside a b, which
+    makes a moved field 2. A unit sum with no clash is a level-one sum, born
+    packed by WalkSum.from_masks; the others are packed by the test helper
+    packed_from_masks."""
     walks = {}
     for _ in range(rng.randint(1, 12)):
         mask = sum(rng.choice(SIMPLE_MASKS) << 3 * j for j in range(k))
         walks[mask] = {rng.randint(-6, 6): rng.choice((1, -1))} if unit else rand_coeff(rng, max_bits).terms
     if clash:
         walks[0b101 << 3 * rng.randrange(k)] = {0: rng.choice((1, -1))}
-    left = WalkSum.from_masks(k, walks)
+    if unit and not clash:
+        left = WalkSum.from_masks(k, [(mask, e, c) for mask, terms in walks.items() for e, c in terms.items()])
+    else:
+        left = packed_from_masks(k, walks)
     assert left._packed.field_max == (2 if clash else 1)
     if unit:
         assert left._packed.mass == len(left)
@@ -433,11 +436,12 @@ def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats, m
     # to +-2^1024 (+-2^80 among them), or only up to +-4, which gives the
     # narrowest packing digits. Each case also runs with no DRL limit
     # (n = 0), and neither limit calls the kernel. Simple lefts are also
-    # born packed from letter masks (field bound 1, so the prefilter is
-    # exact and the DRL test is skipped), with +-q^e or general
-    # coefficients, or with a field of 2; the stack is also a product
-    # built at limit n + 2, whose fields reach n. Both of the latter make
-    # every admitted pair run the DRL test.
+    # packed from letter masks (field bound 1, so the prefilter is exact
+    # and the DRL test is skipped): born packed with +-q^e coefficients,
+    # or packed by the test helper with general coefficients or a field
+    # of 2; the stack is also a product built at limit n + 2, whose fields
+    # reach n. A field of 2 and such a stack make every admitted pair run
+    # the DRL test.
     walk_products = kernels.walk_products
     calls = []
     monkeypatch.setattr(kernels, "walk_products", lambda *args: calls.append(args) or walk_products(*args))
@@ -579,7 +583,7 @@ def test_packed_height_chain_matches_kernel_chain(n, drl, lanes):
         k = rng.randint(1, 3)
         signs = rand_signs(rng, k)
         left = rand_left(rng, k, True, rng.randint(1, 4), rng.choice((2, 70)))
-        stack = reference = left.filtered(n) if drl else left
+        stack = reference = filtered(left, n) if drl else left
         for _ in range(5):
             assert evaluate_walk_sum(stack, signs, n) == reference_evaluate_walk_sum(reference, signs, n)
             assert stack == reference
@@ -644,7 +648,7 @@ def test_rows_carried_along_height_chain(n, drl, row_builds):
         k = rng.randint(1, 3)
         signs = rand_signs(rng, k)
         left = rand_left(rng, k, True, rng.randint(1, 4), 20) if drl else grown_left(rng, k)
-        stack = reference = left.filtered(n) if drl else left
+        stack = reference = filtered(left, n) if drl else left
         widths = []
         for height in range(6):
             built = len(row_builds)
@@ -674,8 +678,8 @@ def test_rows_rebuilt_for_another_operator(row_builds):
         signs = rand_signs(rng, k)
         size = rng.randint(2, 5)
         left = rand_left(rng, k, True, size, 20)
-        stack = multiply_walk_sums(left, left.filtered(n), signs, n)
-        reference = kernel_product(left, left.filtered(n), signs, n)
+        stack = multiply_walk_sums(left, filtered(left, n), signs, n)
+        reference = kernel_product(left, filtered(left, n), signs, n)
         if not stack:
             continue
         assert multiply_walk_sums(left, stack, signs, n + 2) == kernel_product(left, reference, signs, n + 2)

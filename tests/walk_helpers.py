@@ -1,0 +1,69 @@
+"""Walk-algebra operations that only the tests use.
+
+Each states one operation on top of the engine's own: the crossing matrix
+of one generator, a walk sum scaled or DRL-filtered, the product and the
+evaluation of single monomials, and a walk sum packed from letter masks
+with general coefficients.
+"""
+from walkjones import kernels, weyl
+from walkjones.burau import BurauMatrix, _block, _identity
+from walkjones.laurent import LaurentPolynomial
+from walkjones.oracle import KeyedMonomial
+from walkjones.weyl import WalkSum, checked_int, drl_keep, evaluate_walk_sum
+
+
+def generator_matrix(crossing_ordinal: int, index: int, sign: int, m: int, crossings: int | None = None) -> BurauMatrix:
+    """The m x m crossing matrix for generator sigma_index^sign.
+
+    ``crossings`` fixes the key width (total crossing count of the ambient
+    braid); it defaults to ``crossing_ordinal``, which suffices for a
+    matrix considered on its own.
+    """
+    if not 1 <= index <= m - 1:
+        raise ValueError(f"generator index {index} out of range for {m} strands")
+    k = crossings if crossings is not None else crossing_ordinal
+    rows = _identity(m, k)
+    i = index - 1
+    rows[i][i : i + 2], rows[i + 1][i : i + 2] = _block(k, crossing_ordinal, sign)
+    return BurauMatrix(m, rows)
+
+
+def scaled(ws: WalkSum, factor: LaurentPolynomial) -> WalkSum:
+    """Every coefficient of ws times factor."""
+    if not factor:
+        return WalkSum.zero()
+    return WalkSum._raw({k: c * factor for k, c in ws.entries.items()})
+
+
+def filtered(ws: WalkSum, n: int) -> WalkSum:
+    """Entries whose keys survive drl_keep(key, n); n must be >= 1, also
+    for an empty sum."""
+    n = checked_int(n)
+    return WalkSum._raw({k: c for k, c in ws.entries.items() if drl_keep(k, n)})
+
+
+def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) -> KeyedMonomial:
+    """Product of two normal-form monomials over the same braid."""
+    key, delta = kernels.key_product(left.key, right.key, signs)
+    return KeyedMonomial(key, (left.coeff * right.coeff).shift(delta))
+
+
+def evaluate_monomial(mono: KeyedMonomial, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
+    """Color-n evaluation of one normal-form monomial (see evaluate_walk_sum)."""
+    return evaluate_walk_sum(WalkSum.single(mono.key, mono.coeff), signs, n)
+
+
+def packed_from_masks(k: int, walks: dict) -> WalkSum:
+    """A walk sum on k crossings packed straight from letter masks, as
+    WalkSum.from_masks packs the level-one sum, but from a map of masks to
+    general coefficient dicts. Its bounds are exact: the mass is the sum
+    of |c|, and the field bound is 2 where a mask holds an a beside a b or
+    c, else 1."""
+    mass = sum(sum(map(abs, terms.values())) for terms in walks.values())
+    bits = weyl._lane(mass.bit_length() + 2)
+    keys = [int.from_bytes(f"{mask:o}".translate(weyl._MOVED_DIGITS).encode("latin-1"), "big") for mask in walks]
+    coeffs, low = zip(*(weyl._pack(terms, bits) for terms in walks.values()))
+    clash = any(mask >> 2 & (mask | mask >> 1) & sum(1 << 3 * j for j in range(k)) for mask in walks)
+    span = max(map(max, walks.values())) - min(low)
+    packed = weyl._Packed(weyl._Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 2 if clash else 1, span)
+    return WalkSum._raw(None, packed)
