@@ -49,12 +49,16 @@ c and the right key's b; and the reordering form has F[b][c] = 0. A pair's
 q-power is then two popcounts, one per crossing sign. The sum is returned
 born packed (weyl.WalkSum.from_masks), and a walk count is its length.
 
-braid_matrix still multiplies through the kernel. A kernel-free build is
-exact: every kernel product in braid_matrix has q-power 0, because each
-new letter's crossing comes after every letter already in the entry, so
-each entry is a set of paths with coefficient 1 and the build would only
-set one letter slot per crossing. It waits on the benchmark change that
-stops keeping every computed polynomial (ROADMAP item 1).
+braid_matrix runs on the kernel's own data: each entry is a {key:
+coefficient dict} map, wrapped in a WalkSum once, at the end. At each
+crossing a new entry is one kernel product by one letter, or the sum of
+two, and that sum is a dict union, since its summands differ in the new
+crossing's slot. Every such product has q-power 0, because each new
+letter's crossing comes after every letter already in the entry, so each
+entry is a set of paths with coefficient 1 and at most one letter per
+crossing, and the kernel call only sets one letter slot. Setting it
+directly is exact; that build waits on the benchmark change that stops
+keeping every computed polynomial (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -64,7 +68,7 @@ from itertools import compress
 from . import kernels
 from .braid import BraidWord, NotAKnotError
 from .laurent import LaurentPolynomial
-from .weyl import WalkSum, kernel_product, letter_key, reordering_form, zero_key
+from .weyl import WalkSum, letter_key, reordering_form, zero_key
 
 
 @dataclass
@@ -73,46 +77,32 @@ class BurauMatrix:
     entries: list[list[WalkSum]]
 
 
-def _one(crossings: int) -> WalkSum:
-    return WalkSum.single(zero_key(crossings), LaurentPolynomial.one())
-
-
-def _letter(crossings: int, ordinal: int, kind: str) -> WalkSum:
-    return WalkSum.single(letter_key(crossings, ordinal, kind), LaurentPolynomial.one())
-
-
-def _identity(m: int, crossings: int) -> list[list[WalkSum]]:
-    return [[_one(crossings) if u == v else WalkSum.zero() for v in range(m)] for u in range(m)]
-
-
-def _block(crossings: int, ordinal: int, sign: int) -> tuple:
-    """The 2x2 block ((top left, top right), (bottom left, bottom right)) of
-    a crossing matrix, at rows and columns index - 1 and index."""
-    a = _letter(crossings, ordinal, "a")
-    b = _letter(crossings, ordinal, "b")
-    c = _letter(crossings, ordinal, "c")
-    if sign > 0:
-        return (a, b), (c, WalkSum.zero())
-    return (WalkSum.zero(), c), (b, a)
-
-
 def braid_matrix(braid: BraidWord) -> BurauMatrix:
     """Ordered product of the crossing matrices (first crossing leftmost).
 
     A crossing matrix is the identity outside its 2x2 block, so multiplying
-    by it on the right rewrites only columns index - 1 and index.
+    by it on the right rewrites only columns index - 1 and index, and a new
+    entry is one or two entries times one letter. Entries are {key:
+    coefficient dict} maps until the end; the two products of a sum differ
+    in the new crossing's slot, so their sum is a dict union.
     """
-    k = braid.k
+    k, m = braid.k, braid.strands
     signs = braid.signs()
-    rows = _identity(braid.strands, k)
+
+    def times(entry: dict, letter: list) -> dict:
+        return kernels.walk_products(list(entry.items()), letter, signs, 0) if entry else {}
+
+    rows = [[{zero_key(k): {0: 1}} if u == v else {} for v in range(m)] for u in range(m)]
     for ordinal, (index, sign) in enumerate(braid.crossings, start=1):
         i = index - 1
-        (tl, tr), (bl, br) = _block(k, ordinal, sign)
+        a, b, c = ([(letter_key(k, ordinal, x), {0: 1})] for x in "abc")
         for row in rows:
             left, right = row[i], row[i + 1]
-            row[i] = kernel_product(left, tl, signs).merged_with(kernel_product(right, bl, signs))
-            row[i + 1] = kernel_product(left, tr, signs).merged_with(kernel_product(right, br, signs))
-    return BurauMatrix(braid.strands, rows)
+            if sign > 0:
+                row[i], row[i + 1] = times(left, a) | times(right, c), times(left, b)
+            else:
+                row[i], row[i + 1] = times(right, b), times(left, c) | times(right, a)
+    return BurauMatrix(m, [[_walk_sum(entry) for entry in row] for row in rows])
 
 
 def reduced_matrix(matrix: BurauMatrix) -> BurauMatrix:

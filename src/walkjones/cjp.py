@@ -25,9 +25,11 @@ past sigma_i with i >= 2 left the count unchanged. Every candidate has the
 input's strands and writhe, up to the mirror's sign, so the polynomial
 and framing do not depend on the choice. Each candidate costs one level-one
 generator run, so the search pays only where the stack loop dominates. On
-the 84 bundled knots (CPU time, 2 vCPUs, Python 3.11) the whole table took,
-without and with the search, 0.53 -> 2.10 s at N = 2, 0.74 -> 2.17 s at
-N = 3, 2.46 -> 2.67 s at N = 4 and 14.9 -> 5.4 s at N = 5.
+the 84 bundled knots (CPU time, best of 3 passes, two rounds, 2 vCPUs,
+Python 3.11) the whole table took, without and with the search, 0.23 ->
+0.87 s at N = 2, 0.38-0.41 -> 0.95-0.98 s at N = 3, 1.06-1.29 ->
+1.15-1.21 s at N = 4 and 6.9-7.2 -> 2.4 s at N = 5. Per job at N = 4 the
+search took 9_5 from 128-133 to 30-31 ms and 9_2 from 26-31 to 31-36 ms.
 """
 from __future__ import annotations
 

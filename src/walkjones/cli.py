@@ -73,8 +73,11 @@ def _resolve_braid(args) -> tuple[str, BraidWord]:
 def cmd_compute(args) -> int:
     try:
         label, braid = _resolve_braid(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"walkjones: {exc}", file=sys.stderr)
+        return 1
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        print(f"walkjones: {exc.args[0]}", file=sys.stderr)
         return 1
     if args.color < 1:
         print(f"walkjones: color must be >= 1, got {args.color}", file=sys.stderr)

@@ -209,13 +209,6 @@ class WalkSum:
         else:
             del entries[key]
 
-    def merged_with(self, other: "WalkSum") -> "WalkSum":
-        out = dict(self.entries)
-        result = WalkSum._raw(out)
-        for key, coeff in other.entries.items():
-            result.add_into(key, coeff)
-        return result
-
 
 def checked_int(value, least: int = 1, name: str = "color") -> int:
     """``value`` as an int: TypeError if it is not an integer, ValueError if
@@ -604,18 +597,6 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     for b, packed in by_base.items():
         total += packed << out_bits * (b - base)
     return LaurentPolynomial._raw(_unpack(total, out_bits, base))
-
-
-def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int = 0) -> WalkSum:
-    """All pairwise products of two walk sums in one kernel call; n_limit > 0
-    discards products failing drl_keep(key, n_limit), 0 keeps every one."""
-    entries_a, entries_b = a.entries, b.entries
-    if not entries_a or not entries_b:
-        return WalkSum.zero()
-    items_a = [(k, c.terms) for k, c in entries_a.items()]
-    items_b = [(k, c.terms) for k, c in entries_b.items()]
-    raw = kernels.walk_products(items_a, items_b, signs, n_limit)
-    return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
 
 
 def reordering_form(sign: int) -> tuple[tuple[int, ...], ...]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import key_from_letters, rand_key, rand_signs
-from walk_helpers import filtered, generator_matrix, scaled
+from walk_helpers import filtered, generator_matrix, kernel_product, scaled
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones import kernels
 from walkjones.burau import (
@@ -27,7 +27,7 @@ from walkjones.burau import (
 from walkjones.laurent import LaurentPolynomial
 from walkjones.cjp import cut_candidates
 from walkjones.table import load_table
-from walkjones.weyl import WalkSum, drl_keep, kernel_product, reordering_form, zero_key
+from walkjones.weyl import WalkSum, drl_keep, reordering_form, zero_key
 
 P = LaurentPolynomial.parse
 
@@ -94,7 +94,8 @@ def reference_matmul(a: BurauMatrix, b: BurauMatrix, signs) -> BurauMatrix:
                 left = a.entries[u][w]
                 right = b.entries[w][v]
                 if left and right:
-                    acc = acc.merged_with(kernel_product(left, right, signs))
+                    for key, coeff in kernel_product(left, right, signs).entries.items():
+                        acc.add_into(key, coeff)
             row.append(acc)
         out.append(row)
     return BurauMatrix(m, out)
@@ -176,9 +177,9 @@ def test_quantum_det_figure_eight_full_subset(fig8, fig8_signs):
 
     e11, e12 = r.entries[0]
     e21, e22 = r.entries[1]
-    direct = scaled(multiply_walk_sums(e11, e22, fig8_signs), P("-q^2")).merged_with(
-        scaled(multiply_walk_sums(e21, e12, fig8_signs), P("q^3"))
-    )
+    direct = scaled(multiply_walk_sums(e11, e22, fig8_signs), P("-q^2"))
+    for key, coeff in scaled(multiply_walk_sums(e21, e12, fig8_signs), P("q^3")).entries.items():
+        direct.add_into(key, coeff)
     assert scaled_det == direct
 
 
@@ -443,6 +444,34 @@ def generic_walk_generator(braid: BraidWord, matrix: BurauMatrix | None = None) 
     return _walk_sum(total, -1)
 
 
+def assert_entries_are_paths(word: BraidWord, matrix: BurauMatrix) -> None:
+    """Every entry of the braid matrix is a set of paths: each key has the
+    coefficient exactly 1 at q^0 and at most one letter per crossing.
+    braid_matrix sums two products by a dict union and _SimpleRule.entry
+    reads an entry as bare letter masks, both on this invariant."""
+    for row in matrix.entries:
+        for entry in row:
+            for key, coeff in entry.entries.items():
+                assert coeff.terms == {0: 1}, (word, key)
+                assert all(sum(key[j : j + 3]) <= 1 for j in range(0, len(key), 3)), (word, key)
+
+
+def test_braid_matrix_entries_are_paths():
+    # the table braids and their mirrors, then seeded random knot braids on
+    # 2-7 strands
+    words = [w for rec in load_table() for w in (rec.braid_word(), rec.braid_word().mirror())]
+    rng = random.Random(1801)
+    target = len(words) + 120
+    while len(words) < target:
+        m = rng.randint(2, 7)
+        braid = BraidWord(tuple((rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(rng.randint(1, 14))), m)
+        if braid.is_knot_closure():
+            words.append(braid)
+    assert {w.strands for w in words} == set(range(2, 8))
+    for word in words:
+        assert_entries_are_paths(word, braid_matrix(word))
+
+
 def test_simple_generator_matches_generic_recursion_on_every_cut():
     # every word the search from N = 4 runs: each cut of each table braid
     # and of its flip, and each one's mirror
@@ -450,13 +479,7 @@ def test_simple_generator_matches_generic_recursion_on_every_cut():
     assert len(words) == 988
     for word in words:
         matrix = braid_matrix(word)
-        # _SimpleRule.entry reads an entry as its letter masks: each key is
-        # one path, with coefficient 1 and at most one letter per crossing
-        for row in matrix.entries:
-            for entry in row:
-                for key, coeff in entry.entries.items():
-                    assert coeff.terms == {0: 1}, (word, key)
-                    assert all(sum(key[j : j + 3]) <= 1 for j in range(0, len(key), 3)), (word, key)
+        assert_entries_are_paths(word, matrix)
         level_one = walk_generator(word)
         assert level_one == generic_walk_generator(word, matrix), word
         assert all(map(has_a_letter, level_one.entries)), word

@@ -124,7 +124,7 @@ def test_compute_bad_flags_exit_1(capsys):
 def test_compute_unknown_knot_exit_1(capsys):
     code, _, err = run(capsys, "compute", "--knot", "99_99")
     assert code == 1
-    assert "99_99" in err
+    assert err == "walkjones: unknown knot '99_99' (close matches: 9_9, 9_49, 9_39)\n"
 
 
 def test_compute_oracle_flag_exit_1(capsys):

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
-from walk_helpers import evaluate_monomial, filtered, mono_mul, packed_from_masks
+from walk_helpers import evaluate_monomial, filtered, kernel_product, mono_mul, packed_from_masks
 from walkjones import cli, kernels, weyl
 from walkjones.braid import parse_braid
 from walkjones.burau import walk_generator
@@ -19,7 +19,6 @@ from walkjones.weyl import (
     WalkSum,
     drl_keep,
     evaluate_walk_sum,
-    kernel_product,
     multiply_walk_sums,
     zero_key,
 )

@@ -1,15 +1,16 @@
 """Walk-algebra operations that only the tests use.
 
 Each states one operation on top of the engine's own: the crossing matrix
-of one generator, a walk sum scaled or DRL-filtered, the product and the
-evaluation of single monomials, and a walk sum packed from letter masks
-with general coefficients.
+of one generator, the product of two walk sums in one kernel call, a walk
+sum scaled or DRL-filtered, the product and the evaluation of single
+monomials, and a walk sum packed from letter masks with general
+coefficients.
 """
 from walkjones import kernels, weyl
-from walkjones.burau import BurauMatrix, _block, _identity
+from walkjones.burau import BurauMatrix
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import KeyedMonomial
-from walkjones.weyl import WalkSum, checked_int, drl_keep, evaluate_walk_sum
+from walkjones.weyl import WalkSum, checked_int, drl_keep, evaluate_walk_sum, letter_key, zero_key
 
 
 def generator_matrix(crossing_ordinal: int, index: int, sign: int, m: int, crossings: int | None = None) -> BurauMatrix:
@@ -22,10 +23,26 @@ def generator_matrix(crossing_ordinal: int, index: int, sign: int, m: int, cross
     if not 1 <= index <= m - 1:
         raise ValueError(f"generator index {index} out of range for {m} strands")
     k = crossings if crossings is not None else crossing_ordinal
-    rows = _identity(m, k)
+    one = LaurentPolynomial.one()
+    rows = [[WalkSum.single(zero_key(k), one) if u == v else WalkSum.zero() for v in range(m)] for u in range(m)]
+    a, b, c = (WalkSum.single(letter_key(k, crossing_ordinal, x), one) for x in "abc")
     i = index - 1
-    rows[i][i : i + 2], rows[i + 1][i : i + 2] = _block(k, crossing_ordinal, sign)
+    # the 2x2 block at rows and columns i, i + 1
+    block = ((a, b), (c, WalkSum.zero())) if sign > 0 else ((WalkSum.zero(), c), (b, a))
+    rows[i][i : i + 2], rows[i + 1][i : i + 2] = block
     return BurauMatrix(m, rows)
+
+
+def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int = 0) -> WalkSum:
+    """All pairwise products of two walk sums in one kernel call; n_limit > 0
+    discards products failing drl_keep(key, n_limit), 0 keeps every one."""
+    entries_a, entries_b = a.entries, b.entries
+    if not entries_a or not entries_b:
+        return WalkSum.zero()
+    items_a = [(k, c.terms) for k, c in entries_a.items()]
+    items_b = [(k, c.terms) for k, c in entries_b.items()]
+    raw = kernels.walk_products(items_a, items_b, signs, n_limit)
+    return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
 
 
 def scaled(ws: WalkSum, factor: LaurentPolynomial) -> WalkSum:
