@@ -1,9 +1,10 @@
 """walkjones: exact colored Jones polynomials of knots from braid words.
 
 The polynomial is computed from walk sums read off the quantum determinant
-of the deformed Burau matrix of the braid, with duplicate-reduction pruning
-and the choice of the cheapest equivalent word (the mirror, and from N = 4
-a rotation or the flip) keeping the stack of walks small. All
+of the deformed Burau matrix of the braid, with braid reduction (cyclic
+cancellation and Markov destabilization), duplicate-reduction pruning and
+the choice of the cheapest equivalent word (the mirror, and from N = 4 a
+rotation or the flip) keeping the stack of walks small. All
 arithmetic is exact over integer-coefficient Laurent polynomials in q.
 """
 

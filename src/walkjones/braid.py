@@ -2,8 +2,10 @@
 
 A braid on m strands is stored as an ordered sequence of crossings
 (generator index i in [1, m-1], sign +-1). Closure-related quantities
-(closure permutation, knot test, writhe) treat the word as given; no
-rewriting with the braid group relations is performed.
+(closure permutation, knot test, writhe) treat the word as given. The one
+rewriting is reduced(): it cancels cyclically adjacent inverse pairs and
+drops strands by Markov destabilization, which keeps the closure's link
+type; no other braid group relation is applied.
 """
 from __future__ import annotations
 
@@ -56,6 +58,31 @@ class BraidWord:
         conjugate, so the closure is the same knot."""
         c = self.crossings
         return BraidWord(c[start:] + c[:start], self.strands)
+
+    def reduced(self) -> "BraidWord":
+        """The word with the same closure, after two steps repeated until
+        neither applies: cancel adjacent sigma_i sigma_i^-1 pairs, the last
+        and first letters counting as adjacent (a conjugation); and while
+        the largest index m - 1 appears exactly once, delete that crossing
+        and drop a strand (Markov destabilization: the word is conjugate
+        to w sigma_(m-1)^+-1 with w on m - 1 strands)."""
+        word, m = list(self.crossings), self.strands
+        while True:
+            free: list[tuple[int, int]] = []
+            for i, s in word:
+                if free and free[-1] == (i, -s):
+                    free.pop()
+                else:
+                    free.append((i, s))
+            start, end = 0, len(free)
+            while end - start > 1 and free[start] == (free[end - 1][0], -free[end - 1][1]):
+                start, end = start + 1, end - 1
+            word = free[start:end]
+            top = [r for r, (i, _) in enumerate(word) if i == m - 1]
+            if len(top) != 1:
+                return BraidWord(tuple(word), m)
+            del word[top[0]]
+            m -= 1
 
     def closure_permutation(self) -> tuple[int, ...]:
         """Permutation of {1..m} induced by the closure, as (image of 1, ..., image of m)."""

@@ -251,11 +251,7 @@ def _minor_sum(entries, product, rule, leaf, optional, out, col, used, skipped, 
 
 def _walk_sum(total: dict, sign: int = 1) -> WalkSum:
     """A {key: coefficient dict} map as a walk sum, times sign."""
-    return WalkSum._raw({
-        k: LaurentPolynomial._raw({e: sign * c for e, c in terms.items()})
-        for k, terms in total.items()
-        if terms
-    })
+    return WalkSum._raw({k: LaurentPolynomial._from_terms(terms, sign) for k, terms in total.items() if terms})
 
 
 def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None = None) -> WalkSum:

@@ -1,5 +1,12 @@
 """Colored Jones polynomial of a braid closure.
 
+The word is reduced first (BraidWord.reduced): cyclically adjacent
+sigma_i sigma_i^-1 pairs cancel, and while the largest index appears
+once, its crossing and a strand are dropped (Markov destabilization).
+Walk counts follow the strands and crossings, so a conjugated, stabilized
+braid costs what its source does; a word that reduces to one strand is
+the unknot, with J = 1. Everything below runs on the reduced word.
+
 The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
 that height. The stack is rebuilt each height by left-multiplying with the
@@ -47,13 +54,15 @@ SEARCH_FROM_COLOR = 4
 class CjpResult:
     """Result record: the polynomial plus how the computation ran.
 
-    braid_used is the word the loop ran on, after any cut, flip and
-    mirror; framing_exponent and simple_walk_count describe it (mirror_used
-    says whether it is a mirror of the input). With pruning disabled
+    braid_used is the word the loop ran on: the input reduced
+    (BraidWord.reduced), then after any cut, flip and mirror;
+    framing_exponent and simple_walk_count describe it (mirror_used says
+    whether it is a mirror of the reduced input). With pruning disabled
     simple_walk_count is the unrestricted level-one entry count.
     heights_summed counts the stack heights whose evaluation was added.
-    walk_counts maps each word choose_orientation measured (the input and
-    its mirror among them) to its simple-walk count; empty without mirror_opt.
+    walk_counts maps each word choose_orientation measured (the reduced
+    input and its mirror among them) to its simple-walk count; empty
+    without mirror_opt, and for a word that reduces to one strand.
     """
 
     polynomial: LaurentPolynomial
@@ -109,8 +118,10 @@ def colored_jones(
 ) -> CjpResult:
     """Exact colored Jones polynomial J_{color} of the braid closure.
 
-    ``mirror_opt`` runs the word chosen by choose_orientation; without it
-    the input word runs as given. ``drl`` enables duplicate-reduction
+    The braid is reduced first (BraidWord.reduced); one that reduces to
+    one strand gives 1. ``mirror_opt`` runs the word chosen by
+    choose_orientation from the reduced word; without it the reduced word
+    runs as given. ``drl`` enables duplicate-reduction
     pruning (simple walks only, and stack pruning at the given color);
     disabling it runs the same loop on the full walk sum, which must
     produce the identical polynomial.
@@ -119,10 +130,11 @@ def colored_jones(
     an integer raises TypeError.
     """
     color = checked_int(color)
-    if braid.k == 0 and braid.strands == 1:
-        return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid, {})
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
+    braid = braid.reduced()
+    if braid.strands == 1:
+        return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid, {})
 
     chosen, mirror_used, walk_counts = choose_orientation(braid, color) if mirror_opt else (braid, False, {})
     m = chosen.strands

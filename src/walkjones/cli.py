@@ -114,6 +114,8 @@ def cmd_compute(args) -> int:
             "heights_summed": result.heights_summed,
             "simple_walks": result.simple_walk_count,
             "braid_used": result.braid_used.text(),
+            "strands": result.braid_used.strands,
+            "crossings": result.braid_used.k,
             "terms": [{"exp": e, "coeff": c} for e, c in sorted(poly.terms.items())],
             "time_ms": elapsed_ms,
         }
@@ -133,12 +135,14 @@ def _bench_row(rec: KnotRecord, color: int, with_no_drl: bool) -> dict:
     start = time.perf_counter()
     result = colored_jones(braid, color)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    # the engine measures the reduced word; one that reduces to one strand has no walks
+    reduced = braid.reduced()
     return {
         "name": rec.name,
         "crossings": rec.crossings,
         "strands": braid.strands,
-        "simple_walks": result.walk_counts[braid],
-        "simple_walks_mirror": result.walk_counts[braid.mirror()],
+        "simple_walks": result.walk_counts.get(reduced, 0),
+        "simple_walks_mirror": result.walk_counts.get(reduced.mirror(), 0),
         "walks_no_drl": no_drl,
         "N": color,
         "heights": result.heights_summed,

@@ -1,10 +1,14 @@
-"""Exact sparse Laurent polynomials in the single variable q.
+"""Exact dense Laurent polynomials in the single variable q.
 
 Coefficients are arbitrary-precision integers (plain Python ints) and
-exponents are machine integers. The canonical form never stores a zero
-coefficient; equality is structural equality of canonical forms. The
-text codec orders terms by ascending exponent so that formatted output
-is deterministic and diff-friendly.
+exponents are machine integers. A polynomial is stored as its lowest
+exponent and the tuple of coefficients from that exponent up, with no zero
+at either end; the zero polynomial is (0, ()). Equality is structural
+equality of that canonical form. The span of a polynomial built from terms
+or by arithmetic (its highest minus its lowest exponent) is at most
+SPAN_MAX, checked before the tuple is allocated. The text codec orders
+terms by ascending exponent so that formatted output is deterministic and
+diff-friendly.
 """
 from __future__ import annotations
 
@@ -12,6 +16,10 @@ import cmath
 import operator
 import re
 from typing import Iterator, Mapping
+
+# The largest highest-minus-lowest exponent a polynomial may span: one
+# coefficient slot per exponent, so this bounds the tuple at 8 MiB of slots.
+SPAN_MAX = 1 << 20
 
 
 class LaurentParseError(ValueError):
@@ -30,36 +38,86 @@ _TERM_RE = re.compile(
 )
 
 
-class LaurentPolynomial:
-    """A Laurent polynomial sum(c_e * q**e) stored as {e: c_e} with c_e != 0."""
+def _check_span(low: int, top: int) -> None:
+    if top - low > SPAN_MAX:
+        raise ValueError(
+            f"polynomial from q^{low} to q^{top} spans {top - low} powers of q, past the limit of {SPAN_MAX}"
+        )
 
-    __slots__ = ("_terms",)
+
+def _dense(terms: Mapping[int, int]) -> tuple[int, tuple[int, ...]]:
+    """(low, coeffs) of a nonempty exponent -> coefficient map with no zero."""
+    low, top = min(terms), max(terms)
+    _check_span(low, top)
+    coeffs = [0] * (top - low + 1)
+    for e, c in terms.items():
+        coeffs[e - low] = c
+    return low, tuple(coeffs)
+
+
+def _trimmed(low: int, coeffs: list[int]) -> "LaurentPolynomial":
+    """The polynomial sum(coeffs[i] * q**(low + i)), zeros at the ends dropped."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    if not end:
+        return LaurentPolynomial.zero()
+    start = 0
+    while not coeffs[start]:
+        start += 1
+    return LaurentPolynomial._raw(low + start, tuple(coeffs[start:end]))
+
+
+class LaurentPolynomial:
+    """A Laurent polynomial sum(c_i * q**(low + i)) stored as (low, coeffs),
+    coeffs a tuple with no zero at either end; zero is (0, ())."""
+
+    __slots__ = ("_low", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        self._terms: dict[int, int] = {}
+        """The polynomial of an exponent -> coefficient map; zero terms are
+        dropped. TypeError for a term that is not an integer, ValueError
+        for a span past SPAN_MAX."""
+        self._low, self._coeffs = 0, ()
         if terms:
+            checked = {}
             for e, c in terms.items():
                 try:
                     e, c = operator.index(e), operator.index(c)
                 except TypeError:
                     raise TypeError(f"term {c!r}*q^{e!r}: exponent and coefficient must be integers") from None
                 if c:
-                    self._terms[e] = c
+                    checked[e] = c
+            if checked:
+                self._low, self._coeffs = _dense(checked)
 
     @classmethod
-    def _raw(cls, terms: dict[int, int]) -> "LaurentPolynomial":
-        # Internal fast path: caller guarantees a canonical dict (no zeros).
+    def _raw(cls, low: int, coeffs: tuple[int, ...]) -> "LaurentPolynomial":
+        # Internal fast path: caller guarantees a canonical form (no zero at
+        # either end of coeffs, and low 0 when coeffs is empty).
         p = cls.__new__(cls)
-        p._terms = terms
+        p._low = low
+        p._coeffs = coeffs
         return p
 
     @classmethod
+    def _from_terms(cls, terms: dict[int, int], sign: int = 1) -> "LaurentPolynomial":
+        # Internal: an exponent -> coefficient dict with no zero, times sign.
+        if not terms:
+            return cls.zero()
+        if len(terms) == 1:
+            ((e, c),) = terms.items()
+            return cls._raw(e, (sign * c,))
+        low, coeffs = _dense(terms)
+        return cls._raw(low, tuple(sign * c for c in coeffs) if sign != 1 else coeffs)
+
+    @classmethod
     def zero(cls) -> "LaurentPolynomial":
-        return cls._raw({})
+        return cls._raw(0, ())
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
-        return cls._raw({0: 1})
+        return cls._raw(0, (1,))
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPolynomial":
@@ -73,51 +131,57 @@ class LaurentPolynomial:
 
     @property
     def terms(self) -> dict[int, int]:
-        """Canonical exponent -> coefficient map (do not mutate)."""
-        return self._terms
+        """A fresh exponent -> coefficient map of the nonzero terms."""
+        return {e: c for e, c in enumerate(self._coeffs, self._low) if c}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs) - self._coeffs.count(0)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._terms.items()))
+        return ((e, c) for e, c in enumerate(self._coeffs, self._low) if c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPolynomial):
-            return self._terms == other._terms
+            return self._low == other._low and self._coeffs == other._coeffs
         if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
+            return self._coeffs == ((other,) if other else ()) and self._low == 0
         return NotImplemented
 
     def __hash__(self) -> int:
         # a constant equals its int (see __eq__), so it hashes as that int
-        terms = self._terms
-        if not terms:
+        coeffs = self._coeffs
+        if not coeffs:
             return hash(0)
-        if len(terms) == 1 and 0 in terms:
-            return hash(terms[0])
-        return hash(frozenset(terms.items()))
+        if len(coeffs) == 1 and self._low == 0:
+            return hash(coeffs[0])
+        return hash((self._low, coeffs))
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._raw({e: -c for e, c in self._terms.items()})
+        return LaurentPolynomial._raw(self._low, tuple(-c for c in self._coeffs))
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LaurentPolynomial._raw(out)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        (la, a), (lb, b) = (self._low, self._coeffs), (other._low, other._coeffs)
+        if la > lb:
+            (la, a), (lb, b) = (lb, b), (la, a)
+        _check_span(la, max(la + len(a), lb + len(b)) - 1)
+        out = list(a)
+        at = lb - la
+        out += [0] * (at + len(b) - len(out))
+        for i, c in enumerate(b, at):
+            out[i] += c
+        return _trimmed(la, out)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
@@ -128,31 +192,35 @@ class LaurentPolynomial:
         if isinstance(other, int):
             if not other:
                 return LaurentPolynomial.zero()
-            return LaurentPolynomial._raw({e: c * other for e, c in self._terms.items()})
+            return LaurentPolynomial._raw(self._low, tuple(c * other for c in self._coeffs))
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        out: dict[int, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                e = ea + eb
-                v = out.get(e, 0) + ca * cb
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return LaurentPolynomial._raw(out)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return LaurentPolynomial.zero()
+        low = self._low + other._low
+        _check_span(low, low + len(a) + len(b) - 2)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        # the end coefficients are products of nonzero ends, so nonzero
+        return LaurentPolynomial._raw(low, tuple(out))
 
     __rmul__ = __mul__
 
     def shift(self, e: int) -> "LaurentPolynomial":
         """Multiply by q**e."""
-        if not e:
+        if not e or not self._coeffs:
             return self
-        return LaurentPolynomial._raw({k + e: c for k, c in self._terms.items()})
+        return LaurentPolynomial._raw(self._low + e, self._coeffs)
 
     def invert_var(self) -> "LaurentPolynomial":
         """Substitute q -> 1/q, i.e. negate every exponent. Involutive."""
-        return LaurentPolynomial._raw({-e: c for e, c in self._terms.items()})
+        if not self._coeffs:
+            return self
+        return LaurentPolynomial._raw(1 - self._low - len(self._coeffs), self._coeffs[::-1])
 
     def eval_at(self, z: complex) -> complex:
         """Numerically evaluate at q = z. Rejects z = 0 (negative exponents)
@@ -162,7 +230,7 @@ class LaurentPolynomial:
         if not cmath.isfinite(z):
             raise ValueError(f"cannot evaluate at q = {z}: not finite")
         try:
-            value = sum(c * z**e for e, c in self._terms.items())
+            value = sum(c * z**e for e, c in self)
             if cmath.isfinite(value):
                 return value
         except (OverflowError, ZeroDivisionError):
@@ -171,10 +239,10 @@ class LaurentPolynomial:
 
     def format(self) -> str:
         """Canonical text form, terms in ascending exponent order."""
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         pieces = []
-        for e, c in sorted(self._terms.items()):
+        for e, c in self:
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -222,14 +290,10 @@ class LaurentPolynomial:
             else:
                 c = 1
                 e = 1 if m.group("exp") is None else int(m.group("exp"))
-            v = out.get(e, 0) + sign * c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + sign * c
             pos = m.end()
             first = False
             # consume trailing whitespace so loop terminates cleanly
             while pos < len(s) and s[pos].isspace():
                 pos += 1
-        return cls._raw(out)
+        return cls(out)

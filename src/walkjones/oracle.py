@@ -252,7 +252,7 @@ def _evaluate_height(walks_enc, positive, k, color, height) -> LaurentPolynomial
                 counts[base + slot] -= 1
 
     go(0, 0, 0, 1)
-    return LaurentPolynomial._raw(total)
+    return LaurentPolynomial._from_terms(total)
 
 
 def naive_colored_jones(braid: BraidWord, color: int) -> LaurentPolynomial:

@@ -258,32 +258,33 @@ def _check_span(bits: int, span: int) -> None:
         )
 
 
-def _pack(terms: dict[int, int], bits: int) -> tuple[int, int]:
-    """A nonzero coefficient dict at q = 2^bits: (sum of c << bits * (e - base),
-    base), with base its lowest exponent."""
-    base = min(terms)
+def _pack(coeff: LaurentPolynomial, bits: int) -> tuple[int, int]:
+    """A nonzero coefficient at q = 2^bits, with its lowest exponent as base:
+    (sum of c << bits * (e - base), base)."""
     packed = 0
-    for e, c in terms.items():
-        packed += c << bits * (e - base)
-    return packed, base
+    for c in reversed(coeff._coeffs):
+        packed = (packed << bits) + c
+    return packed, coeff._low
 
 
-def _unpack(packed: int, bits: int, base: int) -> dict[int, int]:
-    """Inverse of _pack: the signed bits-bit digits of packed as a coefficient
-    dict from exponent base up. Exact when every coefficient is below
-    2^(bits-1) in absolute value."""
-    out: dict[int, int] = {}
+def _unpack(packed: int, bits: int, base: int) -> LaurentPolynomial:
+    """Inverse of _pack: the signed bits-bit digits of packed, from exponent
+    base up, written straight into the polynomial's coefficient tuple.
+    Exact when every coefficient is below 2^(bits-1) in absolute value."""
+    if not packed:
+        return LaurentPolynomial.zero()
+    skip = ((packed & -packed).bit_length() - 1) // bits
+    packed >>= bits * skip
+    digits = []
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     while packed:
         digit = packed & mask
         if digit >= half:
             digit -= mask + 1
-        if digit:
-            out[base] = digit
+        digits.append(digit)
         packed = (packed - digit) >> bits
-        base += 1
-    return out
+    return LaurentPolynomial._raw(base + skip, tuple(digits))
 
 
 class _Keys:
@@ -371,7 +372,7 @@ class _Packed:
     def decode(self) -> dict[tuple[int, ...], LaurentPolynomial]:
         key, bits = self.layout.key, self.bits
         return {
-            key(x): LaurentPolynomial._raw(_unpack(p, bits, base))
+            key(x): _unpack(p, bits, base)
             for x, p, base in zip(self.keys, self.coeffs, self.low)
         }
 
@@ -405,7 +406,7 @@ def _as_packed(ws: WalkSum, layout: _Keys, bits: int, bounds: tuple) -> _Packed:
         keys = list(map(layout.move, entries))
         coeffs, low = [], []
         for coeff in entries.values():
-            p, base = _pack(coeff.terms, bits)
+            p, base = _pack(coeff, bits)
             coeffs.append(p)
             low.append(base)
         packed = _Packed(layout, bits, keys, coeffs, low, *bounds[:3])
@@ -596,7 +597,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     total = 0
     for b, packed in by_base.items():
         total += packed << out_bits * (b - base)
-    return LaurentPolynomial._raw(_unpack(total, out_bits, base))
+    return _unpack(total, out_bits, base)
 
 
 def reordering_form(sign: int) -> tuple[tuple[int, ...], ...]:

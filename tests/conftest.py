@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from walkjones.braid import parse_braid
+from walkjones.braid import BraidWord, parse_braid
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import KeyedMonomial
 from walkjones.weyl import zero_key
@@ -49,3 +49,21 @@ def rand_mono(rng: random.Random, crossings: int, max_count: int = 2) -> KeyedMo
 
 def empty_mono(crossings: int) -> KeyedMonomial:
     return KeyedMonomial(zero_key(crossings), LaurentPolynomial.one())
+
+
+def markov_moved(rng: random.Random, braid: BraidWord) -> BraidWord:
+    """The braid moved without changing its closure: conjugated by a random
+    generator and rotated, conjugated again so that a sigma sigma^-1 pair
+    spans the word's ends, then stabilized 2 or 3 times, each new top
+    crossing of random sign inserted at a random place between the ends."""
+    word, m = list(braid.crossings), braid.strands
+    for rotate in (True, False):
+        index, sign = rng.randint(1, m - 1), rng.choice((1, -1))
+        word = [(index, sign)] + word + [(index, -sign)]
+        if rotate:
+            r = rng.randrange(len(word))
+            word = word[r:] + word[:r]
+    for _ in range(rng.randint(2, 3)):
+        word.insert(rng.randint(1, len(word) - 1), (m, rng.choice((1, -1))))
+        m += 1
+    return BraidWord(tuple(word), m)

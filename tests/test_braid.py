@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from conftest import markov_moved
 from walkjones.braid import BraidWord, parse_braid
+from walkjones.table import load_table
 
 
 def rand_braid(rng, max_strands=5, max_len=10):
@@ -122,3 +124,51 @@ def test_bad_construction():
 def test_text_roundtrip():
     b = parse_braid("-1 2 -1 2")
     assert parse_braid(b.text()) == b
+
+
+@pytest.mark.parametrize("text, strands, reduced, reduced_strands", [
+    ("1", None, "", 1),  # an unknot on two strands destabilizes to one
+    ("1 1 1 2", None, "1 1 1", 2),
+    ("-1 1 1 2 1 1", None, "1 1 1", 2),  # a pair across the ends, then a pair inside
+    ("2 1 1 2 1 -2", None, "1 1 1", 2),  # a conjugation spanning the ends, then a stabilization
+    ("1 -2 1 -2", None, "1 -2 1 -2", 3),  # the top index appears twice
+    ("-1 2 2 2", None, "-1 2 2 2", 3),  # a stabilization on the bottom strand is kept
+    ("1 -1", None, "", 2),  # two components stay two: the top index is gone, not single
+    ("1", 3, "1", 3),  # the unused top strand is a split component, not a stabilization
+])
+def test_reduced_examples(text, strands, reduced, reduced_strands):
+    b = parse_braid(text, strands)
+    got = b.reduced()
+    assert (got.text(), got.strands) == (reduced, reduced_strands)
+    assert got.is_knot_closure() == b.is_knot_closure()
+    assert got.reduced() == got
+
+
+def test_reduced_is_idempotent_and_keeps_the_closure_type():
+    rng = random.Random(11)
+    for _ in range(400):
+        b = rand_braid(rng, max_strands=4, max_len=8)
+        got = b.reduced()
+        assert got.reduced() == got
+        assert got.is_knot_closure() == b.is_knot_closure()
+        assert got.k <= b.k and got.strands <= b.strands
+        assert (b.k - got.k - (b.strands - got.strands)) % 2 == 0
+
+
+def test_reduced_leaves_table_braids_and_their_flips_unchanged():
+    # so the table workloads run exactly the words they ran before reduction
+    for rec in load_table():
+        b = rec.braid_word()
+        assert b.reduced() == b and b.flip().reduced() == b.flip(), rec.name
+
+
+def test_reduced_undoes_markov_moves():
+    rng = random.Random(20)
+    for rec in load_table():
+        b = rec.braid_word()
+        moved = markov_moved(rng, b)
+        assert moved.is_knot_closure() and moved.strands >= b.strands + 2, rec.name
+        got = moved.reduced()
+        assert (got.strands, got.k) == (b.strands, b.k), rec.name
+        assert got in {b.rotated(r) for r in range(b.k)}, rec.name
+        assert got.reduced() == got and got.is_knot_closure(), rec.name

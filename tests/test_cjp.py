@@ -1,6 +1,9 @@
 """End-to-end colored Jones pipeline: anchors, symmetries, Markov moves."""
+import random
+
 import pytest
 
+from conftest import markov_moved
 from walkjones import cjp
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones.cjp import choose_orientation, colored_jones, cut_candidates, simple_walk_count
@@ -204,6 +207,21 @@ def test_markov_invariance(text, color):
         assert colored_jones(stabilized(b, sign), color).polynomial == base
 
 
+def test_reduction_keeps_the_polynomials_of_moved_braids():
+    # every third table knot, moved by conjugations, a pair across the ends
+    # and 2-3 stabilizations; the engine runs the reduced word
+    rng = random.Random(21)
+    for rec in load_table()[::3]:
+        b = rec.braid_word()
+        moved = markov_moved(rng, b)
+        for color in (2, 3):
+            result = colored_jones(moved, color)
+            assert result.polynomial == colored_jones(b, color).polynomial, (rec.name, color)
+            assert (result.braid_used.strands, result.braid_used.k) == (b.strands, b.k), rec.name
+        unpruned = colored_jones(moved, 2, drl=False).polynomial
+        assert unpruned == colored_jones(b, 2).polynomial, rec.name
+
+
 @pytest.mark.parametrize("text", ["1 1 1", "-1 2 -1 2", "1 1 1 2 -1 2"])
 @pytest.mark.parametrize("color", [2, 3])
 def test_drl_soundness_small(text, color):
@@ -274,5 +292,6 @@ def test_framing_exponent_matches_used_orientation():
         b = parse_braid(text)
         result = colored_jones(b, 4)
         used = result.braid_used
-        assert used.writhe() == (-1 if result.mirror_used else 1) * b.writhe()
+        # the engine runs the reduced word: "1" reduces to the empty word on one strand
+        assert used.writhe() == (-1 if result.mirror_used else 1) * b.reduced().writhe()
         assert 2 * result.framing_exponent == 3 * (used.writhe() - used.strands + 1)

@@ -49,6 +49,15 @@ def test_compute_json_roundtrips_text(capsys):
     assert "time_ms" in payload
 
 
+def test_compute_json_reports_the_reduced_braid(capsys):
+    # a trefoil stabilized once, with a sigma_1 sigma_1^-1 pair across the word's ends
+    code, out, _ = run(capsys, "compute", "--braid", "-1 1 1 2 1 1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["braid_used"], payload["strands"], payload["crossings"]) == ("1 1 1", 2, 3)
+    assert LaurentPolynomial({t["exp"]: t["coeff"] for t in payload["terms"]}) == P("q + q^3 - q^4")
+
+
 @pytest.mark.parametrize("color, used", [("3", "-1 -1 -2 1 -2 -2 -3 2 -3 -4 3 -4"), ("4", "1 2 -1 2 2 3 -2 3 4 -3 4 1")])
 def test_compute_json_braid_used(capsys, color, used):
     code, out, _ = run(capsys, "compute", "--knot", "9_5", "--color", color, "--format", "json")
@@ -165,6 +174,18 @@ def test_bench_reports_walks_of_the_cut_that_ran(capsys, tmp_path):
     assert [(r["N"], r["simple_walks"], r["simple_walks_mirror"], r["simple_walks_used"]) for r in rows] == [
         ("3", "47", "45", "45"), ("4", "47", "45", "23"),
     ]
+
+
+def test_bench_rows_of_reducible_braids(capsys, tmp_path):
+    # a stabilized trefoil and an unknot that reduces to one strand, whose
+    # walk counts are those of the reduced word
+    table = tmp_path / "reducible.csv"
+    table.write_text("name,crossings,braid\n3_1,3,1 1 1 2\n0_1,0,1\n")
+    code, out, _ = run(capsys, "bench", "--table", str(table))
+    assert code == 0
+    rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    columns = ("name", "strands", "simple_walks", "simple_walks_mirror", "simple_walks_used")
+    assert [tuple(r[c] for c in columns) for r in rows] == [("3_1", "3", "1", "3", "1"), ("0_1", "2", "0", "0", "0")]
 
 
 def test_bench_threads_unknown_option_exit_1(capsys):

@@ -1,10 +1,14 @@
 """Laurent polynomial arithmetic, codec and ring properties."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from walkjones.laurent import LaurentParseError, LaurentPolynomial
+from walkjones import weyl
+from walkjones.braid import parse_braid
+from walkjones.cjp import colored_jones
+from walkjones.laurent import SPAN_MAX, LaurentParseError, LaurentPolynomial
 
 P = LaurentPolynomial.parse
 
@@ -212,3 +216,94 @@ def test_constant_and_q_power_reject_terms_that_are_not_integers():
             call()
     assert LaurentPolynomial.constant(0).is_zero() and LaurentPolynomial.q_power(4, 0).is_zero()
     assert LaurentPolynomial.q_power(True, -2) == P("-2*q")
+
+
+def test_every_construction_gives_one_canonical_form():
+    # the figure-eight J_2 built every way: equal, with equal hashes
+    terms = {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}
+    ways = [
+        LaurentPolynomial(terms),
+        LaurentPolynomial({**terms, 5: 0, -7: 0}),
+        P("q^-2 - q^-1 + 1 - q + q^2"),
+        P("q^-2 - q^-1 + 1 - q + q^2 + q^9 - q^9"),
+        P("1 + q^-2") - P("q^-1") + P("q^2 - q") + P("q^5") * P("q^-5") - P("1"),
+        P("q^-1") * P("q^-1 - 1 + q - q^2 + q^3"),
+        P("q^2 - q^3 + q^4 - q^5 + q^6").shift(-4),
+        P("q^2 - q + 1 - q^-1 + q^-2").invert_var(),
+        LaurentPolynomial._raw(-2, (1, -1, 1, -1, 1)),
+        LaurentPolynomial._from_terms({e: -c for e, c in terms.items()}, -1),
+        weyl._unpack(weyl._pack(LaurentPolynomial(terms), 64)[0] << 128, 64, -4),
+        colored_jones(parse_braid("-1 2 -1 2"), 2).polynomial,
+    ]
+    for poly in ways:
+        assert poly == ways[0] and hash(poly) == hash(ways[0]) and poly.terms == terms
+    assert len(set(ways)) == 1
+
+
+def test_zero_built_every_way_is_one_value():
+    ways = [
+        LaurentPolynomial(), LaurentPolynomial({3: 0}), P("0"), P("q^4 - q^4"), P("q") - P("q"),
+        P("q") * LaurentPolynomial.zero(), P("q") * 0, LaurentPolynomial.zero().shift(5),
+        LaurentPolynomial.zero().invert_var(), weyl._unpack(0, 64, 7),
+    ]
+    for poly in ways:
+        assert poly == 0 and poly == LaurentPolynomial.zero() and hash(poly) == hash(0)
+        assert poly.is_zero() and not poly and len(poly) == 0 and poly.terms == {}
+
+
+def test_shift_and_invert_var_round_trip():
+    rng = random.Random(17)
+    for _ in range(300):
+        p = rand_poly(rng)
+        e = rng.randint(-20, 20)
+        assert p.shift(e).shift(-e) == p
+        assert p.shift(e).terms == {k + e: c for k, c in p.terms.items()}
+        assert p.invert_var().terms == {-k: c for k, c in p.terms.items()}
+        assert p.invert_var().shift(e).invert_var() == p.shift(-e)
+        assert hash(p.shift(e).shift(-e)) == hash(p)
+
+
+def test_terms_is_a_fresh_map():
+    p = P("q^-1 + 2 - q^3")
+    p.terms[7] = 1
+    p.terms.clear()
+    del p.terms[-1]
+    assert p == P("q^-1 + 2 - q^3") and p.terms == {-1: 1, 0: 2, 3: -1} and len(p) == 3
+    assert list(p) == [(-1, 1), (0, 2), (3, -1)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPolynomial({0: 1, 10**12: 1}),
+    lambda: LaurentPolynomial({-(10**12): 3, 1: 1}),
+    lambda: P("1 + q^1000000000000"),
+    lambda: LaurentPolynomial.one() + LaurentPolynomial.q_power(10**12),
+    lambda: LaurentPolynomial.q_power(10**12, 2) - LaurentPolynomial.q_power(-5),
+    lambda: LaurentPolynomial({0: 1, SPAN_MAX + 1: 1}),
+])
+def test_huge_span_fails_fast_without_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"spans \d+ powers of q, past the limit"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_huge_product_span_fails_before_the_product_is_allocated():
+    half = LaurentPolynomial({0: 1, SPAN_MAX // 2 + 1: 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"spans {2 * (SPAN_MAX // 2 + 1)} powers of q"):
+            half * half
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_span_limit_is_inclusive():
+    p = LaurentPolynomial({0: 1, SPAN_MAX: -1})
+    assert len(p) == 2 and p.terms == {0: 1, SPAN_MAX: -1}
+    assert p.invert_var().shift(SPAN_MAX) == LaurentPolynomial({0: -1, SPAN_MAX: 1})

@@ -42,7 +42,7 @@ def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int 
     items_a = [(k, c.terms) for k, c in entries_a.items()]
     items_b = [(k, c.terms) for k, c in entries_b.items()]
     raw = kernels.walk_products(items_a, items_b, signs, n_limit)
-    return WalkSum._raw({k: LaurentPolynomial._raw(c) for k, c in raw.items()})
+    return WalkSum._raw({k: LaurentPolynomial._from_terms(c) for k, c in raw.items()})
 
 
 def scaled(ws: WalkSum, factor: LaurentPolynomial) -> WalkSum:
@@ -79,7 +79,7 @@ def packed_from_masks(k: int, walks: dict) -> WalkSum:
     mass = sum(sum(map(abs, terms.values())) for terms in walks.values())
     bits = weyl._lane(mass.bit_length() + 2)
     keys = [int.from_bytes(f"{mask:o}".translate(weyl._MOVED_DIGITS).encode("latin-1"), "big") for mask in walks]
-    coeffs, low = zip(*(weyl._pack(terms, bits) for terms in walks.values()))
+    coeffs, low = zip(*(weyl._pack(LaurentPolynomial(terms), bits) for terms in walks.values()))
     clash = any(mask >> 2 & (mask | mask >> 1) & sum(1 << 3 * j for j in range(k)) for mask in walks)
     span = max(map(max, walks.values())) - min(low)
     packed = weyl._Packed(weyl._Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 2 if clash else 1, span)
