@@ -49,16 +49,19 @@ c and the right key's b; and the reordering form has F[b][c] = 0. A pair's
 q-power is then two popcounts, one per crossing sign. The sum is returned
 born packed (weyl.WalkSum.from_masks), and a walk count is its length.
 
-braid_matrix runs on the kernel's own data: each entry is a {key:
-coefficient dict} map, wrapped in a WalkSum once, at the end. At each
-crossing a new entry is one kernel product by one letter, or the sum of
-two, and that sum is a dict union, since its summands differ in the new
-crossing's slot. Every such product has q-power 0, because each new
-letter's crossing comes after every letter already in the entry, so each
-entry is a set of paths with coefficient 1 and at most one letter per
+The braid matrix stays in the kernel's own data: each entry is a {key:
+coefficient dict} map, and the minor recursions read those maps as they
+are. At each crossing a new entry is one kernel product by one letter, or
+the sum of two, and that sum is a dict union, since its summands differ in
+the new crossing's slot. Every such product has q-power 0, because each
+new letter's crossing comes after every letter already in the entry, so
+each entry is a set of paths with coefficient 1 and at most one letter per
 crossing, and the kernel call only sets one letter slot. Setting it
 directly is exact; that build waits on the benchmark change that stops
-keeping every computed polynomial (ROADMAP item 1).
+keeping every computed polynomial (ROADMAP item 1). Tuple-key maps belong
+to this kernel layer and packed walk sums to the stack loop: only the
+generic results cross over, through WalkSum(map), and the simple-walk
+generator packs its items itself (WalkSum.from_masks).
 """
 from __future__ import annotations
 
@@ -73,8 +76,10 @@ from .weyl import WalkSum, letter_key, reordering_form, zero_key
 
 @dataclass
 class BurauMatrix:
+    """A square matrix whose entries are kernel maps {key: coefficient dict}."""
+
     dimension: int
-    entries: list[list[WalkSum]]
+    entries: list[list[dict]]
 
 
 def braid_matrix(braid: BraidWord) -> BurauMatrix:
@@ -83,8 +88,8 @@ def braid_matrix(braid: BraidWord) -> BurauMatrix:
     A crossing matrix is the identity outside its 2x2 block, so multiplying
     by it on the right rewrites only columns index - 1 and index, and a new
     entry is one or two entries times one letter. Entries are {key:
-    coefficient dict} maps until the end; the two products of a sum differ
-    in the new crossing's slot, so their sum is a dict union.
+    coefficient dict} maps; the two products of a sum differ in the new
+    crossing's slot, so their sum is a dict union.
     """
     k, m = braid.k, braid.strands
     signs = braid.signs()
@@ -102,7 +107,7 @@ def braid_matrix(braid: BraidWord) -> BurauMatrix:
                 row[i], row[i + 1] = times(left, a) | times(right, c), times(left, b)
             else:
                 row[i], row[i + 1] = times(right, b), times(left, c) | times(right, a)
-    return BurauMatrix(m, [[_walk_sum(entry) for entry in row] for row in rows])
+    return BurauMatrix(m, rows)
 
 
 def reduced_matrix(matrix: BurauMatrix) -> BurauMatrix:
@@ -115,10 +120,10 @@ def reduced_matrix(matrix: BurauMatrix) -> BurauMatrix:
     )
 
 
-def _items(ws: WalkSum, shift: int = 0, sign: int = 1) -> list:
-    """A walk sum as (key, coefficient dict) pairs, each coefficient times
-    sign * q^shift."""
-    return [(key, {e + shift: sign * c for e, c in coeff.terms.items()}) for key, coeff in ws.entries.items()]
+def _items(entry: dict, shift: int = 0, sign: int = 1) -> list:
+    """A matrix entry as (key, coefficient dict) pairs, each coefficient
+    times sign * q^shift."""
+    return [(key, {e + shift: sign * c for e, c in terms.items()}) for key, terms in entry.items()]
 
 
 # (sign, F[c][b]) for each crossing sign's reordering form F (see _SimpleRule)
@@ -160,11 +165,11 @@ class _SimpleRule:
             (weight, sum(1 << 3 * j for j, t in enumerate(signs) if (t > 0) == (s > 0))) for s, weight in _C_B
         ]
 
-    def entry(self, ws: WalkSum) -> list:
+    def entry(self, entry: dict) -> list:
         """A braid matrix entry as (mask, conflicts) pairs."""
         crossings, bits = self.crossings, self.bits
         out = []
-        for key in ws.entries:
+        for key in entry:
             mask = sum(compress(bits, key))
             a = (mask >> 2) & crossings
             out.append((mask, mask | a * 7 | ((mask | mask >> 1) & crossings) << 2))
@@ -218,6 +223,11 @@ def _add_minor(total: dict, partial: dict, used: int, inv: int) -> None:
                 del acc[e]
 
 
+def _add_count(total: list, partial: int, used: int, inv: int) -> None:
+    """Add one minor's product count into total[0]."""
+    total[0] += partial
+
+
 def _minor_sum(entries, product, rule, leaf, optional, out, col, used, skipped, inv, partial) -> None:
     """Add into ``out`` det_q of every principal minor of ``entries`` that
     leaves out only indices in the bitmask ``optional``, but the empty one
@@ -251,7 +261,7 @@ def _minor_sum(entries, product, rule, leaf, optional, out, col, used, skipped, 
 
 def _walk_sum(total: dict, sign: int = 1) -> WalkSum:
     """A {key: coefficient dict} map as a walk sum, times sign."""
-    return WalkSum._raw({k: LaurentPolynomial._from_terms(terms, sign) for k, terms in total.items() if terms})
+    return WalkSum({k: LaurentPolynomial._from_terms(terms, sign) for k, terms in total.items()})
 
 
 def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None = None) -> WalkSum:
@@ -265,30 +275,23 @@ def quantum_det(matrix: BurauMatrix, signs: tuple[int, ...], prune_n: int | None
     return _walk_sum(total)
 
 
-def _permanent(sizes: list[list[int]], col: int = 0, used: int = 0) -> int:
-    if col == len(sizes):
-        return 1
-    return sum(
-        line[col] * _permanent(sizes, col + 1, used | 1 << row)
-        for row, line in enumerate(sizes)
-        if line[col] and not used & 1 << row
-    )
-
-
 def unpruned_walk_count(braid: BraidWord) -> int:
     """Number of walk monomials in the level-one determinant expansion,
     before any like-key cancellation or pruning.
 
     Distinct paths from u to v have distinct keys, so the count of words in
     a matrix entry is its entry size S[u][v], and the number of determinant
-    products, summed over every principal minor J (the empty one counting
-    1), is sum_J perm(S_J) = perm(I + S).
+    products is the sum over nonempty principal minors J of perm(S_J):
+    _minor_sum on the sizes, with integer products and every index
+    optional.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
-    reduced = reduced_matrix(braid_matrix(braid))
-    sizes = [[len(e) + (u == v) for v, e in enumerate(row)] for u, row in enumerate(reduced.entries)]
-    return _permanent(sizes) - 1
+    sizes = [[len(e) for e in row] for row in reduced_matrix(braid_matrix(braid)).entries]
+    total = [0]
+    every = (1 << len(sizes)) - 1
+    _minor_sum(sizes, lambda partial, size, _: partial * size, None, _add_count, every, total, 0, 0, 0, 0, 1)
+    return total[0]
 
 
 def _simple_walks(braid: BraidWord) -> list:

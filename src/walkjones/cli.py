@@ -131,12 +131,12 @@ def cmd_compute(args) -> int:
 
 def _bench_row(rec: KnotRecord, color: int, with_no_drl: bool) -> dict:
     braid = rec.braid_word()
-    no_drl = unpruned_walk_count(braid) if with_no_drl else ""
+    # the engine measures the reduced word; one that reduces to one strand has no walks
+    reduced = braid.reduced()
+    no_drl = (unpruned_walk_count(reduced) if reduced.strands > 1 else 0) if with_no_drl else ""
     start = time.perf_counter()
     result = colored_jones(braid, color)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    # the engine measures the reduced word; one that reduces to one strand has no walks
-    reduced = braid.reduced()
     return {
         "name": rec.name,
         "crossings": rec.crossings,

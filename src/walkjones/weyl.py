@@ -7,13 +7,13 @@ exponent key recording, per crossing, the letter multiplicities
 (s, r, d) = (#b, #c, #a) in the order b^s c^r a^d, plus a Laurent
 coefficient that absorbs every q-power produced by reordering.
 
-Keys are flat tuples (s_1, r_1, d_1, ..., s_k, r_k, d_k). A WalkSum is a
+Keys are flat tuples (s_1, r_1, d_1, ..., s_k, r_k, d_k). A walk sum is a
 canonical map key -> coefficient; merging like keys is exact because the
 color evaluation of a monomial is its coefficient times a function of the
 key alone.
 
 The two operations of the colored Jones height loop live here, both on
-Python integers, and both run on walk sums in packed form (_Packed):
+Python integers, and both run on the packed form that a WalkSum is:
 
 - A key is one integer of 3k fields, W bits each, holding the moved counts
   (d+s, d+r, d) per crossing, so that a key product is one add and the
@@ -51,13 +51,15 @@ starts at 64 bits and doubles, re-digiting the sum, only when a carried
 mass needs it. W is the least of 8, 16, 32, 64 bits that the fields (and
 the DRL limit) need, and widens the same way, re-packing the keys.
 
-WalkSum is the one walk-sum class, and it holds either form or both: its
-decoded map and its packed form. multiply_walk_sums returns a sum with only
-the packed form and evaluate_walk_sum reads packed sums directly, so the
-stack stays packed from height to height: WalkSum.entries decodes the
-packed form into tuple keys and LaurentPolynomials only when something
-reads it. A sum with only its map is packed when it is passed in, and
-keeps that form, so there is one arithmetic path. No packed integer may
+WalkSum is the one walk-sum class, and it is its packed form: an
+immutable sum of aligned lists with its bounds. WalkSum(map) packs a map
+of tuple keys to LaurentPolynomials at once, at the narrowest fields and
+lane its measured bounds allow, and WalkSum.entries decodes the lists
+back into that map, once, only when something reads it; these are the
+only crossings between the tuple-key maps of the kernel layer and the
+packed sums. multiply_walk_sums returns a packed sum and evaluate_walk_sum
+reads one as it is, so the stack stays packed from height to height and
+there is one arithmetic path. No packed integer may
 span more than PACKED_BITS_MAX bits: both operations check B times the
 exponent spread their bounds allow before any shift, and raise
 OverflowError past it. Colors and DRL limits pass one check, checked_int.
@@ -116,47 +118,99 @@ def letter_key(crossings: int, crossing: int, kind: str) -> tuple[int, ...]:
 
 
 class WalkSum:
-    """Canonical key -> coefficient map; zero coefficients are never stored.
+    """An immutable walk sum, held in packed form: three aligned lists,
+    ``keys`` the distinct packed keys (laid out by ``layout``, None for the
+    empty sum), ``coeffs`` each key's coefficient at q = 2^bits, never
+    zero, and ``low`` that coefficient's base exponent. ``mass`` bounds the
+    sum over entries of sum |c| and is below 2^(bits-2); ``field_max``
+    bounds every moved field; ``span`` bounds the highest minus the lowest
+    exponent of all terms.
 
-    A walk sum holds one or both of two forms: its decoded map and its
-    packed form (a _Packed). multiply_walk_sums and from_masks return the
-    packed form alone, and ``entries`` decodes it the first time it is
-    read; a sum built from entries keeps the packed form that
-    multiply_walk_sums or evaluate_walk_sum made of it when it was passed
-    in. add_into drops the packed form.
+    A product also carries ``rows``, aligned with the keys: each key's
+    reordering row for the operator ``rows_for``, or None where it keeps
+    none (see multiply_walk_sums); ``reorder`` caches the operator of this
+    sum as a left operand. multiply_walk_sums may widen an operand's key
+    fields and lane in place, which leaves its value, rows and operator as
+    they are. ``entries`` decodes the sum into its canonical map, tuple key
+    -> LaurentPolynomial, the first time it is read.
     """
 
-    __slots__ = ("_entries", "_packed")
+    __slots__ = (
+        "layout", "bits", "keys", "coeffs", "low", "mass", "field_max", "span", "rows", "rows_for", "reorder",
+        "_entries",
+    )
 
     def __init__(self, entries: Mapping[tuple[int, ...], LaurentPolynomial] | None = None):
-        self._packed = None
-        self._entries: dict[tuple[int, ...], LaurentPolynomial] = {}
-        if entries:
-            for key, coeff in entries.items():
-                if coeff:
-                    self._entries[key] = coeff
+        """The sum of a key -> coefficient map, packed at once; zero
+        coefficients are dropped. Its bounds are measured: the mass is the
+        sum of |c|, the field bound twice the largest count, and the span
+        that of all its terms; its key fields and lane are the narrowest
+        they allow. ValueError if the keys do not all hold 3k counts for one
+        k, OverflowError if a count is too large to pack. The map, less its
+        zeros, is kept as the decoded entries."""
+        entries = {key: coeff for key, coeff in (entries or {}).items() if coeff}
+        if not entries:
+            self._set(None, _LANE_BITS, [], [], [], 0, 0, 0)
+            self._entries = entries
+            return
+        lengths = set(map(len, entries))
+        size = lengths.pop()
+        if lengths or size % 3:
+            raise ValueError(f"key lengths {sorted(lengths | {size})} are not 3k for one crossing count k")
+        coeffs = entries.values()
+        mass = sum(sum(map(abs, c._coeffs)) for c in coeffs)
+        field_max = 2 * max(map(max, entries)) if size else 0
+        span = max(c._low + len(c._coeffs) for c in coeffs) - 1 - min(c._low for c in coeffs)
+        width = _key_width(field_max)
+        if width is None:
+            raise OverflowError(f"letter counts up to {field_max // 2} too large to pack")
+        layout = _Keys(size // 3, width)
+        bits = _lane(mass.bit_length() + 2)
+        packed, low = zip(*(_pack(c, bits) for c in coeffs))
+        self._set(layout, bits, list(map(layout.move, entries)), list(packed), list(low), mass, field_max, span)
+        self._entries = entries
+
+    def _set(
+        self, layout: "_Keys | None", bits: int, keys: list, coeffs: list, low: list, mass: int, field_max: int,
+        span: int, rows: list | None = None, rows_for: "_Reorder | None" = None,
+    ) -> None:
+        self.layout = layout
+        self.bits = bits
+        self.keys = keys
+        self.coeffs = coeffs
+        self.low = low
+        self.mass = mass
+        self.field_max = field_max
+        self.span = span
+        self.rows = rows
+        self.rows_for = rows_for
+        self.reorder = None
+        self._entries = None
 
     @classmethod
-    def _raw(cls, entries: dict | None, packed: "_Packed | None" = None) -> "WalkSum":
+    def _packed(cls, *fields) -> "WalkSum":
+        """A sum straight from its packed fields, in _set's order."""
         ws = cls.__new__(cls)
-        ws._entries = entries
-        ws._packed = packed
+        ws._set(*fields)
         return ws
 
     @classmethod
     def zero(cls) -> "WalkSum":
-        return cls._raw({})
+        return cls()
 
     @classmethod
     def single(cls, key: tuple[int, ...], coeff: LaurentPolynomial) -> "WalkSum":
-        return cls._raw({key: coeff} if coeff else {})
+        return cls({key: coeff})
 
     @property
     def entries(self) -> dict[tuple[int, ...], LaurentPolynomial]:
-        entries = self._entries
-        if entries is None:
-            entries = self._entries = self._packed.decode()
-        return entries
+        if self._entries is None:
+            self._entries = self._decode()
+        return self._entries
+
+    def _decode(self) -> dict[tuple[int, ...], LaurentPolynomial]:
+        key, bits = self.layout.key, self.bits
+        return {key(x): _unpack(p, bits, base) for x, p, base in zip(self.keys, self.coeffs, self.low)}
 
     @classmethod
     def from_masks(cls, k: int, walks: list) -> "WalkSum":
@@ -177,13 +231,30 @@ class WalkSum:
         keys = [int.from_bytes(f"{mask:o}".translate(_MOVED_DIGITS).encode("latin-1"), "big") for mask in masks]
         mass = len(walks)
         bits = _lane(mass.bit_length() + 2)
-        return cls._raw(None, _Packed(_Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 1, max(low) - min(low)))
+        return cls._packed(_Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 1, max(low) - min(low))
+
+    def _widen(self, layout: "_Keys", bits: int) -> None:
+        """Lay the keys out at ``layout`` and re-digit the coefficients at
+        ``bits``, both at least as wide as the sum's own; its value, rows
+        and operator stay."""
+        if bits != self.bits:
+            repacked = [_pack(_unpack(p, self.bits, base), bits) for p, base in zip(self.coeffs, self.low)]
+            self.coeffs = [p for p, _ in repacked]
+            self.low = [base for _, base in repacked]
+            self.bits = bits
+        if layout.width != self.layout.width:
+            self.keys = [layout.join(self.layout.fields(x)) for x in self.keys]
+            self.layout = layout
+
+    def _check_crossings(self, k: int) -> None:
+        if self.layout.k != k:
+            raise ValueError(f"walk sum on {self.layout.k} crossings does not match {k}")
 
     def __len__(self) -> int:
-        return len(self._packed.keys if self._entries is None else self._entries)
+        return len(self.keys)
 
     def __bool__(self) -> bool:
-        return bool(self._packed.keys if self._entries is None else self._entries)
+        return bool(self.keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WalkSum):
@@ -193,21 +264,6 @@ class WalkSum:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {c}" for k, c in sorted(self.entries.items()))
         return f"WalkSum({{{inner}}})"
-
-    def add_into(self, key: tuple[int, ...], coeff: LaurentPolynomial) -> None:
-        """Accumulate one monomial (mutating; used while building sums)."""
-        entries = self.entries  # decodes a packed sum before its packed form goes
-        self._packed = None
-        cur = entries.get(key)
-        if cur is None:
-            if coeff:
-                entries[key] = coeff
-            return
-        total = cur + coeff
-        if total:
-            entries[key] = total
-        else:
-            del entries[key]
 
 
 def checked_int(value, least: int = 1, name: str = "color") -> int:
@@ -319,101 +375,6 @@ class _Keys:
         return int.from_bytes(self.struct.pack(*fields), "little")
 
 
-class _Packed:
-    """A walk sum in packed form, as three aligned lists: ``keys`` holds
-    the distinct packed keys (laid out by ``layout``), ``coeffs`` each
-    key's coefficient at q = 2^bits, never zero, and ``low`` that
-    coefficient's base exponent. ``mass`` bounds the sum over entries of
-    sum |c| and is below 2^(bits-2); ``field_max`` bounds every moved
-    field; ``span`` bounds the highest minus the lowest exponent of all
-    terms.
-
-    A product also carries ``rows``, aligned with the keys: each key's
-    reordering row for the operator ``rows_for``, or None where it keeps
-    none (see multiply_walk_sums); ``reorder`` caches the operator of
-    this sum as a left operand."""
-
-    __slots__ = (
-        "layout", "bits", "keys", "coeffs", "low", "mass", "field_max", "span", "rows", "rows_for", "reorder",
-    )
-
-    def __init__(
-        self, layout: _Keys, bits: int, keys: list, coeffs: list, low: list, mass: int, field_max: int,
-        span: int, rows: list | None = None, rows_for: "_Reorder | None" = None,
-    ):
-        self.layout = layout
-        self.bits = bits
-        self.keys = keys
-        self.coeffs = coeffs
-        self.low = low
-        self.mass = mass
-        self.field_max = field_max
-        self.span = span
-        self.rows = rows
-        self.rows_for = rows_for
-        self.reorder = None
-
-    def widened(self, layout: _Keys, bits: int) -> "_Packed":
-        """This sum at a layout and lane at least as wide as its own, with
-        its rows and operator."""
-        if layout.width == self.layout.width and bits == self.bits:
-            return self
-        keys, coeffs, low = self.keys, self.coeffs, self.low
-        if bits != self.bits:
-            repacked = [_pack(_unpack(p, self.bits, base), bits) for p, base in zip(coeffs, low)]
-            coeffs = [p for p, _ in repacked]
-            low = [base for _, base in repacked]
-        if layout.width != self.layout.width:
-            keys = [layout.join(self.layout.fields(x)) for x in keys]
-        packed = _Packed(layout, bits, keys, coeffs, low, self.mass, self.field_max, self.span, self.rows, self.rows_for)
-        packed.reorder = self.reorder
-        return packed
-
-    def decode(self) -> dict[tuple[int, ...], LaurentPolynomial]:
-        key, bits = self.layout.key, self.bits
-        return {
-            key(x): _unpack(p, bits, base)
-            for x, p, base in zip(self.keys, self.coeffs, self.low)
-        }
-
-
-def _bounds(ws: WalkSum, k: int) -> tuple[int, int, int, int, int]:
-    """(mass, field_max, span, width, bits) of a nonempty walk sum on k
-    crossings: carried by a packed sum, measured on a plain one, whose
-    width and lane are the narrowest."""
-    packed = ws._packed
-    if packed is not None:
-        if packed.layout.k != k:
-            raise ValueError(f"walk sum on {packed.layout.k} crossings does not match {k}")
-        return packed.mass, packed.field_max, packed.span, packed.layout.width, packed.bits
-    entries = ws.entries
-    if {3 * k} != set(map(len, entries)):
-        raise ValueError(f"key lengths do not match {k} crossings")
-    coeffs = [c.terms for c in entries.values()]
-    mass = sum(sum(map(abs, terms.values())) for terms in coeffs)
-    fields = 2 * max(map(max, entries)) if k else 0
-    span = max(map(max, coeffs)) - min(map(min, coeffs))
-    return mass, fields, span, min(_KEY_CODES), _LANE_BITS
-
-
-def _as_packed(ws: WalkSum, layout: _Keys, bits: int, bounds: tuple) -> _Packed:
-    """A walk sum packed at the given layout and lane (see _bounds). A plain
-    sum keeps its packed form too, so it is packed once however often it
-    is passed in."""
-    packed = ws._packed
-    if packed is None:
-        entries = ws.entries
-        keys = list(map(layout.move, entries))
-        coeffs, low = [], []
-        for coeff in entries.values():
-            p, base = _pack(coeff, bits)
-            coeffs.append(p)
-            low.append(base)
-        packed = _Packed(layout, bits, keys, coeffs, low, *bounds[:3])
-    ws._packed = packed = packed.widened(layout, bits)
-    return packed
-
-
 class _FactorTable(dict):
     """For one crossing sign and color top + 1, maps the moved fields
     (d+r, d) of a crossing to the integer that encodes its evaluation (see
@@ -518,18 +479,16 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     if not ws:
         return LaurentPolynomial.zero()
     k = len(signs)
-    bounds = mass, fields, span, width, bits = _bounds(ws, k)
+    ws._check_crossings(k)
+    mass, fields, span, bits, layout = ws.mass, ws.field_max, ws.span, ws.bits, ws.layout
     # a key has at most ``most`` factors; per crossing |p| is at most
     # p_bound, and the exponents of m sum to at most grow in all
     most = k * fields
     p_bound = fields * (2 * n + 3 * fields)
     grow = most * (n + 2 * fields)
     _check_span(_lane(mass.bit_length() + most + 2, bits), span + 2 * k * p_bound + grow)
-    bits = _lane(mass.bit_length() + 2, bits)
-    layout = _Keys(k, max(width, _key_width(fields)))
-    stack = _as_packed(ws, layout, bits, bounds)
 
-    base_min = min(stack.low)
+    base_min = min(ws.low)
     count_bits = most.bit_length()
     flips_shift = (2 * k * p_bound + span).bit_length()
     hist_shift = flips_shift + count_bits
@@ -545,7 +504,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
         runs.append((_RunTable(layout.fields, [(j, by_sign[signs[j] > 0]) for j in run]), layout.join(keep)))
     buckets: dict[int, int] = {}
     get = buckets.get
-    for x, packed, base in zip(stack.keys, stack.coeffs, stack.low):
+    for x, packed, base in zip(ws.keys, ws.coeffs, ws.low):
         t = base - base_min
         for table, keep in runs:
             t += table[x & keep]
@@ -636,7 +595,7 @@ class _Reorder:
 
     __slots__ = ("signs", "width", "weights", "columns", "bias")
 
-    def __init__(self, left: _Packed, signs: tuple[int, ...], width: int):
+    def __init__(self, left: WalkSum, signs: tuple[int, ...], width: int):
         self.signs = signs
         self.width = width
         # FA_j holds field j of every left entry, entry i in row field i;
@@ -715,7 +674,7 @@ def multiply_walk_sums(
     keys' moved fields: the sum over crossings c of fa F_c fb on c's three
     fields, with F_c the moved form of c's sign (_moved_form). The left's
     operator (_Reorder, built once per left, sign vector and width, and
-    kept on the left's packed form) packs its entries a_0, a_1, ... into
+    kept on the left sum) packs its entries a_0, a_1, ... into
     L-bit fields:
     - FA_j holds field j of every left entry, entry i in field i;
     - the weight W_(3c+u) = sum over t of F_c[t][u] * FA_(3c+t), so that
@@ -729,8 +688,8 @@ def multiply_walk_sums(
     a DRL limit, a key whose signature admits no left keeps no row: the
     next height at the same limit never reads it. A right key with no row
     valid for this operator (carried for another operator, dropped, or
-    from a plain sum) has it built from its fields. L is the least of 16, 32, 64, ... bits,
-    and at least the key width W, with k * _FORM_NORM * (left field
+    from a sum built from a map) has it built from its fields. L is the
+    least of 16, 32, 64, ... bits, and at least the key width W, with k * _FORM_NORM * (left field
     bound) * (right field bound) < 2^(L-1), so every field of a row is
     one delta plus the bias, within 0 .. 2^L - 1. An operator narrower
     than that (a chain without DRL, whose fields grow) is rebuilt wider,
@@ -750,8 +709,9 @@ def multiply_walk_sums(
     if not a or not b:
         return WalkSum.zero()
     k = len(signs)
-    bounds_a = mass_a, fields_a, span_a, width_a, bits_a = _bounds(a, k)
-    bounds_b = mass_b, fields_b, span_b, width_b, bits_b = _bounds(b, k)
+    a._check_crossings(k)
+    b._check_crossings(k)
+    fields_a, fields_b = a.field_max, b.field_max
     top = fields_a + fields_b
     limit = n
     n = n or top + 1
@@ -760,14 +720,14 @@ def multiply_walk_sums(
         raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
     # whether an admitted pair can still fail DRL (see the prefilter above)
     drl_test = top >= n and not (fields_a <= 1 and fields_b < n)
-    mass = mass_a * mass_b
-    bits = _lane(mass.bit_length() + 2, max(bits_a, bits_b))
+    mass = a.mass * b.mass
+    bits = _lane(mass.bit_length() + 2, max(a.bits, b.bits))
     row_bound = k * _FORM_NORM * fields_a * fields_b
-    span = span_a + span_b + 2 * row_bound
+    span = a.span + b.span + 2 * row_bound
     _check_span(bits, span)
-    layout = _Keys(k, max(width, width_a, width_b))
-    left = _as_packed(a, layout, bits, bounds_a)
-    right = _as_packed(b, layout, bits, bounds_b)
+    layout = _Keys(k, max(width, a.layout.width, b.layout.width))
+    a._widen(layout, bits)
+    b._widen(layout, bits)
     row_width = _lane(max(row_bound.bit_length() + 1, layout.width), _ROW_BITS)
 
     width = layout.width
@@ -777,17 +737,17 @@ def multiply_walk_sums(
     saturated = bias + unit
     nonzero = guard - unit
 
-    op = left.reorder
+    op = a.reorder
     if op is None or op.signs != signs or op.width < row_width:
-        op = left.reorder = _Reorder(left, signs, row_width)
+        op = a.reorder = _Reorder(a, signs, row_width)
     row_width = op.width
     half = 1 << (row_width - 1)
     row_mask = (1 << row_width) - 1
-    carried = right.rows if right.rows_for is op else repeat(None)
+    carried = b.rows if b.rows_for is op else repeat(None)
     fields = layout.fields
     lefts = [
         ((x + nonzero) & guard, (x, p, base - half, row_width * i, column))
-        for i, (x, p, base, column) in enumerate(zip(left.keys, left.coeffs, left.low, op.columns))
+        for i, (x, p, base, column) in enumerate(zip(a.keys, a.coeffs, a.low, op.columns))
     ]
     masks = [mask for mask, _ in lefts]
     admitted_by: dict[int, list] = {}
@@ -798,7 +758,7 @@ def multiply_walk_sums(
     rows: list[int | None] = []
     live: dict[int, bool] = {}
     count = 0
-    for xb, pb, eb, rb in zip(right.keys, right.coeffs, right.low, carried):
+    for xb, pb, eb, rb in zip(b.keys, b.coeffs, b.low, carried):
         signature = (xb + saturated) & guard
         admitted = admitted_by.get(signature)
         if admitted is None:
@@ -834,4 +794,4 @@ def multiply_walk_sums(
     if 0 in coeffs:
         nonzero_sums = [bool(p) for p in coeffs]
         keys, coeffs, low, rows = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low, rows))
-    return WalkSum._raw(None, _Packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op))
+    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op)

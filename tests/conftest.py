@@ -67,3 +67,22 @@ def markov_moved(rng: random.Random, braid: BraidWord) -> BraidWord:
         word.insert(rng.randint(1, len(word) - 1), (m, rng.choice((1, -1))))
         m += 1
     return BraidWord(tuple(word), m)
+
+
+def with_relator(braid: BraidWord, index: int, position: int, mirrored: bool) -> BraidWord:
+    """The braid with the trivial word s_i s_(i+1) s_i s_(i+1)^-1 s_i^-1
+    s_(i+1)^-1 (i = index; its mirror when ``mirrored``) inserted before
+    crossing ``position``: the same closure. The relator holds no adjacent
+    inverse pair and uses each of its generators more than once, so
+    BraidWord.reduced does not remove it by itself."""
+    i, j = index, index + 1
+    relator = ((i, 1), (j, 1), (i, 1), (j, -1), (i, -1), (j, -1))
+    if mirrored:
+        relator = tuple((g, -s) for g, s in relator)
+    word = braid.crossings
+    return BraidWord(word[:position] + relator + word[position:], braid.strands)
+
+
+def rotations(braid: BraidWord) -> set:
+    """Every cyclic rotation of the braid's word."""
+    return {braid.rotated(r) for r in range(max(braid.k, 1))}

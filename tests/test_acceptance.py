@@ -10,7 +10,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from conftest import rand_mono, rand_signs
-from walk_helpers import mono_mul
+from walk_helpers import mono_mul, summed
 from walkjones.braid import BraidWord, parse_braid
 from walkjones.burau import unpruned_walk_count, walk_generator
 from walkjones.cjp import colored_jones, simple_walk_count
@@ -24,7 +24,7 @@ from walkjones.oracle import (
     naive_colored_jones,
 )
 from walkjones.table import knot_lookup, load_table
-from walkjones.weyl import WalkSum, zero_key
+from walkjones.weyl import zero_key
 
 P = LaurentPolynomial.parse
 ONE = LaurentPolynomial.one()
@@ -62,10 +62,8 @@ def test_criterion_1_paper_walk_sum():
             ("q", "c2 a3 b4"),
             ("q", "a1 b2 c4"),
         ]
-        expected = WalkSum.zero()
-        for coeff, text in displayed:
-            mono = free_normalize(FreeWord(_letters(text), P(coeff)), signs)
-            expected.add_into(mono.key, mono.coeff)
+        normalized = [free_normalize(FreeWord(_letters(text), P(coeff)), signs) for coeff, text in displayed]
+        expected = summed((mono.key, mono.coeff) for mono in normalized)
         assert walk_generator(braid, prune_simple=False) == expected
         assert unpruned_walk_count(braid) == 9
     except BaseException:

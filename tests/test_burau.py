@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import key_from_letters, rand_key, rand_signs
-from walk_helpers import filtered, generator_matrix, kernel_product, scaled
+from walk_helpers import filtered, generator_matrix, kernel_product, scaled, summed, walk_sum
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones import kernels
 from walkjones.burau import (
@@ -32,12 +32,15 @@ from walkjones.weyl import WalkSum, drl_keep, reordering_form, zero_key
 P = LaurentPolynomial.parse
 
 
-def ws(crossings: int, *words: str) -> WalkSum:
-    """Walk sum with unit coefficients from words like 'a1 b2'; '' is the empty word."""
-    out = WalkSum.zero()
-    for word in words:
-        out.add_into(key_from_letters(crossings, word), LaurentPolynomial.one())
-    return out
+def ws(crossings: int, *words: str) -> dict:
+    """A braid-matrix entry, a kernel map {key: coefficient dict}, with unit
+    coefficients from words like 'a1 b2'; '' is the empty word."""
+    return {key_from_letters(crossings, word): {0: 1} for word in words}
+
+
+def as_map(walks: WalkSum) -> dict:
+    """A walk sum as a kernel map {key: coefficient dict}."""
+    return {key: coeff.terms for key, coeff in walks.entries.items()}
 
 
 def entries_of(matrix):
@@ -83,20 +86,14 @@ def test_braid_matrix_figure_eight_matches_display(fig8):
 
 
 def reference_matmul(a: BurauMatrix, b: BurauMatrix, signs) -> BurauMatrix:
-    """The full m x m product of two matrices of walk sums."""
+    """The full m x m product of two matrices of kernel maps."""
     m = a.dimension
     out = []
     for u in range(m):
         row = []
         for v in range(m):
-            acc = WalkSum.zero()
-            for w in range(m):
-                left = a.entries[u][w]
-                right = b.entries[w][v]
-                if left and right:
-                    for key, coeff in kernel_product(left, right, signs).entries.items():
-                        acc.add_into(key, coeff)
-            row.append(acc)
+            products = (kernel_product(walk_sum(a.entries[u][w]), walk_sum(b.entries[w][v]), signs) for w in range(m))
+            row.append(as_map(summed(item for product in products for item in product.entries.items())))
         out.append(row)
     return BurauMatrix(m, out)
 
@@ -138,7 +135,7 @@ def test_reduced_matrix_figure_eight(fig8):
 def test_reduced_matrix_of_generator_is_zero_entry():
     r = reduced_matrix(generator_matrix(1, 1, 1, 2))
     assert r.dimension == 1
-    assert r.entries[0][0] == WalkSum.zero()
+    assert r.entries[0][0] == {}
 
 
 def test_reduced_matrix_identity():
@@ -149,13 +146,13 @@ def test_reduced_matrix_identity():
 
 def test_reduced_matrix_dimension_one_rejected():
     with pytest.raises(ValueError):
-        reduced_matrix(BurauMatrix(1, [[WalkSum.zero()]]))
+        reduced_matrix(BurauMatrix(1, [[{}]]))
 
 
 def test_quantum_det_one_by_one():
     entry = ws(2, "a1 b2")
     m = BurauMatrix(1, [[entry]])
-    assert quantum_det(m, (1, 1)) == entry
+    assert quantum_det(m, (1, 1)) == walk_sum(entry)
 
 
 def test_quantum_det_two_by_two_formula():
@@ -175,11 +172,12 @@ def test_quantum_det_figure_eight_full_subset(fig8, fig8_signs):
     scaled_det = scaled(det, P("-q^2"))
     from walkjones.weyl import multiply_walk_sums
 
-    e11, e12 = r.entries[0]
-    e21, e22 = r.entries[1]
-    direct = scaled(multiply_walk_sums(e11, e22, fig8_signs), P("-q^2"))
-    for key, coeff in scaled(multiply_walk_sums(e21, e12, fig8_signs), P("q^3")).entries.items():
-        direct.add_into(key, coeff)
+    e11, e12 = map(walk_sum, r.entries[0])
+    e21, e22 = map(walk_sum, r.entries[1])
+    direct = summed([
+        *scaled(multiply_walk_sums(e11, e22, fig8_signs), P("-q^2")).entries.items(),
+        *scaled(multiply_walk_sums(e21, e12, fig8_signs), P("q^3")).entries.items(),
+    ])
     assert scaled_det == direct
 
 
@@ -201,10 +199,8 @@ def test_walk_generator_figure_eight_unpruned_matches_paper_sum(fig8, fig8_signs
         ("q", "c2 a3 b4"),
         ("q", "a1 b2 c4"),
     ]
-    expected = WalkSum.zero()
-    for coeff, text in monomials:
-        m = free_normalize(FreeWord(letters(text), P(coeff)), fig8_signs)
-        expected.add_into(m.key, m.coeff)
+    normalized = [free_normalize(FreeWord(letters(text), P(coeff)), fig8_signs) for coeff, text in monomials]
+    expected = summed((m.key, m.coeff) for m in normalized)
     assert walk_generator(fig8, prune_simple=False) == expected
 
 
@@ -270,7 +266,7 @@ def reference_quantum_det(matrix: BurauMatrix, signs, prune_n=None) -> WalkSum:
     """Quantum determinant expanded on its own: every permutation, (-q)^inv."""
     n = matrix.dimension
     ent = matrix.entries
-    result = WalkSum.zero()
+    result = []
     limit = prune_n or 0
 
     def expand(col: int, used: int, inv: int, partial: WalkSum) -> None:
@@ -278,8 +274,7 @@ def reference_quantum_det(matrix: BurauMatrix, signs, prune_n=None) -> WalkSum:
             return
         if col == n:
             coeff = LaurentPolynomial.q_power(inv, -1 if inv % 2 else 1)
-            for key, c in scaled(partial, coeff).entries.items():
-                result.add_into(key, c)
+            result.extend(scaled(partial, coeff).entries.items())
             return
         for row in range(n):
             bit = 1 << row
@@ -289,10 +284,10 @@ def reference_quantum_det(matrix: BurauMatrix, signs, prune_n=None) -> WalkSum:
             if not entry:
                 continue
             added = sum(1 for r in range(row + 1, n) if used & (1 << r))
-            expand(col + 1, used | bit, inv + added, kernel_product(partial, entry, signs, limit))
+            expand(col + 1, used | bit, inv + added, kernel_product(partial, walk_sum(entry), signs, limit))
 
     expand(0, 0, 0, WalkSum.single(zero_key(len(signs)), LaurentPolynomial.one()))
-    return result
+    return summed(result)
 
 
 def reference_walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
@@ -302,15 +297,14 @@ def reference_walk_generator(braid: BraidWord, prune_simple: bool = True) -> Wal
     reduced = reduced_matrix(braid_matrix(braid))
     size = reduced.dimension
     prune_n = 2 if prune_simple else None
-    total = WalkSum.zero()
+    total = []
     for mask in range(1, 1 << size):
         picked = [i for i in range(size) if mask & (1 << i)]
         sub = BurauMatrix(len(picked), [[reduced.entries[u][v] for v in picked] for u in picked])
         det = reference_quantum_det(sub, signs, prune_n)
         scale = LaurentPolynomial.q_power(len(picked), -1 if (len(picked) - 1) % 2 else 1)
-        for key, coeff in scaled(det, scale).entries.items():
-            total.add_into(key, coeff)
-    return total
+        total.extend(scaled(det, scale).entries.items())
+    return summed(total)
 
 
 def has_a_letter(key: tuple) -> bool:
@@ -356,11 +350,11 @@ def test_quantum_det_matches_reference_random():
         for _ in range(n):
             row = []
             for _ in range(n):
-                entry = WalkSum.zero()
+                monomials = []
                 for _ in range(rng.choice((0, 0, 1, 2, 3))):
                     coeff = LaurentPolynomial({rng.randint(-3, 3): rng.randint(-4, 4) or 1})
-                    entry.add_into(rand_key(rng, k, 1), coeff)
-                row.append(entry)
+                    monomials.append((rand_key(rng, k, 1), coeff))
+                row.append(as_map(summed(monomials)))
             entries.append(row)
         matrix = BurauMatrix(n, entries)
         for prune_n in (None, 2):
@@ -396,8 +390,8 @@ SIMPLE_STATES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))
 def simple_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
     """left * right with unit coefficients through the letter-mask product."""
     rule = _SimpleRule(signs)
-    ((mask, _),) = rule.entry(WalkSum.single(left, LaurentPolynomial.one()))
-    product = _simple_products([(mask, 0)], rule.entry(WalkSum.single(right, LaurentPolynomial.one())), rule)
+    ((mask, _),) = rule.entry({left: {0: 1}})
+    product = _simple_products([(mask, 0)], rule.entry({right: {0: 1}}), rule)
     # a product that passes the conflict test is simple, so from_masks takes it
     return WalkSum.from_masks(len(signs), [(key, e, 1) for key, e in product])
 
@@ -451,8 +445,8 @@ def assert_entries_are_paths(word: BraidWord, matrix: BurauMatrix) -> None:
     reads an entry as bare letter masks, both on this invariant."""
     for row in matrix.entries:
         for entry in row:
-            for key, coeff in entry.entries.items():
-                assert coeff.terms == {0: 1}, (word, key)
+            for key, terms in entry.items():
+                assert terms == {0: 1}, (word, key)
                 assert all(sum(key[j : j + 3]) <= 1 for j in range(0, len(key), 3)), (word, key)
 
 
@@ -510,8 +504,7 @@ def assert_born_packed(word: BraidWord) -> None:
     assert level_one == filtered(walk_generator(word, prune_simple=False), 2), word
     if not level_one:
         return
-    packed = level_one._packed
-    assert packed is not None and packed.field_max == 1 and packed.mass == len(level_one), word
+    assert level_one.field_max == 1 and level_one.mass == len(level_one), word
     assert all(abs(c) == 1 for coeff in level_one.entries.values() for c in coeff.terms.values()), word
 
 

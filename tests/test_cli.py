@@ -186,6 +186,13 @@ def test_bench_rows_of_reducible_braids(capsys, tmp_path):
     rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
     columns = ("name", "strands", "simple_walks", "simple_walks_mirror", "simple_walks_used")
     assert [tuple(r[c] for c in columns) for r in rows] == [("3_1", "3", "1", "3", "1"), ("0_1", "2", "0", "0", "0")]
+    # the unpruned count is the reduced word's too: the stabilized trefoil
+    # counts what 1 1 1 does
+    table.write_text("name,crossings,braid\n3_1,3,1 1 1 2\n3_1,3,1 1 1\n0_1,0,1\n")
+    code, out, _ = run(capsys, "bench", "--table", str(table), "--with-no-drl")
+    assert code == 0
+    rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [(r["simple_walks"], r["walks_no_drl"]) for r in rows] == [("1", "1"), ("1", "1"), ("0", "0")]
 
 
 def test_bench_threads_unknown_option_exit_1(capsys):

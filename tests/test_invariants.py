@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import rotations, with_relator
 from test_rmatrix import engine_times_quantum_dimension, rmatrix_trace
 from walkjones.braid import BraidWord
 from walkjones.cjp import colored_jones
@@ -52,6 +53,15 @@ def test_conjugation_invariance(braid, data):
     r = data.draw(st.integers(0, len(word) - 1))
     moved = BraidWord(word[r:] + word[:r], braid.strands)
     assert jones(moved) == jones(braid)
+    # a rotation reaches the engine as the source's word; a braid relator
+    # inserted into the moved word is a move the reducer cannot undo
+    if braid.strands >= 3:
+        index = data.draw(st.integers(1, braid.strands - 2))
+        position = data.draw(st.integers(0, moved.k))
+        related = with_relator(moved, index, position, data.draw(st.booleans()))
+        assert related.reduced() not in rotations(braid.reduced())
+        assert jones(related) == jones(braid)
+        assert colored_jones(related, 2).polynomial == colored_jones(braid, 2).polynomial
 
 
 @INVARIANTS

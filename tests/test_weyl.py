@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
-from walk_helpers import evaluate_monomial, filtered, kernel_product, mono_mul, packed_from_masks
+from walk_helpers import evaluate_monomial, filtered, kernel_product, mono_mul, packed_from_masks, summed
 from walkjones import cli, kernels, weyl
 from walkjones.braid import parse_braid
 from walkjones.burau import walk_generator
@@ -238,15 +238,9 @@ def test_multiply_walk_sums_order_independent_result():
         signs = rand_signs(rng, k)
         monos_a = [rand_mono(rng, k) for _ in range(rng.randint(1, 4))]
         monos_b = [rand_mono(rng, k) for _ in range(rng.randint(1, 4))]
-        a1 = WalkSum.zero()
-        for m in monos_a:
-            a1.add_into(m.key, m.coeff)
-        a2 = WalkSum.zero()
-        for m in reversed(monos_a):
-            a2.add_into(m.key, m.coeff)
-        b = WalkSum.zero()
-        for m in monos_b:
-            b.add_into(m.key, m.coeff)
+        a1 = summed((m.key, m.coeff) for m in monos_a)
+        a2 = summed((m.key, m.coeff) for m in reversed(monos_a))
+        b = summed((m.key, m.coeff) for m in monos_b)
         n = rng.randint(1, 3)
         if rng.random() >= 0.5:
             n = 0  # no DRL limit
@@ -295,11 +289,9 @@ def rand_coeff(rng, max_bits):
 
 
 def rand_walk_sum(rng, k, n, size, max_bits):
-    ws = WalkSum.zero()
-    for _ in range(size):
-        key = tuple(rng.randint(0, n + 1) for _ in range(3 * k))
-        ws.add_into(key, rand_coeff(rng, max_bits))
-    return ws
+    return summed(
+        (tuple(rng.randint(0, n + 1) for _ in range(3 * k)), rand_coeff(rng, max_bits)) for _ in range(size)
+    )
 
 
 def test_packed_evaluate_matches_reference_random():
@@ -368,25 +360,25 @@ SIMPLE_COUNTS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 
 
 def rand_left(rng, k, simple, size=None, max_bits=4):
-    ws = WalkSum.zero()
+    monomials = []
     for _ in range(rng.randint(1, 12) if size is None else size):
         if simple:
             key = tuple(x for _ in range(k) for x in rng.choice(SIMPLE_COUNTS))
         else:
             key = rand_key(rng, k, 2)
-        ws.add_into(key, rand_coeff(rng, max_bits))
-    return ws
+        monomials.append((key, rand_coeff(rng, max_bits)))
+    return summed(monomials)
 
 
 def rand_stack(rng, k, n, filtered, size, max_bits):
     """Random keys with counts up to n - 1, or up to n + 1 when not filtered
     (so some fail drl_keep); filtered keeps only keys passing drl_keep."""
-    ws = WalkSum.zero()
+    monomials = []
     for _ in range(size):
         key = rand_key(rng, k, n - 1 if filtered else n + 1)
         if not filtered or drl_keep(key, n):
-            ws.add_into(key, rand_coeff(rng, max_bits))
-    return ws
+            monomials.append((key, rand_coeff(rng, max_bits)))
+    return summed(monomials)
 
 
 @pytest.fixture
@@ -422,9 +414,9 @@ def rand_mask_left(rng, k, unit, clash, max_bits=4):
         left = WalkSum.from_masks(k, [(mask, e, c) for mask, terms in walks.items() for e, c in terms.items()])
     else:
         left = packed_from_masks(k, walks)
-    assert left._packed.field_max == (2 if clash else 1)
+    assert left.field_max == (2 if clash else 1)
     if unit:
-        assert left._packed.mass == len(left)
+        assert left.mass == len(left)
     return left
 
 
@@ -475,19 +467,22 @@ def test_masked_multiply_matches_kernel_product(simple, max_bits, key_formats, m
 ])
 def test_packed_multiply_wide_fields(n, max_count, code, key_formats):
     # counts stay small enough that reordering q-powers, and so the packed
-    # coefficients, stay small
+    # coefficients, stay small; the formats are those of the multiply, as
+    # its operands are packed at their own narrowest fields when built
     rng = random.Random(n + max_count)
     for _ in range(40):
         k = rng.randint(1, 3)
         signs = rand_signs(rng, k)
-        left = WalkSum.zero()
-        stack = WalkSum.zero()
-        for ws in (left, stack, stack):
+        monomials = ([], [])
+        for side in (0, 1, 1):
             for _ in range(rng.randint(1, 4)):
                 key = tuple(rng.choice((0, 1, max_count // 2, max_count)) for _ in range(3 * k))
-                ws.add_into(key, rand_coeff(rng, 20))
-        assert multiply_walk_sums(left, stack, signs, n) == kernel_product(left, stack, signs, n)
-    assert key_formats == {code}
+                monomials[side].append((key, rand_coeff(rng, 20)))
+        left, stack = map(summed, monomials)
+        key_formats.clear()
+        product = multiply_walk_sums(left, stack, signs, n)
+        assert key_formats == {code}
+        assert product == kernel_product(left, stack, signs, n)
 
 
 def test_packed_multiply_drops_cancelled_keys():
@@ -509,9 +504,70 @@ def test_packed_multiply_rejects_bad_input():
         multiply_walk_sums(one, WalkSum.single((0, 1, 0, 0, 0, 0), P("1")), (1, 1), 2)
     with pytest.raises(ValueError, match="DRL limit must be >= 0, got -1"):
         multiply_walk_sums(one, one, (1,), -1)
-    huge = WalkSum.single((1 << 62, 0, 0), P("1"))
     with pytest.raises(OverflowError):
+        huge = WalkSum.single((1 << 62, 0, 0), P("1"))
         multiply_walk_sums(huge, one, (1,), 2)
+
+
+def test_constructor_drops_zero_coefficients():
+    x, y = key_from_letters(2, "a1 c2"), key_from_letters(2, "b1")
+    ws = WalkSum({x: P("0"), y: P("2*q - q^3")})
+    assert len(ws) == 1 and ws.entries == {y: P("2*q - q^3")}
+    for empty in (WalkSum({x: P("0")}), WalkSum({}), WalkSum(), WalkSum.zero()):
+        assert not empty and len(empty) == 0 and empty.entries == {}
+        assert empty == WalkSum.zero()
+
+
+def test_constructor_measures_exact_bounds():
+    # mass: the sum of |c| over every term; field bound: twice the largest
+    # count; span: highest minus lowest exponent of all terms
+    ws = WalkSum({(1, 0, 2, 0, 3, 0): P("3*q^-2 - 5*q"), (0, 0, 0, 4, 0, 1): P("-2*q^4")})
+    assert (ws.mass, ws.field_max, ws.span) == (10, 8, 6)
+    assert ws.rows is None and ws.rows_for is None and ws.reorder is None
+    # the packed lists decode back to the map
+    ws._entries = None
+    assert ws.entries == {(1, 0, 2, 0, 3, 0): P("3*q^-2 - 5*q"), (0, 0, 0, 4, 0, 1): P("-2*q^4")}
+
+
+@pytest.mark.parametrize("count, width", [(0, 8), (63, 8), (64, 16), (1 << 14, 32), (1 << 30, 64), ((1 << 62) - 1, 64)])
+def test_constructor_packs_at_the_narrowest_key_fields(count, width):
+    ws = WalkSum({(count, 0, 1): P("1")})
+    assert ws.layout.width == width and ws.layout.k == 1
+    assert ws.entries == {(count, 0, 1): P("1")}
+
+
+@pytest.mark.parametrize("coeff, bits", [(1, 64), ((1 << 62) - 2, 64), ((1 << 62) - 1, 128), ((1 << 126) - 2, 128), ((1 << 126) - 1, 256)])
+def test_constructor_packs_at_the_narrowest_lane(coeff, bits):
+    ws = WalkSum({(0, 1, 0): LaurentPolynomial({-3: coeff}), (1, 0, 0): P("q^2")})
+    assert ws.mass == coeff + 1 and ws.bits == bits
+    ws._entries = None
+    assert ws.entries == {(0, 1, 0): LaurentPolynomial({-3: coeff}), (1, 0, 0): P("q^2")}
+
+
+def test_constructor_rejects_bad_keys():
+    with pytest.raises(ValueError):
+        WalkSum({(0, 0, 1): P("1"), (0, 0, 0, 0, 0, 1): P("1")})
+    with pytest.raises(ValueError):
+        WalkSum({(0, 1): P("1")})
+    with pytest.raises(OverflowError):
+        WalkSum({(0, 0, 0): P("1"), (0, 1 << 62, 0): P("q")})
+
+
+def test_multiply_widens_its_operands_in_place_keeping_their_values():
+    # a color of 200 needs 16-bit fields and coefficients near 2^70 a
+    # 256-bit lane: both operands are widened, and read the same after
+    signs = (1, -1)
+    left = WalkSum({key_from_letters(2, "a1 c2"): P(f"{1 << 70}*q - 3")})
+    stack = WalkSum({key_from_letters(2, "b1 b2"): P("q^-1 + 2"), zero_key(2): P(f"{1 << 70}")})
+    before = [(dict(ws.entries), ws.layout.width, ws.bits) for ws in (left, stack)]
+    product = multiply_walk_sums(left, stack, signs, 200)
+    assert [(ws.layout.width, ws.bits) for ws in (left, stack)] == [(16, 256), (16, 256)]
+    for ws, (entries, width, bits) in zip((left, stack), before):
+        assert (width, bits) == (8, 128)
+        ws._entries = None
+        assert ws.entries == entries and len(ws) == len(entries)
+        assert evaluate_walk_sum(ws, signs, 3) == reference_evaluate_walk_sum(WalkSum(entries), signs, 3)
+    assert product == kernel_product(WalkSum(before[0][0]), WalkSum(before[1][0]), signs, 200)
 
 
 def test_masked_multiply_sound_on_unfiltered_stacks():
@@ -554,17 +610,18 @@ def test_grouped_evaluate_matches_reference_random(lanes):
         k = 1 + case % 7
         n = rng.randint(1, 6)
         signs = rand_signs(rng, k)
-        ws = WalkSum.zero()
+        monomials = []
         for _ in range(rng.randint(1, 6)):
             key = [rng.randint(0, n + 2) for _ in range(3 * k)]
-            ws.add_into(tuple(key), rand_coeff(rng, rng.choice((3, 70, 120))))
+            monomials.append((tuple(key), rand_coeff(rng, rng.choice((3, 70, 120)))))
             key[0] += 1
-            ws.add_into(tuple(key), rand_coeff(rng, 3))
+            monomials.append((tuple(key), rand_coeff(rng, 3)))
         for j in rng.sample(range(k), min(k, 2)):
             # d = 1 and r = n - 1 at crossing j: a (1 - q^0) factor
             key = [rng.randint(0, 1) if slot % 3 else rng.randint(0, 2) for slot in range(3 * k)]
             key[3 * j + 1: 3 * j + 3] = [n - 1, 1]
-            ws.add_into(tuple(key), rand_coeff(rng, 20))
+            monomials.append((tuple(key), rand_coeff(rng, 20)))
+        ws = summed(monomials)
         assert evaluate_walk_sum(ws, signs, n) == reference_evaluate_walk_sum(ws, signs, n)
     assert {64, 128, 256} <= lanes
 
@@ -624,11 +681,9 @@ def row_builds(monkeypatch):
 def grown_left(rng, k):
     # counts of 12 put the bound on the reordering q-power of a product
     # past 2^15 within six heights without DRL, so the rows widen
-    left = WalkSum.zero()
-    for _ in range(rng.randint(1, 2)):
-        key = tuple(rng.choice((0, 1, 12)) for _ in range(3 * k))
-        left.add_into(key, rand_coeff(rng, 20))
-    return left
+    return summed(
+        (tuple(rng.choice((0, 1, 12)) for _ in range(3 * k)), rand_coeff(rng, 20)) for _ in range(rng.randint(1, 2))
+    )
 
 
 @pytest.mark.parametrize("drl", [True, False])
@@ -656,7 +711,7 @@ def test_rows_carried_along_height_chain(n, drl, row_builds):
             assert stack == reference
             if not stack:
                 break
-            width = stack._packed.rows_for.width
+            width = stack.rows_for.width
             assert (len(row_builds) > built) == (height == 0 or width > widths[-1])
             assert set(row_builds[built:]) <= {width}
             widths.append(width)
@@ -667,7 +722,7 @@ def test_rows_carried_along_height_chain(n, drl, row_builds):
 def test_rows_rebuilt_for_another_operator(row_builds):
     # a stack whose rows were built against one level-one sum, multiplied
     # by another of the same size, by the same sum at other signs, and by
-    # the same sum after add_into changed it: each product matches the
+    # a sum with two more monomials: each product matches the
     # kernel, and the carried rows are rebuilt each time, not reused. At a
     # higher DRL limit the same sum admits keys whose rows were dropped.
     rng = random.Random(47)
@@ -685,15 +740,14 @@ def test_rows_rebuilt_for_another_operator(row_builds):
         other = rand_left(rng, k, True, size, 20)
         flipped = tuple(-s for s in signs)
         changed = rand_left(rng, k, True, size, 20)
-        changed.add_into(zero_key(k), P("q^2"))
-        changed.add_into(rand_key(rng, k, 1), P("-3"))
+        changed = summed([*changed.entries.items(), (zero_key(k), P("q^2")), (rand_key(rng, k, 1), P("-3"))])
         for second, at in ((other, signs), (left, flipped), (changed, signs)):
             built = len(row_builds)
             product = multiply_walk_sums(second, stack, at, n)
             assert product == kernel_product(second, reference, at, n)
             if product:
                 assert len(row_builds) > built
-                assert product._packed.rows_for is second._packed.reorder
+                assert product.rows_for is second.reorder
 
 
 def test_columns_built_once_per_level_one_entry(monkeypatch):
@@ -729,8 +783,8 @@ def test_threaded_bench_rows_match_single_threaded():
 
 def test_untraced_colored_jones_never_decodes_the_stack(monkeypatch):
     decoded = []
-    decode = weyl._Packed.decode
-    monkeypatch.setattr(weyl._Packed, "decode", lambda self: decoded.append(len(self.coeffs)) or decode(self))
+    decode = WalkSum._decode
+    monkeypatch.setattr(WalkSum, "_decode", lambda self: decoded.append(len(self.coeffs)) or decode(self))
     for text, n in (("1 1 1", 4), ("-1 2 -1 2", 3), ("1 1 2 -1 -3 2 -3", 3)):
         for drl in (True, False):
             assert colored_jones(parse_braid(text), n, drl=drl).heights_summed >= 2
@@ -739,21 +793,6 @@ def test_untraced_colored_jones_never_decodes_the_stack(monkeypatch):
     level_one = walk_generator(fig8)
     assert multiply_walk_sums(level_one, level_one, fig8.signs(), 3).entries
     assert len(decoded) == 1
-
-
-def test_add_into_drops_the_packed_form():
-    # a sum packed as an input, or returned packed, and then mutated is
-    # read from its entries again by len() and both operations
-    signs = (1, -1)
-    one = key_from_letters(2, "a1 c2")
-    ws = WalkSum.single(one, P("q"))
-    product = multiply_walk_sums(ws, ws, signs)
-    assert evaluate_walk_sum(ws, signs, 3) == reference_evaluate_walk_sum(ws, signs, 3)
-    for walks in (ws, product):
-        walks.add_into(zero_key(2), P("5"))
-        assert len(walks) == 2
-        assert evaluate_walk_sum(walks, signs, 3) == reference_evaluate_walk_sum(walks, signs, 3)
-        assert multiply_walk_sums(walks, ws, signs) == kernel_product(walks, ws, signs)
 
 
 def test_huge_letter_counts_fail_fast():

@@ -2,9 +2,9 @@
 
 Each states one operation on top of the engine's own: the crossing matrix
 of one generator, the product of two walk sums in one kernel call, a walk
-sum scaled or DRL-filtered, the product and the evaluation of single
-monomials, and a walk sum packed from letter masks with general
-coefficients.
+sum summed from monomials, read off a matrix entry, scaled or
+DRL-filtered, the product and the evaluation of single monomials, and a
+walk sum packed from letter masks with general coefficients.
 """
 from walkjones import kernels, weyl
 from walkjones.burau import BurauMatrix
@@ -23,12 +23,11 @@ def generator_matrix(crossing_ordinal: int, index: int, sign: int, m: int, cross
     if not 1 <= index <= m - 1:
         raise ValueError(f"generator index {index} out of range for {m} strands")
     k = crossings if crossings is not None else crossing_ordinal
-    one = LaurentPolynomial.one()
-    rows = [[WalkSum.single(zero_key(k), one) if u == v else WalkSum.zero() for v in range(m)] for u in range(m)]
-    a, b, c = (WalkSum.single(letter_key(k, crossing_ordinal, x), one) for x in "abc")
+    rows = [[{zero_key(k): {0: 1}} if u == v else {} for v in range(m)] for u in range(m)]
+    a, b, c = ({letter_key(k, crossing_ordinal, x): {0: 1}} for x in "abc")
     i = index - 1
     # the 2x2 block at rows and columns i, i + 1
-    block = ((a, b), (c, WalkSum.zero())) if sign > 0 else ((WalkSum.zero(), c), (b, a))
+    block = ((a, b), (c, {})) if sign > 0 else (({}, c), (b, a))
     rows[i][i : i + 2], rows[i + 1][i : i + 2] = block
     return BurauMatrix(m, rows)
 
@@ -42,21 +41,34 @@ def kernel_product(a: WalkSum, b: WalkSum, signs: tuple[int, ...], n_limit: int 
     items_a = [(k, c.terms) for k, c in entries_a.items()]
     items_b = [(k, c.terms) for k, c in entries_b.items()]
     raw = kernels.walk_products(items_a, items_b, signs, n_limit)
-    return WalkSum._raw({k: LaurentPolynomial._from_terms(c) for k, c in raw.items()})
+    return WalkSum({k: LaurentPolynomial._from_terms(c) for k, c in raw.items()})
+
+
+def summed(monomials) -> WalkSum:
+    """The walk sum of (key, coefficient) pairs, like keys added."""
+    total: dict = {}
+    for key, coeff in monomials:
+        total[key] = total[key] + coeff if key in total else coeff
+    return WalkSum(total)
+
+
+def walk_sum(entry: dict) -> WalkSum:
+    """A braid-matrix entry, a kernel map {key: coefficient dict}, as a walk sum."""
+    return WalkSum({key: LaurentPolynomial(terms) for key, terms in entry.items()})
 
 
 def scaled(ws: WalkSum, factor: LaurentPolynomial) -> WalkSum:
     """Every coefficient of ws times factor."""
     if not factor:
         return WalkSum.zero()
-    return WalkSum._raw({k: c * factor for k, c in ws.entries.items()})
+    return WalkSum({k: c * factor for k, c in ws.entries.items()})
 
 
 def filtered(ws: WalkSum, n: int) -> WalkSum:
     """Entries whose keys survive drl_keep(key, n); n must be >= 1, also
     for an empty sum."""
     n = checked_int(n)
-    return WalkSum._raw({k: c for k, c in ws.entries.items() if drl_keep(k, n)})
+    return WalkSum({k: c for k, c in ws.entries.items() if drl_keep(k, n)})
 
 
 def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) -> KeyedMonomial:
@@ -82,5 +94,4 @@ def packed_from_masks(k: int, walks: dict) -> WalkSum:
     coeffs, low = zip(*(weyl._pack(LaurentPolynomial(terms), bits) for terms in walks.values()))
     clash = any(mask >> 2 & (mask | mask >> 1) & sum(1 << 3 * j for j in range(k)) for mask in walks)
     span = max(map(max, walks.values())) - min(low)
-    packed = weyl._Packed(weyl._Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 2 if clash else 1, span)
-    return WalkSum._raw(None, packed)
+    return WalkSum._packed(weyl._Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 2 if clash else 1, span)
