@@ -47,7 +47,22 @@ coefficient 1, so it is read as bare letter masks; the DRL test of a pair
 is one AND, and after it two keys share a crossing only as the left key's
 c and the right key's b; and the reordering form has F[b][c] = 0. A pair's
 q-power is then two popcounts, one per crossing sign. The sum is returned
-born packed (weyl.WalkSum.from_masks), and a walk count is its length.
+born packed (weyl.WalkSum.from_masks), and its length is the walk count
+that simple_walk_count gives without building it.
+
+The path argument above also counts the simple walks with no braid
+matrix at all (simple_walk_count). Between crossings the paths occupy a
+set S of strands, and the letters of a crossing are read off which of its
+two strands S holds before and after it. If both are held, the paths swap
+(b, c). At a positive crossing a lone path on the lower strand stays (a)
+or moves (b), and one on the upper strand moves (c); at a negative
+crossing a lone path on the lower strand moves (c), and one on the upper
+strand moves (b) or stays (a). Conversely every such sequence of sets that
+starts and ends at J is a path system from J to J that DRL keeps. So the
+walk count is the sum over nonempty J in strands 2..m of the ways the
+occupied set, starting as J, is J again after the last crossing. The
+state is the pair (J, S); S keeps |J| strands, so there are at most
+sum_j C(m-1, j) C(m, j) = C(2m-1, m-1) states at each crossing.
 
 The braid matrix stays in the kernel's own data: each entry is a {key:
 coefficient dict} map, and the minor recursions read those maps as they
@@ -292,6 +307,36 @@ def unpruned_walk_count(braid: BraidWord) -> int:
     every = (1 << len(sizes)) - 1
     _minor_sum(sizes, lambda partial, size, _: partial * size, None, _add_count, every, total, 0, 0, 0, 0, 1)
     return total[0]
+
+
+def simple_walk_count(braid: BraidWord) -> int:
+    """Number of simple walks in a knot braid's level-one walk sum, the
+    length of walk_generator's result, counted on occupied strands alone
+    (see the module docstring): no braid matrix, keys or exponents. 0 on
+    one strand, where the only braid is the unknot's empty word.
+    """
+    if not braid.is_knot_closure():
+        raise NotAKnotError(f"closure of {braid} is not a knot")
+    # bit u - 1 of a set stands for strand u; J leaves strand 1 out
+    states = {(start, start): 1 for start in range(2, 1 << braid.strands, 2)}
+    for index, sign in braid.crossings:
+        lower = 1 << index - 1
+        both = 3 * lower
+        # the strand whose lone path may stay (a) as well as move
+        branching = lower if sign > 0 else 2 * lower
+        moved: dict = {}
+        for (start, held), ways in states.items():
+            here = held & both
+            lone = here and here != both
+            if not lone or here == branching:
+                # no path here, two paths swapping (b, c), or a lone path staying (a)
+                moved[start, held] = moved.get((start, held), 0) + ways
+            if lone:
+                # a lone path moving to the other strand (b or c)
+                key = start, held ^ both
+                moved[key] = moved.get(key, 0) + ways
+        states = moved
+    return sum(ways for (start, held), ways in states.items() if start == held)
 
 
 def _simple_walks(braid: BraidWord) -> list:

@@ -30,20 +30,22 @@ with its mirror: walk counts follow the presentation, not the knot
 tried: on every rotation of every bundled braid and its flip, a rotation
 past sigma_i with i >= 2 left the count unchanged. Every candidate has the
 input's strands and writhe, up to the mirror's sign, so the polynomial
-and framing do not depend on the choice. Each candidate costs one level-one
-generator run, so the search pays only where the stack loop dominates. On
-the 84 bundled knots (CPU time, best of 3 passes, two rounds, 2 vCPUs,
-Python 3.11) the whole table took, without and with the search, 0.23 ->
-0.87 s at N = 2, 0.38-0.41 -> 0.95-0.98 s at N = 3, 1.06-1.29 ->
-1.15-1.21 s at N = 4 and 6.9-7.2 -> 2.4 s at N = 5. Per job at N = 4 the
-search took 9_5 from 128-133 to 30-31 ms and 9_2 from 26-31 to 31-36 ms.
+and framing do not depend on the choice. The search scores each candidate
+with simple_walk_count, which follows the occupied strands crossing by
+crossing and builds no walk sum (see burau), about 0.05 ms a count where a
+generator run takes 0.7-1 ms; below it the braid and its mirror are still
+scored by one generator run each. On the 84 bundled knots (CPU time, best
+of 3 passes, three rounds, 2 vCPUs, Python 3.11) the whole table took,
+without and with the search, 1.04-1.42 -> 0.43-0.54 s at N = 4 and
+5.9-9.3 -> 1.47-1.92 s at N = 5. Per job at N = 4 the search took 9_5
+from 130-158 to 15-21 ms and 9_2 from 29-49 to 15-22 ms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError
-from .burau import walk_generator
+from .burau import simple_walk_count, walk_generator
 from .laurent import LaurentPolynomial
 from .weyl import checked_int, evaluate_walk_sum, multiply_walk_sums
 
@@ -74,9 +76,10 @@ class CjpResult:
     walk_counts: dict[BraidWord, int]
 
 
-def simple_walk_count(braid: BraidWord) -> int:
-    """Number of simple walks in the level-one walk sum; 0 on one strand,
-    where the only braid is the unknot's empty word."""
+# Below SEARCH_FROM_COLOR, bench/test_bench.py pins three walk_generator
+# runs per job (ROADMAP item 1).
+def _generator_walk_count(braid: BraidWord) -> int:
+    """simple_walk_count by one level-one generator run."""
     if braid.strands < 2:
         return 0
     return len(walk_generator(braid, prune_simple=True))
@@ -100,11 +103,15 @@ def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, boo
     The candidates are the braid and its mirror, and from ``color`` >=
     SEARCH_FROM_COLOR every cut_candidates word and its mirror. The one
     with the fewest simple walks wins; ties keep the earlier candidate, so
-    the input word first. ``color`` is checked as in colored_jones.
+    the input word first. The search scores with simple_walk_count, which
+    builds nothing; the braid and its mirror alone are scored by generator
+    runs. ``color`` is checked as in colored_jones.
     """
-    words = cut_candidates(braid) if checked_int(color) >= SEARCH_FROM_COLOR else [braid]
+    search = checked_int(color) >= SEARCH_FROM_COLOR
+    words = cut_candidates(braid) if search else [braid]
+    count = simple_walk_count if search else _generator_walk_count
     candidates = [(w.mirror() if mirrored else w, mirrored) for w in words for mirrored in (False, True)]
-    counts = {word: simple_walk_count(word) for word in dict.fromkeys(word for word, _ in candidates)}
+    counts = {word: count(word) for word in dict.fromkeys(word for word, _ in candidates)}
     chosen, mirrored = min(candidates, key=lambda candidate: counts[candidate[0]])
     return chosen, mirrored, counts
 

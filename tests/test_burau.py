@@ -21,6 +21,7 @@ from walkjones.burau import (
     braid_matrix,
     quantum_det,
     reduced_matrix,
+    simple_walk_count,
     unpruned_walk_count,
     walk_generator,
 )
@@ -226,6 +227,32 @@ def test_walk_generator_rejects_links():
 def test_walk_generator_prune_equals_filtered(fig8):
     full = walk_generator(fig8, prune_simple=False)
     assert filtered(full, 2) == walk_generator(fig8, prune_simple=True)
+
+
+def test_simple_walk_count_is_generator_length_random():
+    rng = random.Random(67)
+    for m in range(2, 8):
+        found = 0
+        while found < 34:
+            crossings = tuple(
+                (rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(rng.randint(m - 1, 12))
+            )
+            braid = BraidWord(crossings, m)
+            if not braid.is_knot_closure():
+                continue
+            found += 1
+            for word in (braid, braid.reduced()):
+                expected = len(walk_generator(word)) if word.strands > 1 else 0
+                assert simple_walk_count(word) == expected, (word.text(), m)
+
+
+def test_simple_walk_count_rejects_links_and_is_zero_on_one_strand():
+    with pytest.raises(NotAKnotError):
+        simple_walk_count(parse_braid("1 1"))
+    with pytest.raises(NotAKnotError):
+        simple_walk_count(parse_braid("1 2", strands=4))
+    assert simple_walk_count(parse_braid("")) == 0
+    assert simple_walk_count(parse_braid("1")) == 0
 
 
 def test_unpruned_walk_count():

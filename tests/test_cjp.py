@@ -159,6 +159,38 @@ def test_result_carries_every_measured_walk_count():
     assert colored_jones(b, 4, mirror_opt=False).walk_counts == {}
 
 
+@pytest.mark.parametrize("color", [3, 4, 5])
+def test_generator_runs_per_job(monkeypatch, color):
+    # the search scores its candidates without the generator; below it the
+    # braid and its mirror still cost one generator run each
+    calls = []
+    original = cjp.walk_generator
+
+    def counted(braid, *args, **kwargs):
+        calls.append(braid)
+        return original(braid, *args, **kwargs)
+
+    monkeypatch.setattr(cjp, "walk_generator", counted)
+    for text in ("1 1 1", "-1 2 -1 2", "1 1 1 -2 1 -2", "1 1 2 -1 2 2 3 -2 3 4 -3 4"):
+        calls.clear()
+        braid = parse_braid(text)
+        result = colored_jones(braid, color)
+        scored = [] if color >= cjp.SEARCH_FROM_COLOR else [braid, braid.mirror()]
+        assert calls == scored + [result.braid_used], text
+
+
+def test_search_counts_are_generator_lengths_on_every_cut_word(monkeypatch):
+    # walk_counts holds every distinct cut word and mirror of the table, so
+    # this pins simple_walk_count to len(walk_generator) on all of them, and
+    # braid_used and walk_counts to what scoring by generator runs gives
+    records = load_table()
+    searched = [choose_orientation(rec.braid_word(), 4) for rec in records]
+    monkeypatch.setattr(cjp, "simple_walk_count", cjp._generator_walk_count)
+    for rec, found in zip(records, searched):
+        chosen, mirrored, counts = choose_orientation(rec.braid_word(), 4)
+        assert found == (chosen, mirrored, counts) and list(found[2]) == list(counts), rec.name
+
+
 def test_search_matches_two_candidate_run_at_four(monkeypatch):
     records = load_table()
     searched = [colored_jones(rec.braid_word(), 4) for rec in records]
