@@ -4,8 +4,8 @@ A braid on m strands is stored as an ordered sequence of crossings
 (generator index i in [1, m-1], sign +-1). Closure-related quantities
 (closure permutation, knot test, writhe) treat the word as given. The one
 rewriting is reduced(): it cancels cyclically adjacent inverse pairs and
-drops strands by Markov destabilization, which keeps the closure's link
-type; no other braid group relation is applied.
+drops top or bottom strands by Markov destabilization, which keeps the
+closure's link type; no other braid group relation is applied.
 """
 from __future__ import annotations
 
@@ -63,9 +63,11 @@ class BraidWord:
         """The word with the same closure, after two steps repeated until
         neither applies: cancel adjacent sigma_i sigma_i^-1 pairs, the last
         and first letters counting as adjacent (a conjugation); and while
-        the largest index m - 1 appears exactly once, delete that crossing
-        and drop a strand (Markov destabilization: the word is conjugate
-        to w sigma_(m-1)^+-1 with w on m - 1 strands)."""
+        the largest index m - 1 or the index 1 appears exactly once, delete
+        that crossing and drop a strand (Markov destabilization: the word is
+        conjugate to w sigma_(m-1)^+-1 with w on m - 1 strands, or, for
+        sigma_1, to sigma_1^+-1 w with w on the top m - 1 strands, whose
+        indices then move down by one)."""
         word, m = list(self.crossings), self.strands
         while True:
             free: list[tuple[int, int]] = []
@@ -78,10 +80,15 @@ class BraidWord:
             while end - start > 1 and free[start] == (free[end - 1][0], -free[end - 1][1]):
                 start, end = start + 1, end - 1
             word = free[start:end]
-            top = [r for r, (i, _) in enumerate(word) if i == m - 1]
-            if len(top) != 1:
+            for index in (m - 1, 1):
+                at = [r for r, (i, _) in enumerate(word) if i == index]
+                if len(at) == 1:
+                    break
+            else:
                 return BraidWord(tuple(word), m)
-            del word[top[0]]
+            del word[at[0]]
+            if index == 1:
+                word = [(i - 1, s) for i, s in word]
             m -= 1
 
     def closure_permutation(self) -> tuple[int, ...]:

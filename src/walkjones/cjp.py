@@ -1,8 +1,9 @@
 """Colored Jones polynomial of a braid closure.
 
 The word is reduced first (BraidWord.reduced): cyclically adjacent
-sigma_i sigma_i^-1 pairs cancel, and while the largest index appears
-once, its crossing and a strand are dropped (Markov destabilization).
+sigma_i sigma_i^-1 pairs cancel, and while the largest index or the
+index 1 appears once, its crossing and a strand are dropped (Markov
+destabilization).
 Walk counts follow the strands and crossings, so a conjugated, stabilized
 braid costs what its source does; a word that reduces to one strand is
 the unknot, with J = 1. Everything below runs on the reduced word.
@@ -35,10 +36,20 @@ with simple_walk_count, which follows the occupied strands crossing by
 crossing and builds no walk sum (see burau), about 0.05 ms a count where a
 generator run takes 0.7-1 ms; below it the braid and its mirror are still
 scored by one generator run each. On the 84 bundled knots (CPU time, best
-of 3 passes, three rounds, 2 vCPUs, Python 3.11) the whole table took,
-without and with the search, 1.04-1.42 -> 0.43-0.54 s at N = 4 and
-5.9-9.3 -> 1.47-1.92 s at N = 5. Per job at N = 4 the search took 9_5
-from 130-158 to 15-21 ms and 9_2 from 29-49 to 15-22 ms.
+of 3 passes, three rounds, 2 vCPUs of a shared VM, Python 3.11) the whole
+table took, without and with the search, 1.53-1.72 -> 0.61-0.72 s at
+N = 4 and 8.6-10.8 -> 1.75-2.48 s at N = 5. Per job at N = 4 (best of 5)
+the search took 9_5 from 140-204 to 24-26 ms and 9_2 from 33-48 to
+14-22 ms.
+
+The loop prepares once per call what depends only on the level-one sum and
+the color (see weyl): the level-one sum keeps its reordering operator,
+with the lefts each saturation signature admits, and each stack hands its
+evaluation class tables to the next. On the high-color bench jobs
+(9_1 at N = 6, 9_2 and 9_5 at N = 4, 9_35 at N = 5) a traced pass spends
+117.5 ms in the stack multiply and 58.5 ms in evaluation, 59% and 29%
+of the pass (bench/run.py --trace 1, times at the bench's reference
+speed).
 """
 from __future__ import annotations
 

@@ -27,12 +27,12 @@ Python integers, and both run on the packed form that a WalkSum is:
 - Bounds travel with the sum: its coefficient mass (the sum over entries
   of sum |c|), a bound on every moved field, and a bound on the spread
   between its lowest and highest exponent.
-- A product also carries a reordering row per key that the left operand
-  can still multiply: one integer of L-bit fields, field i holding the
-  q-power that the i-th entry of the left operand picks up when it is
-  moved in front of the key, plus 2^(L-1).
-  The next product with the same left reads a pair's q-power off the row
-  with one shift and mask (see multiply_walk_sums).
+- A product also carries a reordering row per key: one integer of L-bit
+  fields, field i holding the q-power that the i-th entry of the left
+  operand picks up when it is moved in front of the key, plus 2^(L-1),
+  plus that entry's base exponent less the lowest. The next product with
+  the same left reads a pair's exponent off the row with one shift, one
+  mask and one add (see multiply_walk_sums).
 
 The level-one sum is born packed (WalkSum.from_masks) from its simple
 walks, one (letter mask, exponent, sign) item per walk: a mask moves
@@ -44,6 +44,13 @@ DRL test, and a +-1 left coefficient makes a pair's coefficient +-pb.
 Evaluation reads each key's factor class from tables keyed by runs of
 crossings cut straight off the packed key, and sums coefficients per
 class and base exponent before it shifts anything.
+
+What depends only on the level-one sum and the color is built once per
+height loop, not once per height. The left's operator (_Reorder) keeps
+its row weights, columns and bias, and the lefts each saturation
+signature admits; each stack hands its evaluation class tables (_Classes)
+on to the product it is the right operand of, and their layout holds at
+every height of the loop.
 
 Lane policy. The mass bounds every digit of every coefficient and of any
 sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2. B
@@ -88,6 +95,10 @@ _ROW_BITS = 16
 # Crossings per run of an evaluation class table (see evaluate_walk_sum).
 _RUN = 3
 
+# Spare bits of the p field of an evaluation class, so that the tables of a
+# height loop hold while the stack's span grows (see _Classes).
+_P_HEADROOM = 3
+
 
 def _moved_digit(letters: int) -> str:
     """One crossing's moved fields (d, d+r, d+s) as 8-bit characters, most
@@ -127,17 +138,19 @@ class WalkSum:
     exponent of all terms.
 
     A product also carries ``rows``, aligned with the keys: each key's
-    reordering row for the operator ``rows_for``, or None where it keeps
-    none (see multiply_walk_sums); ``reorder`` caches the operator of this
-    sum as a left operand. multiply_walk_sums may widen an operand's key
-    fields and lane in place, which leaves its value, rows and operator as
-    they are. ``entries`` decodes the sum into its canonical map, tuple key
-    -> LaurentPolynomial, the first time it is read.
+    reordering row for the operator ``rows_for`` (see multiply_walk_sums);
+    ``reorder`` caches the operator of this sum as a left operand, and
+    ``classes`` the evaluation class tables it was last evaluated with, or
+    those of its right operand (see _Classes). multiply_walk_sums may
+    widen an operand's key fields and lane in place, which leaves its
+    value, base exponents, rows and operator as they are. ``entries``
+    decodes the sum into its canonical map, tuple key -> LaurentPolynomial,
+    the first time it is read.
     """
 
     __slots__ = (
         "layout", "bits", "keys", "coeffs", "low", "mass", "field_max", "span", "rows", "rows_for", "reorder",
-        "_entries",
+        "classes", "_entries",
     )
 
     def __init__(self, entries: Mapping[tuple[int, ...], LaurentPolynomial] | None = None):
@@ -172,7 +185,7 @@ class WalkSum:
 
     def _set(
         self, layout: "_Keys | None", bits: int, keys: list, coeffs: list, low: list, mass: int, field_max: int,
-        span: int, rows: list | None = None, rows_for: "_Reorder | None" = None,
+        span: int, rows: list | None = None, rows_for: "_Reorder | None" = None, classes: "_Classes | None" = None,
     ) -> None:
         self.layout = layout
         self.bits = bits
@@ -185,6 +198,7 @@ class WalkSum:
         self.rows = rows
         self.rows_for = rows_for
         self.reorder = None
+        self.classes = classes
         self._entries = None
 
     @classmethod
@@ -235,12 +249,10 @@ class WalkSum:
 
     def _widen(self, layout: "_Keys", bits: int) -> None:
         """Lay the keys out at ``layout`` and re-digit the coefficients at
-        ``bits``, both at least as wide as the sum's own; its value, rows
-        and operator stay."""
+        ``bits``, both at least as wide as the sum's own; its value, base
+        exponents, rows and operator stay."""
         if bits != self.bits:
-            repacked = [_pack(_unpack(p, self.bits, base), bits) for p, base in zip(self.coeffs, self.low)]
-            self.coeffs = [p for p, _ in repacked]
-            self.low = [base for _, base in repacked]
+            self.coeffs = [_redigit(p, self.bits, base, bits) for p, base in zip(self.coeffs, self.low)]
             self.bits = bits
         if layout.width != self.layout.width:
             self.keys = [layout.join(self.layout.fields(x)) for x in self.keys]
@@ -323,6 +335,13 @@ def _pack(coeff: LaurentPolynomial, bits: int) -> tuple[int, int]:
     return packed, coeff._low
 
 
+def _redigit(packed: int, bits: int, base: int, to_bits: int) -> int:
+    """A packed coefficient with base exponent ``base`` at q = 2^to_bits in
+    place of 2^bits, on the same base."""
+    wide, low = _pack(_unpack(packed, bits, base), to_bits)
+    return wide << to_bits * (low - base)
+
+
 def _unpack(packed: int, bits: int, base: int) -> LaurentPolynomial:
     """Inverse of _pack: the signed bits-bit digits of packed, from exponent
     base up, written straight into the polynomial's coefficient tuple.
@@ -379,9 +398,11 @@ class _FactorTable(dict):
     """For one crossing sign and color top + 1, maps the moved fields
     (d+r, d) of a crossing to the integer that encodes its evaluation (see
     evaluate_walk_sum), filling itself on first use. ``layout`` is
-    (count_bits, p_bound, flips_shift, hist_shift, zero): the width of a
-    count, the bias of p, where the flip count and the histogram start,
-    and the value of a zero factor."""
+    (count_bits, p_bound, flips_shift, hist_shift, zero_shift): the width
+    of a count, the bias of p, where the flip count and the histogram
+    start, and the shift of -1 that gives a zero factor's value. That
+    value is made only when a zero factor is met: the layout's field bound
+    follows the color (_Classes), so at a huge color it would be huge."""
 
     __slots__ = ("positive", "top", "layout")
 
@@ -391,7 +412,7 @@ class _FactorTable(dict):
         self.layout = layout
 
     def __missing__(self, moved: tuple[int, int]) -> int:
-        count_bits, p_bound, flips_shift, hist_shift, zero = self.layout
+        count_bits, p_bound, flips_shift, hist_shift, zero_shift = self.layout
         top = self.top
         dr, d = moved
         r = dr - d
@@ -404,8 +425,8 @@ class _FactorTable(dict):
         flips = hist = 0
         for e in exponents:
             if not e:
-                self[moved] = zero
-                return zero
+                value = self[moved] = -1 << zero_shift
+                return value
             if e < 0:
                 p += e
                 flips += 1
@@ -434,6 +455,51 @@ class _RunTable(dict):
         return value
 
 
+class _Classes:
+    """The class tables of evaluate_walk_sum for one sign vector, color n
+    and key width: a _FactorTable per crossing sign and a _RunTable per run
+    of crossings, with the class layout they share. The layout holds for
+    every sum whose fields are at most ``fields`` and whose span is at most
+    ``span``: ``fields`` is the larger of n - 1, the bound of every stack
+    under a DRL limit of n, and the first sum's own bound, and the p field
+    has _P_HEADROOM bits more than the first sum's span needs. A sum keeps
+    the tables it was evaluated with, and a product takes over its right
+    operand's (multiply_walk_sums), so that the tables of a height loop fill
+    once for all heights; they are rebuilt only for a sum they do not fit."""
+
+    __slots__ = ("signs", "n", "width", "fields", "span", "p_bound", "count_bits", "flips_shift", "hist_shift", "runs")
+
+    def __init__(self, ws: WalkSum, signs: tuple[int, ...], n: int):
+        k = len(signs)
+        fields = max(ws.field_max, n - 1)
+        self.signs, self.n, self.width, self.fields = signs, n, ws.layout.width, fields
+        # a key has at most ``most`` factors, and per crossing |p| is at most p_bound
+        most = k * fields
+        p_bound = self.p_bound = fields * (2 * n + 3 * fields)
+        count_bits = self.count_bits = most.bit_length()
+        flips_shift = self.flips_shift = (2 * k * p_bound + ws.span).bit_length() + _P_HEADROOM
+        self.span = (1 << flips_shift) - 1 - 2 * k * p_bound
+        hist_shift = self.hist_shift = flips_shift + count_bits
+        factor_layout = (count_bits, p_bound, flips_shift, hist_shift, hist_shift + count_bits * (n + 2 * fields))
+        by_sign = {positive: _FactorTable(positive, n - 1, factor_layout) for positive in (True, False)}
+        layout = ws.layout
+        full = (1 << layout.width) - 1
+        self.runs = []
+        for first in range(0, k, _RUN):
+            run = range(first, min(first + _RUN, k))
+            keep = [0] * (3 * k)
+            for j in run:
+                keep[3 * j + 1] = keep[3 * j + 2] = full
+            self.runs.append((_RunTable(layout.fields, [(j, by_sign[signs[j] > 0]) for j in run]), layout.join(keep)))
+
+    def fit(self, ws: WalkSum, signs: tuple[int, ...], n: int) -> bool:
+        """Whether these tables evaluate ``ws`` at these signs and color."""
+        return (
+            ws.span <= self.span and ws.field_max <= self.fields and n == self.n
+            and ws.layout.width == self.width and signs == self.signs
+        )
+
+
 def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
     """Color-n evaluation of a walk sum (additive over monomials).
 
@@ -456,7 +522,13 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     table per run (_RunTable) maps the key, masked to the run's (d+r, d)
     fields, straight to the sum of the run's entries: one AND and one
     lookup per run, with no unpacking. Both kinds of table fill on first
-    use.
+    use, and they live for a whole height loop (_Classes): the sum keeps
+    them, a product takes over its right operand's, and their layout is
+    taken from bounds that hold at every height (fields at most n - 1, as
+    under a DRL limit of n, and a p field with spare bits for the span),
+    so each run of (d+r, d) fields is computed once per loop. Tables that
+    do not fit a sum (another color, sign vector or key width, a larger
+    field bound, or a span past the p field's room) are rebuilt for it.
 
     Buckets. The p field also has room for the key's base exponent less
     the lowest one, so the class plus that offset names the monomial's
@@ -480,7 +552,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
         return LaurentPolynomial.zero()
     k = len(signs)
     ws._check_crossings(k)
-    mass, fields, span, bits, layout = ws.mass, ws.field_max, ws.span, ws.bits, ws.layout
+    mass, fields, span, bits = ws.mass, ws.field_max, ws.span, ws.bits
     # a key has at most ``most`` factors; per crossing |p| is at most
     # p_bound, and the exponents of m sum to at most grow in all
     most = k * fields
@@ -488,22 +560,13 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     grow = most * (n + 2 * fields)
     _check_span(_lane(mass.bit_length() + most + 2, bits), span + 2 * k * p_bound + grow)
 
+    classes = ws.classes
+    if classes is None or not classes.fit(ws, signs, n):
+        classes = ws.classes = _Classes(ws, signs, n)
     base_min = min(ws.low)
-    count_bits = most.bit_length()
-    flips_shift = (2 * k * p_bound + span).bit_length()
-    hist_shift = flips_shift + count_bits
-    factor_layout = (count_bits, p_bound, flips_shift, hist_shift, -1 << (hist_shift + count_bits * (n + 2 * fields)))
-    by_sign = {positive: _FactorTable(positive, n - 1, factor_layout) for positive in (True, False)}
-    full = (1 << layout.width) - 1
-    runs = []
-    for first in range(0, k, _RUN):
-        run = range(first, min(first + _RUN, k))
-        keep = [0] * (3 * k)
-        for j in run:
-            keep[3 * j + 1] = keep[3 * j + 2] = full
-        runs.append((_RunTable(layout.fields, [(j, by_sign[signs[j] > 0]) for j in run]), layout.join(keep)))
     buckets: dict[int, int] = {}
     get = buckets.get
+    runs = classes.runs
     for x, packed, base in zip(ws.keys, ws.coeffs, ws.low):
         t = base - base_min
         for table, keep in runs:
@@ -511,8 +574,9 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
         if t >= 0:
             buckets[t] = get(t, 0) + packed
 
+    flips_shift, hist_shift, count_bits = classes.flips_shift, classes.hist_shift, classes.count_bits
     p_mask = (1 << flips_shift) - 1
-    offset = base_min - k * p_bound
+    offset = base_min - k * classes.p_bound
     acc: dict[int, int] = {}
     low: dict[int, int] = {}
     for t, packed in buckets.items():
@@ -591,9 +655,12 @@ _FORM_NORM = max(sum(map(abs, sum(form, ()))) for form in _MOVED_FORMS.values())
 class _Reorder:
     """The reordering operator of one left operand at one sign vector, with
     row fields of ``width`` bits (see multiply_walk_sums): the weight W_j
-    of every moved field j, and the column C_i of each left entry i."""
+    of every moved field j, the column C_i of each left entry i, the row
+    bias, with the offset that a pair's exponent takes, and the admitted
+    lefts of the latest key width, lane and DRL limit the left was
+    multiplied at."""
 
-    __slots__ = ("signs", "width", "weights", "columns", "bias")
+    __slots__ = ("signs", "width", "weights", "columns", "bias", "offset", "admitted")
 
     def __init__(self, left: WalkSum, signs: tuple[int, ...], width: int):
         self.signs = signs
@@ -620,8 +687,13 @@ class _Reorder:
             weights += [sum(form[t][u] * fa[t] for t in range(3)) for u in range(3)]
         self.weights = weights
         self.columns = [self.combine(layout.fields(x)) for x in left.keys]
-        # 2^(width-1) in every row field
-        self.bias = ((1 << width * count) - 1) // ((1 << width) - 1) << (width - 1)
+        # 2^(width-1) plus the base exponent of left entry i, less the
+        # lowest, in row field i
+        half = 1 << (width - 1)
+        low = min(left.low)
+        self.bias = int.from_bytes(b"".join((half + e - low).to_bytes(out, "little") for e in left.low), "little")
+        self.offset = low - half
+        self.admitted = None
 
     def row(self, fields: tuple[int, ...]) -> int:
         """R_b of a key with these moved fields, built from its fields."""
@@ -631,6 +703,23 @@ class _Reorder:
         """Sum of fields[j] * W_j: field i is the q-power of reordering
         left entry i in front of a key with these moved fields."""
         return sum(f * w for f, w in zip(fields, self.weights) if f)
+
+
+class _Admitted(dict):
+    """For one left operand at one key width, lane and DRL limit (``key``),
+    maps the saturation signature of a right key to the entries (xa, pa,
+    shift, column) of the lefts it admits, filling itself on first use.
+    ``lefts`` lists each left entry with its mask."""
+
+    __slots__ = ("key", "lefts")
+
+    def __init__(self, key: tuple[int, int, int], lefts: list):
+        self.key = key
+        self.lefts = lefts
+
+    def __missing__(self, signature: int) -> list:
+        admitted = self[signature] = [entry for mask, entry in self.lefts if not mask & signature]
+        return admitted
 
 
 def multiply_walk_sums(
@@ -660,14 +749,16 @@ def multiply_walk_sums(
     entry marks its fields that are at least n - 1, the mask of a left entry
     its fields that are at least 1, and a left is paired with a right only
     when the two share no field. Doomed pairs are skipped this way without
-    a key add; the admitted lefts are listed once per signature. When the
-    left's fields are at most 1 and the right's below n, a field of a
-    product reaches n only as 1 + (n - 1), which is what the prefilter
-    tests, so it is exact and no pair runs the DRL test; nor does any pair
-    when the two field bounds sum below n. Otherwise each admitted pair
-    still runs it. The level-one sum is born with field bound 1
-    (WalkSum.from_masks) and every product has fields below n, so in the
-    colored_jones loop the test never runs.
+    a key add. The lefts a signature admits are listed the first time it
+    comes up and kept on the left's operator (_Admitted, keyed by key
+    width, lane and DRL limit), so a height loop lists each signature once
+    however many heights see it. When the left's fields are at most 1 and
+    the right's below n, a field of a product reaches n only as
+    1 + (n - 1), which is what the prefilter tests, so it is exact and no
+    pair runs the DRL test; nor does any pair when the two field bounds
+    sum below n. Otherwise each admitted pair still runs it. The level-one
+    sum is born with field bound 1 (WalkSum.from_masks) and every product
+    has fields below n, so in the colored_jones loop the test never runs.
 
     Reordering rows. The q-power delta(a, b) that the product of a left
     key a by a right key b picks up in reordering is bilinear in the two
@@ -681,19 +772,24 @@ def multiply_walk_sums(
       sum over j of fb[j] * W_j holds delta(a_i, b) in field i;
     - the column C_i = sum over j of fa_i[j] * W_j holds delta(a_l, a_i)
       in field l.
-    The row of a right entry b is R_b = 2^(L-1) * ONES + sum of fb[j] * W_j,
-    so a pair's exponent is ea + eb + (R_b >> L*i & (2^L - 1)) - 2^(L-1).
-    The fields of a product key are fa_i + fb, so its row is one add,
-    R_b + C_i, and the product carries its rows for the next height. Under
-    a DRL limit, a key whose signature admits no left keeps no row: the
-    next height at the same limit never reads it. A right key with no row
-    valid for this operator (carried for another operator, dropped, or
-    from a sum built from a map) has it built from its fields. L is the
-    least of 16, 32, 64, ... bits, and at least the key width W, with k * _FORM_NORM * (left field
-    bound) * (right field bound) < 2^(L-1), so every field of a row is
-    one delta plus the bias, within 0 .. 2^L - 1. An operator narrower
+    The bias holds, in field i, 2^(L-1) + ea_i - e0, with e0 the lowest
+    base exponent of the left. The row of a right entry b is R_b = bias +
+    sum of fb[j] * W_j, so a pair's exponent is (eb + e0 - 2^(L-1)) +
+    (R_b >> L*i & (2^L - 1)): one add per pair on top of the shift and
+    mask, the first term being taken once per right entry. The fields of a
+    product key are fa_i + fb, so its row is one add, R_b + C_i, and every
+    product key carries its row for the next height, whether or not any
+    left can extend it: the next multiply skips a key whose signature
+    admits no left before it reads the row, and carrying costs less than
+    testing. A right key with no row valid for this operator (carried for
+    another operator, or from a sum built from a map or born packed) has
+    it built from its fields. L is the least of 16, 32, 64, ... bits, and
+    at least the key width W, with k * _FORM_NORM * (left field bound) *
+    (right field bound) + (left span) < 2^(L-1), so every field of a row
+    is one delta plus its bias, within 0 .. 2^L - 1. An operator narrower
     than that (a chain without DRL, whose fields grow) is rebuilt wider,
-    and the rows with it.
+    and the rows with it. A widened left keeps its base exponents, so the
+    bias stays valid.
 
     Coefficients. A pair's coefficient is pa * pb, or +-pb when the left
     coefficient is +-1, as every level-one coefficient is. Each output key
@@ -703,7 +799,8 @@ def multiply_walk_sums(
     lists as they are. The product's mass is at most the product of the
     operands' masses, which sets the lane; its fields are below n, and its
     exponent spread is at most the sum of the operands' spreads plus twice
-    the row bound. Zero sums are dropped; nothing is decoded.
+    the row bound. Zero sums are dropped; nothing is decoded. The product
+    takes over the right operand's evaluation class tables (_Classes).
     """
     n = checked_int(n, 0, "DRL limit")
     if not a or not b:
@@ -713,7 +810,6 @@ def multiply_walk_sums(
     b._check_crossings(k)
     fields_a, fields_b = a.field_max, b.field_max
     top = fields_a + fields_b
-    limit = n
     n = n or top + 1
     width = _key_width(max(top, n))
     if width is None:
@@ -728,7 +824,7 @@ def multiply_walk_sums(
     layout = _Keys(k, max(width, a.layout.width, b.layout.width))
     a._widen(layout, bits)
     b._widen(layout, bits)
-    row_width = _lane(max(row_bound.bit_length() + 1, layout.width), _ROW_BITS)
+    row_width = _lane(max((row_bound + a.span).bit_length() + 1, layout.width), _ROW_BITS)
 
     width = layout.width
     unit = layout.join((1,) * (3 * k))
@@ -740,49 +836,40 @@ def multiply_walk_sums(
     op = a.reorder
     if op is None or op.signs != signs or op.width < row_width:
         op = a.reorder = _Reorder(a, signs, row_width)
-    row_width = op.width
-    half = 1 << (row_width - 1)
-    row_mask = (1 << row_width) - 1
+    row_mask = (1 << op.width) - 1
+    admitted_by = op.admitted
+    if admitted_by is None or admitted_by.key != (width, bits, n):
+        entries = zip(a.keys, a.coeffs, range(0, op.width * len(a), op.width), op.columns)
+        lefts = [((entry[0] + nonzero) & guard, entry) for entry in entries]
+        admitted_by = op.admitted = _Admitted((width, bits, n), lefts)
+    offset = op.offset
     carried = b.rows if b.rows_for is op else repeat(None)
     fields = layout.fields
-    lefts = [
-        ((x + nonzero) & guard, (x, p, base - half, row_width * i, column))
-        for i, (x, p, base, column) in enumerate(zip(a.keys, a.coeffs, a.low, op.columns))
-    ]
-    masks = [mask for mask, _ in lefts]
-    admitted_by: dict[int, list] = {}
     slots: dict[int, int] = {}
     slot_of = slots.setdefault
     coeffs: list[int] = []
     low: list[int] = []
-    rows: list[int | None] = []
-    live: dict[int, bool] = {}
+    rows: list[int] = []
     count = 0
     for xb, pb, eb, rb in zip(b.keys, b.coeffs, b.low, carried):
-        signature = (xb + saturated) & guard
-        admitted = admitted_by.get(signature)
-        if admitted is None:
-            admitted = admitted_by[signature] = [entry for mask, entry in lefts if not mask & signature]
+        admitted = admitted_by[(xb + saturated) & guard]
         if not admitted:
             continue
         if rb is None:
             rb = op.row(fields(xb))
-        for xa, pa, ea, shift, column in admitted:
+        eb += offset
+        for xa, pa, shift, column in admitted:
             x = xa + xb
             if drl_test and (x + bias) & guard:
                 continue
-            e = ea + eb + (rb >> shift & row_mask)
+            e = eb + (rb >> shift & row_mask)
             p = pb if pa == 1 else -pb if pa == -1 else pa * pb
             slot = slot_of(x, count)
             if slot == count:
                 count += 1
                 coeffs.append(p)
                 low.append(e)
-                x_signature = (x + saturated) & guard
-                alive = live.get(x_signature)
-                if alive is None:
-                    alive = live[x_signature] = not limit or not all(mask & x_signature for mask in masks)
-                rows.append(rb + column if alive else None)
+                rows.append(rb + column)
             else:
                 old = low[slot]
                 if e >= old:
@@ -794,4 +881,4 @@ def multiply_walk_sums(
     if 0 in coeffs:
         nonzero_sums = [bool(p) for p in coeffs]
         keys, coeffs, low, rows = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low, rows))
-    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op)
+    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op, b.classes)

@@ -132,9 +132,11 @@ def test_text_roundtrip():
     ("-1 1 1 2 1 1", None, "1 1 1", 2),  # a pair across the ends, then a pair inside
     ("2 1 1 2 1 -2", None, "1 1 1", 2),  # a conjugation spanning the ends, then a stabilization
     ("1 -2 1 -2", None, "1 -2 1 -2", 3),  # the top index appears twice
-    ("-1 2 2 2", None, "-1 2 2 2", 3),  # a stabilization on the bottom strand is kept
+    ("-1 2 2 2", None, "1 1 1", 2),  # a stabilization on the bottom strand, indices moved down
+    ("2 -1 -2 2 3 3 3", None, "1 1 1", 2),  # a bottom stabilization lets a pair cancel, then another
     ("1 -1", None, "", 2),  # two components stay two: the top index is gone, not single
-    ("1", 3, "1", 3),  # the unused top strand is a split component, not a stabilization
+    ("1 1 1", 3, "1 1 1", 3),  # the unused top strand is a split component, not a stabilization
+    ("1", 3, "", 2),  # a bottom stabilization beside a split top strand: two components stay two
 ])
 def test_reduced_examples(text, strands, reduced, reduced_strands):
     b = parse_braid(text, strands)

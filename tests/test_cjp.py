@@ -228,7 +228,7 @@ def stabilized(b: BraidWord, sign: int) -> BraidWord:
 
 
 @pytest.mark.parametrize("text", ["1 1 1", "-1 2 -1 2"])
-@pytest.mark.parametrize("color", [2, 3])
+@pytest.mark.parametrize("color", [2, 3, 4])
 def test_markov_invariance(text, color):
     # each moved word on 3 or more strands also gets a braid relator at a
     # seeded place, which the reducer cannot undo as it undoes the moves

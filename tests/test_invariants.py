@@ -61,17 +61,23 @@ def test_conjugation_invariance(braid, data):
         related = with_relator(moved, index, position, data.draw(st.booleans()))
         assert related.reduced() not in rotations(braid.reduced())
         assert jones(related) == jones(braid)
-        assert colored_jones(related, 2).polynomial == colored_jones(braid, 2).polynomial
+        for color in (2, 4):
+            assert colored_jones(related, color).polynomial == colored_jones(braid, color).polynomial
 
 
 @INVARIANTS
 @given(knot_braids(), st.sampled_from((1, -1)))
 def test_stabilization_invariance(braid, sign):
-    # the engine reduces a new top strand away, but runs a new bottom strand
-    # as built (unless the braid itself destabilizes), so its own invariance is seen
+    # the reducer takes a new top or bottom strand away; a braid relator on
+    # the bottom two strands, appended with its first letter of the
+    # stabilization's sign, cancels against nothing and keeps sigma_1 four
+    # times, so the engine runs the bottom stabilization itself
     stabilized = BraidWord(braid.crossings + ((braid.strands, sign),), braid.strands + 1)
     lifted = BraidWord(((1, sign),) + tuple((i + 1, s) for i, s in braid.crossings), braid.strands + 1)
     assert jones(stabilized) == jones(lifted) == jones(braid)
+    related = with_relator(lifted, 1, lifted.k, sign < 0)
+    assert sum(i == 1 for i, _ in related.reduced().crossings) == 4
+    assert jones(related) == jones(braid)
 
 
 @INVARIANTS

@@ -769,6 +769,73 @@ def test_columns_built_once_per_level_one_entry(monkeypatch):
         assert len(op.columns) == result.simple_walk_count
 
 
+LOOP_JOBS = (("1 1 1", 6), ("-1 2 -1 2", 5), ("1 1 2 -1 -3 2 -3", 4), ("1 1 1 2 -1 2 3 -2 3", 4))
+
+
+def test_admitted_lefts_listed_once_per_signature(monkeypatch):
+    # the operator keeps its admitted lists from height to height, so one
+    # colored_jones call lists the lefts a saturation signature admits once
+    listed = []
+    missing = weyl._Admitted.__missing__
+    monkeypatch.setattr(weyl._Admitted, "__missing__", lambda self, sig: listed.append(sig) or missing(self, sig))
+    for text, n in LOOP_JOBS:
+        listed.clear()
+        assert colored_jones(parse_braid(text), n).heights_summed >= 3
+        assert listed and len(listed) == len(set(listed)), text
+
+
+def test_class_tables_fill_once_per_loop(monkeypatch):
+    # the stack hands its class tables on to the next height, and their
+    # layout has room for every height's fields and span: one colored_jones
+    # call builds one set of tables, and a run of (d+r, d) fields that
+    # missed at one height never misses at a later one
+    built = []
+    init = weyl._Classes.__init__
+    monkeypatch.setattr(weyl._Classes, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    misses = []
+    missing = weyl._RunTable.__missing__
+    monkeypatch.setattr(
+        weyl._RunTable, "__missing__", lambda self, x: misses.append((self.crossings[0][0], x)) or missing(self, x)
+    )
+    for text, n in LOOP_JOBS:
+        built.clear()
+        misses.clear()
+        assert colored_jones(parse_braid(text), n).heights_summed >= 3
+        assert len(built) == 1, text
+        assert len(misses) == len(set(misses)), text
+
+
+@pytest.mark.parametrize("drl", [True, False])
+def test_carried_rows_are_the_rows_of_their_keys(drl):
+    # every key of a product carries its row for the product's operator,
+    # a key that no left can extend included: the row is one add, and the
+    # next multiply skips such a key before it reads its row. Lefts with
+    # several terms at spread base exponents put the row bias's exponent
+    # offsets to work, and level-one sums of the loop are checked too.
+    rng = random.Random(48 + drl)
+    chains = []
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        n = rng.randint(2, 6)
+        left = rand_left(rng, k, True, rng.randint(1, 5), 20)
+        chains.append((left, filtered(left, n) if drl else left, rand_signs(rng, k), n if drl else 0))
+    for text, n in LOOP_JOBS:
+        braid = parse_braid(text)
+        left = walk_generator(braid, prune_simple=drl)
+        chains.append((left, left, braid.signs(), n if drl else 0))
+    for left, stack, signs, limit in chains:
+        reference = stack
+        for _ in range(4):
+            stack = multiply_walk_sums(left, stack, signs, limit)
+            reference = kernel_product(left, reference, signs, limit)
+            assert stack == reference
+            if not stack:
+                break
+            op = stack.rows_for
+            assert op is left.reorder
+            assert stack.rows == [op.row(stack.layout.fields(x)) for x in stack.keys]
+
+
 def test_threaded_bench_rows_match_single_threaded():
     # each job keeps its operator on its own level-one sum, so jobs on
     # worker threads share no state
