@@ -45,8 +45,9 @@ coefficient arithmetic and nothing to merge. Three invariants of the walk
 model keep the product short: a braid matrix entry is a set of paths with
 coefficient 1, so it is read as bare letter masks; the DRL test of a pair
 is one AND, and after it two keys share a crossing only as the left key's
-c and the right key's b; and the reordering form has F[b][c] = 0. A pair's
-q-power is then two popcounts, one per crossing sign. The sum is returned
+c and the right key's b; and the reordering form (weyl.reordering_form,
+where the rule is written down) has F[b][c] = 0. A pair's q-power is then
+F[c][b] times a popcount, per crossing sign. The sum is returned
 born packed (weyl.WalkSum.from_masks), and its length is the walk count
 that simple_walk_count gives without building it.
 

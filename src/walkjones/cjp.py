@@ -155,13 +155,9 @@ def colored_jones(
         return CjpResult(LaurentPolynomial.one(), False, 0, 0, 0, braid, {})
 
     chosen, mirror_used, walk_counts = choose_orientation(braid, color) if mirror_opt else (braid, False, {})
-    m = chosen.strands
-    writhe = chosen.writhe()
-    if (writhe - m + 1) % 2:
-        raise RuntimeError(
-            f"knot closure must have writhe - strands + 1 even, got writhe {writhe} on {m} strands"
-        )
-    framing_exponent = (color - 1) * (writhe - m + 1) // 2
+    # a knot's closure on m strands is an m-cycle, one transposition per
+    # crossing, so writhe = crossings = m - 1 (mod 2): the halving is exact
+    framing_exponent = (color - 1) * (chosen.writhe() - chosen.strands + 1) // 2
 
     signs = chosen.signs()
     # The level-one sum is the first stack as built: every simple walk passes

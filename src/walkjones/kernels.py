@@ -1,24 +1,20 @@
-"""The generic walk-sum kernels, on plain data.
+"""The generic walk-sum product on plain data: what braid_matrix, the
+verification paths (quantum_det, the unpruned generator, the tests'
+reference products) and the benchmark's span hooks call.
 
 Exponent keys are flat tuples (s_1, r_1, d_1, ..., s_k, r_k, d_k) and
-coefficients are canonical {exponent: int} dicts.
+coefficients are canonical {exponent: int} dicts. The product key is the
+entrywise sum of the two keys, and the q-power that normal reordering adds
+is read off the reordering forms of weyl, where the rule is written down.
 
-The reordering rule is stated here and nowhere else. The product key is
-the entrywise sum of the two keys. Per crossing j, multiplying normal-form
-words with letter counts (s1, r1, d1) and (s2, r2, d2) costs q**delta with
-
-    delta = d1*r2 - 2*r1*s2               at a positive crossing,
-    delta = 2*d1*s2 - d1*r2 + 2*r1*s2     at a negative crossing;
-
-the product coefficient is q**(sum of the deltas) * ca * cb. walk_products
-applies it; key_product is its one-pair call.
-
-Callers look these functions up on the module at call time, so that a
+Callers look walk_products up on the module at call time, so that a
 wrapper installed on the module attribute sees every call.
 """
 from __future__ import annotations
 
 import sys
+
+from .weyl import reordering_form
 
 
 def active():
@@ -31,11 +27,9 @@ def active_name() -> str:
     return "pure"
 
 
-def key_product(ka: tuple, kb: tuple, signs: tuple) -> tuple:
-    """Entrywise key sum and the q-power picked up by normal reordering."""
-    ((key, coeff),) = walk_products([(ka, {0: 1})], [(kb, {0: 1})], signs, 0).items()
-    ((delta, _),) = coeff.items()
-    return key, delta
+# (F[c][b], F[a][b], F[a][c]) of the reordering form F of a negative and of
+# a positive crossing: the entries that may be nonzero
+_TERMS = tuple((f[1][0], f[2][0], f[2][1]) for f in map(reordering_form, (-1, 1)))
 
 
 def walk_products(items_a: list, items_b: list, signs: tuple, n_limit: int) -> dict:
@@ -45,9 +39,12 @@ def walk_products(items_a: list, items_b: list, signs: tuple, n_limit: int) -> d
     whose key fails weyl.drl_keep(key, n_limit), that is, with
     #a + max(#b, #c) >= n_limit at some crossing, before accumulation; 0
     disables pruning. Returns {key: coeff dict} with no zero coefficients.
+    A pair picks up q**delta, delta summed over crossings from the three
+    entries of the crossing's weyl.reordering_form that may be nonzero.
     """
     k = len(signs)
     width = 3 * k
+    forms = [_TERMS[sign > 0] for sign in signs]
     out: dict = {}
     for ka, ca in items_a:
         if len(ka) != width:
@@ -58,14 +55,14 @@ def walk_products(items_a: list, items_b: list, signs: tuple, n_limit: int) -> d
             key = [0] * width
             delta = 0
             keep = True
-            for j in range(k):
-                b = 3 * j
+            for b, (f_cb, f_ab, f_ac) in zip(range(0, width, 3), forms):
                 s1, r1, d1 = ka[b], ka[b + 1], ka[b + 2]
                 s2, r2, d2 = kb[b], kb[b + 1], kb[b + 2]
-                if signs[j] > 0:
-                    delta += d1 * r2 - 2 * r1 * s2
-                else:
-                    delta += 2 * d1 * s2 - d1 * r2 + 2 * r1 * s2
+                # only the right key's b and c letters are passed
+                if s2:
+                    delta += (f_cb * r1 + f_ab * d1) * s2
+                if r2:
+                    delta += f_ac * d1 * r2
                 s = s1 + s2
                 r = r1 + r2
                 d = d1 + d2

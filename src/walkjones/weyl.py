@@ -7,6 +7,12 @@ exponent key recording, per crossing, the letter multiplicities
 (s, r, d) = (#b, #c, #a) in the order b^s c^r a^d, plus a Laurent
 coefficient that absorbs every q-power produced by reordering.
 
+The q-commutation rule is written down once, as data: the reordering form
+F of each crossing sign (reordering_form), a 3 x 3 table of the q-power
+one letter picks up moving past another. The generic kernel
+(kernels.walk_products), the reordering rows of the stack multiply and
+burau's simple-walk rule all read it.
+
 Keys are flat tuples (s_1, r_1, d_1, ..., s_k, r_k, d_k). A walk sum is a
 canonical map key -> coefficient; merging like keys is exact because the
 color evaluation of a monomial is its coefficient times a function of the
@@ -78,7 +84,6 @@ from itertools import compress, repeat
 from struct import Struct
 from typing import Mapping
 
-from . import kernels
 from .laurent import LaurentPolynomial
 
 _LETTER_SLOT = {"b": 0, "c": 1, "a": 2}
@@ -623,22 +628,28 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     return _unpack(total, out_bits, base)
 
 
+# The reordering rule, and the one place it is written down (Armond,
+# arXiv:1101.3810). At a crossing of either sign, on the way to normal
+# form, each letter of kind t of the left key that moves past a letter of
+# kind u of the right key picks up q**F[t][u], kinds in (s, r, d) =
+# (b, c, a) order. Only a letter out of normal order (b before c before a)
+# moves past another, so only F[c][b], F[a][b] and F[a][c] may be nonzero.
+# tests/test_weyl.py checks both forms against the oracle's swap rule.
+_FORM_PLUS = ((0, 0, 0), (-2, 0, 0), (0, 1, 0))
+_FORM_MINUS = ((0, 0, 0), (2, 0, 0), (2, -1, 0))
+
+
 def reordering_form(sign: int) -> tuple[tuple[int, ...], ...]:
-    """The q-power of key_product at one crossing of the given sign is
-    bilinear in the two keys' counts (s, r, d), so key_product on unit keys
-    gives its 3 x 3 form F: F[t][u] is the q-power of the left key's count
-    t against the right key's count u. The rule itself is stated only in
-    the kernels module."""
-    key_product = kernels.key_product
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return tuple(tuple(key_product(u, t, (sign,))[1] for t in units) for u in units)
+    """The 3 x 3 reordering form F of a crossing of the given sign: a left
+    key with counts (s, r, d) times a right key with counts (s', r', d')
+    picks up q**(sum over t, u of F[t][u] * count_t * count'_u)."""
+    return _FORM_PLUS if sign > 0 else _FORM_MINUS
 
 
-def _moved_form(sign: int) -> tuple[tuple[int, ...], ...]:
-    """The reordering form F (reordering_form) on moved fields (d+s, d+r, d),
+def _moved_form(form: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """A reordering form F (reordering_form) on moved fields (d+s, d+r, d),
     which give the counts through M = ((1, 0, -1), (0, 1, -1), (0, 0, 1)):
     M^T F M."""
-    form = reordering_form(sign)
     m = ((1, 0, -1), (0, 1, -1), (0, 0, 1))
     return tuple(
         tuple(sum(m[u][i] * form[u][t] * m[t][j] for u in range(3) for t in range(3)) for j in range(3))
@@ -648,7 +659,7 @@ def _moved_form(sign: int) -> tuple[tuple[int, ...], ...]:
 
 # The moved reordering form per crossing, keyed by whether its sign is
 # positive, and the largest sum of absolute entries of either form.
-_MOVED_FORMS = {True: _moved_form(1), False: _moved_form(-1)}
+_MOVED_FORMS = {True: _moved_form(_FORM_PLUS), False: _moved_form(_FORM_MINUS)}
 _FORM_NORM = max(sum(map(abs, sum(form, ()))) for form in _MOVED_FORMS.values())
 
 
@@ -657,8 +668,7 @@ class _Reorder:
     row fields of ``width`` bits (see multiply_walk_sums): the weight W_j
     of every moved field j, the column C_i of each left entry i, the row
     bias, with the offset that a pair's exponent takes, and the admitted
-    lefts of the latest key width, lane and DRL limit the left was
-    multiplied at."""
+    lefts of the latest key width and lane the left was multiplied at."""
 
     __slots__ = ("signs", "width", "weights", "columns", "bias", "offset", "admitted")
 
@@ -706,14 +716,15 @@ class _Reorder:
 
 
 class _Admitted(dict):
-    """For one left operand at one key width, lane and DRL limit (``key``),
-    maps the saturation signature of a right key to the entries (xa, pa,
-    shift, column) of the lefts it admits, filling itself on first use.
-    ``lefts`` lists each left entry with its mask."""
+    """For one left operand at one key width and lane (``key``), maps the
+    saturation signature of a right key to the entries (xa, pa, shift,
+    column) of the lefts it admits, filling itself on first use. ``lefts``
+    lists each left entry with its mask. The DRL limit only sets how a
+    signature is computed, so one table serves every limit."""
 
     __slots__ = ("key", "lefts")
 
-    def __init__(self, key: tuple[int, int, int], lefts: list):
+    def __init__(self, key: tuple[int, int], lefts: list):
         self.key = key
         self.lefts = lefts
 
@@ -751,7 +762,7 @@ def multiply_walk_sums(
     when the two share no field. Doomed pairs are skipped this way without
     a key add. The lefts a signature admits are listed the first time it
     comes up and kept on the left's operator (_Admitted, keyed by key
-    width, lane and DRL limit), so a height loop lists each signature once
+    width and lane), so a height loop lists each signature once
     however many heights see it. When the left's fields are at most 1 and
     the right's below n, a field of a product reaches n only as
     1 + (n - 1), which is what the prefilter tests, so it is exact and no
@@ -838,10 +849,10 @@ def multiply_walk_sums(
         op = a.reorder = _Reorder(a, signs, row_width)
     row_mask = (1 << op.width) - 1
     admitted_by = op.admitted
-    if admitted_by is None or admitted_by.key != (width, bits, n):
+    if admitted_by is None or admitted_by.key != (width, bits):
         entries = zip(a.keys, a.coeffs, range(0, op.width * len(a), op.width), op.columns)
         lefts = [((entry[0] + nonzero) & guard, entry) for entry in entries]
-        admitted_by = op.admitted = _Admitted((width, bits, n), lefts)
+        admitted_by = op.admitted = _Admitted((width, bits), lefts)
     offset = op.offset
     carried = b.rows if b.rows_for is op else repeat(None)
     fields = layout.fields

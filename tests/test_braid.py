@@ -2,9 +2,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import markov_moved
 from walkjones.braid import BraidWord, parse_braid
+from walkjones.cjp import cut_candidates
 from walkjones.table import load_table
 
 
@@ -174,3 +177,41 @@ def test_reduced_undoes_markov_moves():
         assert (got.strands, got.k) == (b.strands, b.k), rec.name
         assert got in {b.rotated(r) for r in range(b.k)}, rec.name
         assert got.reduced() == got and got.is_knot_closure(), rec.name
+
+
+@st.composite
+def knot_words(draw):
+    # a random word, then letters of random sign, each on two neighbouring
+    # strands in different cycles of the closure, which it joins, until
+    # the closure is one cycle
+    strands = draw(st.integers(2, 7))
+    sign = st.sampled_from((1, -1))
+    braid = BraidWord(tuple(draw(st.lists(st.tuples(st.integers(1, strands - 1), sign), max_size=12))), strands)
+    while not braid.is_knot_closure():
+        perm = braid.closure_permutation()
+        cycle, at = {1}, perm[0]
+        while at != 1:
+            cycle.add(at)
+            at = perm[at - 1]
+        i = next(i for i in range(1, strands) if (i in cycle) != (i + 1 in cycle))
+        braid = BraidWord(braid.crossings + ((i, draw(sign)),), strands)
+    return braid
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+)
+@given(knot_words())
+def test_knot_writhe_parity(braid):
+    # a knot closure on m strands is an m-cycle, the product of one
+    # transposition per crossing, so k = m - 1 (mod 2), and writhe = k
+    # (mod 2): the framing exponent (N-1)(writhe - m + 1)/2 of colored_jones
+    # is an integer on every word the engine may run, since reduction, the
+    # cut rotations, the flip and the mirror keep a knot a knot
+    reduced = braid.reduced()
+    for word in (braid, reduced, reduced.flip(), reduced.mirror(), *cut_candidates(reduced)):
+        assert word.is_knot_closure(), word
+        assert (word.writhe() - word.strands + 1) % 2 == 0, word

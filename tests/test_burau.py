@@ -5,9 +5,8 @@ import random
 import pytest
 
 from conftest import key_from_letters, rand_key, rand_signs
-from walk_helpers import filtered, generator_matrix, kernel_product, scaled, summed, walk_sum
+from walk_helpers import filtered, generator_matrix, kernel_product, scaled, summed, unit_product, walk_sum
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
-from walkjones import kernels
 from walkjones.burau import (
     BurauMatrix,
     _add_minor,
@@ -425,7 +424,7 @@ def simple_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
 
 def kernel_rule_product(left: tuple, right: tuple, signs: tuple) -> WalkSum:
     """The same product by the kernel's rule, kept if drl_keep at level 2."""
-    key, delta = kernels.key_product(left, right, signs)
+    key, delta = unit_product(left, right, signs)
     return WalkSum.single(key, LaurentPolynomial.q_power(delta)) if drl_keep(key, 2) else WalkSum.zero()
 
 

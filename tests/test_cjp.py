@@ -275,14 +275,6 @@ def test_rejects_non_knots():
         colored_jones(parse_braid("1 1"), 2)
 
 
-def test_writhe_parity_checked_without_asserts(monkeypatch):
-    # the Hopf link passes a faked knot test but has odd writhe - m + 1; the
-    # check must raise even under python -O, which strips asserts
-    monkeypatch.setattr(BraidWord, "is_knot_closure", lambda self: True)
-    with pytest.raises(RuntimeError, match="writhe"):
-        colored_jones(parse_braid("1 1"), 2)
-
-
 def test_rejects_bad_color():
     with pytest.raises(ValueError):
         colored_jones(parse_braid("1 1 1"), 0)

@@ -13,17 +13,31 @@ from walkjones.braid import parse_braid
 from walkjones.burau import walk_generator
 from walkjones.cjp import colored_jones
 from walkjones.laurent import LaurentPolynomial
-from walkjones.oracle import FreeWord, KeyedMonomial, free_normalize
+from walkjones.oracle import FreeWord, KeyedMonomial, _swap_exponent, free_normalize
 from walkjones.table import load_table
 from walkjones.weyl import (
     WalkSum,
     drl_keep,
     evaluate_walk_sum,
     multiply_walk_sums,
+    reordering_form,
     zero_key,
 )
 
 P = LaurentPolynomial.parse
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_reordering_form_is_the_oracle_swap_rule(sign):
+    # F[t][u] in (s, r, d) = (b, c, a) order: the three pairs out of normal
+    # order take the oracle's swap exponent, and no other pair moves
+    form = reordering_form(sign)
+    kinds = "bca"
+    swapped = {("c", "b"), ("a", "b"), ("a", "c")}
+    for t, left in enumerate(kinds):
+        for u, right in enumerate(kinds):
+            expected = _swap_exponent(left, right, sign) if (left, right) in swapped else 0
+            assert form[t][u] == expected, (left, right)
 
 
 def test_mono_mul_positive_a_then_c():
@@ -721,10 +735,10 @@ def test_rows_carried_along_height_chain(n, drl, row_builds):
 
 def test_rows_rebuilt_for_another_operator(row_builds):
     # a stack whose rows were built against one level-one sum, multiplied
-    # by another of the same size, by the same sum at other signs, and by
-    # a sum with two more monomials: each product matches the
-    # kernel, and the carried rows are rebuilt each time, not reused. At a
-    # higher DRL limit the same sum admits keys whose rows were dropped.
+    # by the same sum at a higher DRL limit, by another sum of the same
+    # size, by the same sum at other signs, and by a sum with two more
+    # monomials: each product matches the kernel, and for each of the last
+    # three the carried rows are rebuilt, not reused.
     rng = random.Random(47)
     for _ in range(40):
         k = rng.randint(1, 3)
@@ -782,6 +796,17 @@ def test_admitted_lefts_listed_once_per_signature(monkeypatch):
         listed.clear()
         assert colored_jones(parse_braid(text), n).heights_summed >= 3
         assert listed and len(listed) == len(set(listed)), text
+
+
+def test_admitted_table_built_once_without_drl(monkeypatch):
+    # without DRL the effective limit grows with the stack's fields, but the
+    # admitted lists do not depend on it: one call builds one table
+    built = []
+    init = weyl._Admitted.__init__
+    monkeypatch.setattr(weyl._Admitted, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    result = colored_jones(parse_braid("1 1 2 -1 -3 2 -3"), 3, drl=False)
+    assert result.heights_summed >= 3
+    assert len(built) == 1
 
 
 def test_class_tables_fill_once_per_loop(monkeypatch):

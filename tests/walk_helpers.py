@@ -1,10 +1,11 @@
 """Walk-algebra operations that only the tests use.
 
 Each states one operation on top of the engine's own: the crossing matrix
-of one generator, the product of two walk sums in one kernel call, a walk
-sum summed from monomials, read off a matrix entry, scaled or
-DRL-filtered, the product and the evaluation of single monomials, and a
-walk sum packed from letter masks with general coefficients.
+of one generator, the product of two walk sums or of two keys in one
+kernel call, a walk sum summed from monomials, read off a matrix entry,
+scaled or DRL-filtered, the product and the evaluation of single
+monomials, and a walk sum packed from letter masks with general
+coefficients.
 """
 from walkjones import kernels, weyl
 from walkjones.burau import BurauMatrix
@@ -73,8 +74,16 @@ def filtered(ws: WalkSum, n: int) -> WalkSum:
 
 def mono_mul(left: KeyedMonomial, right: KeyedMonomial, signs: tuple[int, ...]) -> KeyedMonomial:
     """Product of two normal-form monomials over the same braid."""
-    key, delta = kernels.key_product(left.key, right.key, signs)
+    key, delta = unit_product(left.key, right.key, signs)
     return KeyedMonomial(key, (left.coeff * right.coeff).shift(delta))
+
+
+def unit_product(left: tuple, right: tuple, signs: tuple[int, ...]) -> tuple[tuple, int]:
+    """The product key of two tuple keys and the q-power that normal
+    reordering adds, from one kernel call on unit coefficients."""
+    ((key, coeff),) = kernels.walk_products([(left, {0: 1})], [(right, {0: 1})], signs, 0).items()
+    ((delta, _),) = coeff.items()
+    return key, delta
 
 
 def evaluate_monomial(mono: KeyedMonomial, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
