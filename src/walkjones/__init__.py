@@ -4,7 +4,8 @@ The polynomial is computed from walk sums read off the quantum determinant
 of the deformed Burau matrix of the braid, with braid reduction (cyclic
 cancellation and Markov destabilization), duplicate-reduction pruning and
 the choice of the cheapest equivalent word (the mirror, and from N = 4 a
-rotation or the flip) keeping the stack of walks small. All
+rotation or the flip) keeping the stack of walks small. A word that
+closes to a connected sum is computed factor by factor. All
 arithmetic is exact over integer-coefficient Laurent polynomials in q.
 """
 

@@ -5,7 +5,9 @@ A braid on m strands is stored as an ordered sequence of crossings
 (closure permutation, knot test, writhe) treat the word as given. The one
 rewriting is reduced(): it cancels cyclically adjacent inverse pairs and
 drops top or bottom strands by Markov destabilization, which keeps the
-closure's link type; no other braid group relation is applied.
+closure's link type; no other braid group relation is applied. split()
+factors a word whose closure is a connected sum into the words of the two
+summands.
 """
 from __future__ import annotations
 
@@ -90,6 +92,28 @@ class BraidWord:
             if index == 1:
                 word = [(i - 1, s) for i, s in word]
             m -= 1
+
+    def split(self) -> "tuple[BraidWord, BraidWord] | None":
+        """The factors (u, v) of a knot's word as a connected sum, at the
+        least strand j in 2..m-1 where, read cyclically, the sigma_(j-1)
+        and sigma_j letters form one block of each; None when no j does.
+        These are the only letters below j and from j up that do not
+        commute, so the word rotated to the start of its sigma_(j-1) block
+        is u v by far commutations: u is the letters below j, in order, on
+        strands 1..j, and v the letters from j up, in order, reindexed to
+        start at 1. The closure is closure(u) # closure(v) (Birman and
+        Menasco, Invent. Math. 102, 1990), and both are knots: a cycle on
+        all m strands leaves no strand of u or v a cycle of its own."""
+        c, m = self.crossings, self.strands
+        for j in range(2, m):
+            pair = [r for r, (i, _) in enumerate(c) if j - 1 <= i <= j]
+            starts = [r for p, r in zip(pair[-1:] + pair, pair) if c[p][0] == j and c[r][0] == j - 1]
+            if len(starts) == 1:
+                word = c[starts[0]:] + c[:starts[0]]
+                u = tuple((i, s) for i, s in word if i < j)
+                v = tuple((i - j + 1, s) for i, s in word if i >= j)
+                return BraidWord(u, j), BraidWord(v, m - j + 1)
+        return None
 
     def closure_permutation(self) -> tuple[int, ...]:
         """Permutation of {1..m} induced by the closure, as (image of 1, ..., image of m)."""

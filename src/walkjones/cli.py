@@ -12,7 +12,7 @@ import time
 
 from .braid import BraidWord, NotAKnotError, parse_braid
 from .cjp import colored_jones
-from .burau import unpruned_walk_count
+from .burau import simple_walk_count, unpruned_walk_count
 from .table import KnotRecord, knot_lookup, load_table
 
 
@@ -116,6 +116,11 @@ def cmd_compute(args) -> int:
             "braid_used": result.braid_used.text(),
             "strands": result.braid_used.strands,
             "crossings": result.braid_used.k,
+            "factors": [
+                {"braid_used": f.braid_used.text(), "strands": f.braid_used.strands,
+                 "mirror_used": f.mirror_used, "simple_walks": f.simple_walk_count}
+                for f in result.factors
+            ],
             "terms": [{"exp": e, "coeff": c} for e, c in sorted(poly.terms.items())],
             "time_ms": elapsed_ms,
         }
@@ -137,12 +142,15 @@ def _bench_row(rec: KnotRecord, color: int, with_no_drl: bool) -> dict:
     start = time.perf_counter()
     result = colored_jones(braid, color)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    counts = result.walk_counts
+    if result.factors:  # the factors ran, not the whole word: count it as an unsplit row does
+        counts = {word: simple_walk_count(word) for word in (reduced, reduced.mirror())}
     return {
         "name": rec.name,
         "crossings": rec.crossings,
         "strands": braid.strands,
-        "simple_walks": result.walk_counts.get(reduced, 0),
-        "simple_walks_mirror": result.walk_counts.get(reduced.mirror(), 0),
+        "simple_walks": counts.get(reduced, 0),
+        "simple_walks_mirror": counts.get(reduced.mirror(), 0),
         "walks_no_drl": no_drl,
         "N": color,
         "heights": result.heights_summed,

@@ -465,9 +465,10 @@ class _Classes:
     and key width: a _FactorTable per crossing sign and a _RunTable per run
     of crossings, with the class layout they share. The layout holds for
     every sum whose fields are at most ``fields`` and whose span is at most
-    ``span``: ``fields`` is the larger of n - 1, the bound of every stack
-    under a DRL limit of n, and the first sum's own bound, and the p field
-    has _P_HEADROOM bits more than the first sum's span needs. A sum keeps
+    ``span``: ``fields`` is n - 1, the bound of every stack under a DRL
+    limit of n, or twice the first sum's own bound past it, since without
+    DRL the fields grow every height; the p field has _P_HEADROOM bits
+    more than the first sum's span needs. A sum keeps
     the tables it was evaluated with, and a product takes over its right
     operand's (multiply_walk_sums), so that the tables of a height loop fill
     once for all heights; they are rebuilt only for a sum they do not fit."""
@@ -476,7 +477,7 @@ class _Classes:
 
     def __init__(self, ws: WalkSum, signs: tuple[int, ...], n: int):
         k = len(signs)
-        fields = max(ws.field_max, n - 1)
+        fields = n - 1 if ws.field_max < n else 2 * ws.field_max
         self.signs, self.n, self.width, self.fields = signs, n, ws.layout.width, fields
         # a key has at most ``most`` factors, and per crossing |p| is at most p_bound
         most = k * fields

@@ -86,3 +86,33 @@ def with_relator(braid: BraidWord, index: int, position: int, mirrored: bool) ->
 def rotations(braid: BraidWord) -> set:
     """Every cyclic rotation of the braid's word."""
     return {braid.rotated(r) for r in range(max(braid.k, 1))}
+
+
+def knot_factor(rng: random.Random, strands: int) -> BraidWord:
+    """A random word on ``strands`` >= 2 strands that closes to a knot and
+    that BraidWord.reduced leaves as it is."""
+    while True:
+        k = rng.randrange(strands + 1, strands + 4, 2)
+        word = BraidWord(tuple((rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(k)), strands)
+        if word.is_knot_closure() and word.reduced() == word:
+            return word
+
+
+def composite_word(rng: random.Random, strands: int) -> BraidWord:
+    """A word on ``strands`` >= 3 strands that closes to a connected sum:
+    random knot_factor words u on strands 1..j and v on strands j..m,
+    their letters interleaved at random with every sigma_(j-1) before every
+    sigma_j, then rotated. Only far commutations and a conjugation separate
+    it from u v, so it closes to closure(u) # closure(v)."""
+    j = rng.randint(2, strands - 1)
+    u, v = knot_factor(rng, j), knot_factor(rng, strands - j + 1)
+    low, high = list(u.crossings), [(i + j - 1, s) for i, s in v.crossings]
+    last = max(r for r, (i, _) in enumerate(low) if i == j - 1) + 1
+    first = min(r for r, (i, _) in enumerate(high) if i == j)
+    word = []
+    for a, b in ((low[:last], high[:first]), (low[last:], high[first:])):
+        while a or b:
+            source = a if a and (not b or rng.random() < len(a) / (len(a) + len(b))) else b
+            word.append(source.pop(0))
+    r = rng.randrange(len(word))
+    return BraidWord(tuple(word[r:] + word[:r]), strands)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import markov_moved
+from conftest import composite_word, markov_moved
 from walkjones.braid import BraidWord, parse_braid
 from walkjones.cjp import cut_candidates
+from test_table import _splits
 from walkjones.table import load_table
 
 
@@ -215,3 +216,56 @@ def test_knot_writhe_parity(braid):
     for word in (braid, reduced, reduced.flip(), reduced.mirror(), *cut_candidates(reduced)):
         assert word.is_knot_closure(), word
         assert (word.writhe() - word.strands + 1) % 2 == 0, word
+
+
+@pytest.mark.parametrize("text, u, v", [
+    ("1 1 1 -2 -2 -2", "1 1 1", "-1 -1 -1"),  # the square knot
+    ("-2 -2 1 1 1 -2", "1 1 1", "-1 -1 -1"),  # rotated: the factors start at the sigma_1 block
+    ("1 1 1 -2 -2 -2 3 3 3", "1 1 1", "-1 -1 -1 2 2 2"),  # the 9_35 entry splits at the least strand
+    ("1 1 1 2", "1 1 1", "1"),  # a stabilized word: the second factor closes to the unknot
+])
+def test_split_examples(text, u, v):
+    b = parse_braid(text)
+    first, second = b.split()
+    assert (first.text(), second.text()) == (u, v)
+    assert (first.strands, second.strands) == (2, b.strands - 1)
+
+
+@pytest.mark.parametrize("text", ["1 1 1", "-1 2 -1 2", "1 1 1 2 -1 2", "1 2 -1 2 1 -2 1 2", ""])
+def test_split_none(text):
+    assert parse_braid(text).split() is None
+
+
+def test_composite_words_split_into_knots():
+    # seeded words interleaved from two knot words by far commutations and
+    # rotated: the split finds a cut, each factor closes to a knot, and the
+    # factors share out the crossings and the writhe, with one strand
+    # shared; a factor that splits again splits into knots too
+    rng = random.Random(26)
+    for _ in range(60):
+        word = composite_word(rng, rng.randint(3, 5))
+        pending = [word]
+        while pending:
+            b = pending.pop()
+            u, v = b.split()
+            assert u.is_knot_closure() and v.is_knot_closure(), b
+            assert (u.k + v.k, u.writhe() + v.writhe(), u.strands + v.strands) == (b.k, b.writhe(), b.strands + 1)
+            pending += [f for f in (u, v) if f.split() is not None]
+
+
+def test_split_finds_the_split_table_entries():
+    # the engine's test, read on the reduced word, finds the entries that
+    # tests/test_table.py's independent search over rotations and cuts does
+    records = load_table()
+    found = [r.name for r in records if r.braid_word().reduced().split() is not None]
+    assert found == [r.name for r in records if _splits(r.braid_word())] == ["9_35", "9_37"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(knot_words())
+def test_split_factors_close_to_knots(braid):
+    parts = braid.reduced().split()
+    if parts is not None:
+        u, v = parts
+        assert u.is_knot_closure() and v.is_knot_closure(), braid
+        assert u.k + v.k == braid.reduced().k

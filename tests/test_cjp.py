@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import markov_moved, rotations, with_relator
+from conftest import composite_word, markov_moved, rotations, with_relator
 from walkjones import cjp
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones.cjp import choose_orientation, colored_jones, cut_candidates, simple_walk_count
@@ -171,12 +171,19 @@ def test_generator_runs_per_job(monkeypatch, color):
         return original(braid, *args, **kwargs)
 
     monkeypatch.setattr(cjp, "walk_generator", counted)
-    for text in ("1 1 1", "-1 2 -1 2", "1 1 1 -2 1 -2", "1 1 2 -1 2 2 3 -2 3 4 -3 4"):
+    # the square knot splits: one set of runs per factor, in order
+    for text in ("1 1 1", "-1 2 -1 2", "1 1 1 -2 1 -2", "1 1 2 -1 2 2 3 -2 3 4 -3 4", "1 1 1 -2 -2 -2"):
         calls.clear()
         braid = parse_braid(text)
         result = colored_jones(braid, color)
-        scored = [] if color >= cjp.SEARCH_FROM_COLOR else [braid, braid.mirror()]
-        assert calls == scored + [result.braid_used], text
+        parts = braid.split()
+        runs = list(zip(parts, result.factors)) if parts else [(braid, result)]
+        assert len(runs) == (2 if text == "1 1 1 -2 -2 -2" else 1)
+        expected = []
+        for word, ran in runs:
+            expected += [] if color >= cjp.SEARCH_FROM_COLOR else [word, word.mirror()]
+            expected.append(ran.braid_used)
+        assert calls == expected, text
 
 
 def test_search_counts_are_generator_lengths_on_every_cut_word(monkeypatch):
@@ -199,6 +206,67 @@ def test_search_matches_two_candidate_run_at_four(monkeypatch):
         plain = colored_jones(rec.braid_word(), 4)
         assert found.polynomial == plain.polynomial, rec.name
         assert found.simple_walk_count <= plain.simple_walk_count, rec.name
+
+
+def test_split_result_is_the_product_of_its_factors():
+    # the square knot, 3_1 # mirror 3_1, runs as its two trefoils
+    braid = parse_braid("1 1 1 -2 -2 -2")
+    trefoil = parse_braid("1 1 1")
+    for color in (2, 3, 4):
+        result = colored_jones(braid, color)
+        left, right = colored_jones(trefoil, color), colored_jones(trefoil.mirror(), color)
+        assert result.factors == [left, right]
+        assert result.polynomial == left.polynomial * right.polynomial
+        assert result.polynomial == result.polynomial.invert_var()  # amphichiral
+        assert (result.braid_used, result.mirror_used, result.walk_counts) == (braid, False, {})
+        assert result.framing_exponent == 1 - color  # (N - 1)(writhe - m + 1) / 2 of the reduced input
+        assert result.heights_summed == left.heights_summed + right.heights_summed
+        assert result.simple_walk_count == left.simple_walk_count + right.simple_walk_count == 2
+
+
+def test_split_factor_that_reduces_to_one_strand():
+    # splits at strand 2 into 1 1 -1, the unknot, and 2 3 3 3, a trefoil
+    result = colored_jones(parse_braid("1 1 2 -1 3 3 3"), 3)
+    assert [f.braid_used.strands for f in result.factors] == [1, 2]
+    assert result.polynomial == colored_jones(parse_braid("1 1 1"), 3).polynomial
+
+
+def test_split_words_match_the_unsplit_loop():
+    # seeded composite words on 3-5 strands, shuffled by far commutations
+    # and rotated: the product of the factors' J_N is the J_N of the whole
+    # word run as one word, and each factor runs a word with fewer strands
+    rng = random.Random(27)
+    for _ in range(15):
+        word = composite_word(rng, rng.randint(3, 5))
+        for color in (2, 3, 4):
+            result = colored_jones(word, color)
+            whole = cjp._cjp(word.reduced(), color, True, True)
+            assert result.polynomial == whole.polynomial, (word, color)
+            assert result.factors and all(f.braid_used.strands < word.strands for f in result.factors), word
+            assert not any(f.factors or f.braid_used.split() for f in result.factors), word
+
+
+def test_unsplit_table_jobs_run_one_word(monkeypatch):
+    # every table knot but the two split entries runs as before the split
+    # step: no factors, the orientation choose_orientation makes from the
+    # reduced word, and the generator runs of one orientation and one loop.
+    # A zero evaluation stops each loop after its first height.
+    calls = []
+    generator = cjp.walk_generator
+    monkeypatch.setattr(cjp, "walk_generator", lambda braid, **kw: calls.append(braid) or generator(braid, **kw))
+    monkeypatch.setattr(cjp, "evaluate_walk_sum", lambda *args: LaurentPolynomial.zero())
+    records = [rec for rec in load_table() if rec.name not in ("9_35", "9_37")]
+    assert len(records) == 82
+    for rec in records:
+        braid = rec.braid_word().reduced()
+        for color in (2, 3, 4, 5):
+            chosen, mirrored, counts = choose_orientation(braid, color)
+            calls.clear()
+            result = colored_jones(rec.braid_word(), color)
+            assert result.factors == [], rec.name
+            assert (result.braid_used, result.mirror_used, result.walk_counts) == (chosen, mirrored, counts), rec.name
+            scored = [] if color >= cjp.SEARCH_FROM_COLOR else [braid, braid.mirror()]
+            assert calls == scored + [chosen], (rec.name, color)
 
 
 def test_mirror_relation_small_knots():

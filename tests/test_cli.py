@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, bench CSV."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from walkjones.laurent import LaurentPolynomial
 from walkjones.table import load_table
 
 P = LaurentPolynomial.parse
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -65,6 +67,25 @@ def test_compute_json_braid_used(capsys, color, used):
     payload = json.loads(out)
     assert payload["braid_used"] == used
     assert payload["mirror_used"] == (color == "3")
+
+
+def test_compute_json_factors(capsys):
+    # 9_35's entry is three trefoils, the middle one mirrored; an unsplit
+    # word has no factors
+    code, out, _ = run(capsys, "compute", "--knot", "9_35", "--color", "5", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["braid_used"] == "1 1 1 -2 -2 -2 3 3 3" and not payload["mirror_used"]
+    assert payload["factors"] == [
+        {"braid_used": "1 1 1", "strands": 2, "mirror_used": mirrored, "simple_walks": 1}
+        for mirrored in (False, True, False)
+    ]
+    assert payload["simple_walks"] == 3
+    with open(ROOT / "bench" / "reference.json") as fh:
+        expected = json.load(fh)["polynomials"]["9_35@5"]
+    assert [[t["exp"], t["coeff"]] for t in payload["terms"]] == expected
+    code, out, _ = run(capsys, "compute", "--knot", "4_1", "--format", "json")
+    assert json.loads(out)["factors"] == []
 
 
 def test_compute_eval_q(capsys):
@@ -217,6 +238,20 @@ def test_bench_row_reuses_the_orientation_walk_counts(monkeypatch):
     assert [(row["simple_walks"], row["simple_walks_mirror"]) for row in rows] == [
         (simple_walk_count(b), simple_walk_count(b.mirror())) for b in braids
     ]
+
+
+def test_bench_rows_of_split_words():
+    # the factors of a split word run, not the word: its simple_walks and
+    # simple_walks_mirror still count the reduced input word and its
+    # mirror, as on every other row, and simple_walks_used sums the walks
+    # of the words that ran
+    records = [r for r in load_table() if r.name in ("9_35", "9_37")]
+    rows = cli.bench_rows(records, [2, 4])
+    braids = [rec.braid_word() for rec in records for _ in (2, 4)]
+    assert [(row["simple_walks"], row["simple_walks_mirror"]) for row in rows] == [
+        (simple_walk_count(b), simple_walk_count(b.mirror())) for b in braids
+    ] == [(19, 47), (19, 47), (53, 37), (53, 37)]
+    assert [row["simple_walks_used"] for row in rows] == [3, 3, 12, 6]
 
 
 def test_bench_deterministic_nontime_columns(capsys):

@@ -830,6 +830,22 @@ def test_class_tables_fill_once_per_loop(monkeypatch):
         assert len(misses) == len(set(misses)), text
 
 
+@pytest.mark.parametrize("text, n, builds", [("1 1 2 -1 -3 2 -3", 3, 3), ("-1 2 -1 2", 4, 2), ("1 1 1", 5, 2)])
+def test_class_tables_without_drl_rebuild_with_headroom(monkeypatch, text, n, builds):
+    # without DRL the stack's fields grow past n - 1 every height, so tables
+    # rebuilt for a sum take twice its field bound: fewer builds than
+    # heights, and the polynomial of tables built fresh at every height
+    braid = parse_braid(text)
+    built = []
+    init = weyl._Classes.__init__
+    monkeypatch.setattr(weyl._Classes, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    result = colored_jones(braid, n, drl=False)
+    assert len(built) == builds < result.heights_summed
+    assert result.polynomial == colored_jones(braid, n).polynomial
+    monkeypatch.setattr(weyl._Classes, "fit", lambda self, *args: False)
+    assert colored_jones(braid, n, drl=False).polynomial == result.polynomial
+
+
 @pytest.mark.parametrize("drl", [True, False])
 def test_carried_rows_are_the_rows_of_their_keys(drl):
     # every key of a product carries its row for the product's operator,
