@@ -28,10 +28,10 @@ def _build_parser() -> _Parser:
 
     comp = sub.add_parser("compute", help="compute the colored Jones polynomial of one braid closure")
     src = comp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--braid", help="braid word as signed generator indices, e.g. '-1 2 -1 2'")
+    src.add_argument("--braid", help="braid word as signed generator indices, e.g. '-1 2 -1 2'; "
+                     "it runs on one strand more than its highest index (there is no --strands option)")
     src.add_argument("--knot", help="name from the bundled knot table, e.g. 4_1")
     comp.add_argument("--color", type=int, default=2, help="color N >= 1 (default 2; 2 = Jones polynomial)")
-    comp.add_argument("--strands", type=int, default=None, help="strand count override for --braid")
     comp.add_argument("--eval-q", default=None, metavar="COMPLEX",
                       help="additionally evaluate the polynomial at this q (e.g. '0.5+0.5j')")
     comp.add_argument("--format", choices=("text", "json"), default="text")
@@ -60,14 +60,12 @@ def _parse_colors(text: str) -> list[int]:
 
 def _resolve_braid(args) -> tuple[str, BraidWord]:
     if args.knot is not None:
-        if args.strands is not None:
-            raise ValueError("--strands applies only to --braid")
         rec = knot_lookup(args.knot, load_table(args.table) if args.table else None)
         try:
             return rec.name, rec.braid_word()
         except ValueError as exc:
             raise ValueError(f"{rec.name}: {exc}") from None
-    return args.braid, parse_braid(args.braid, args.strands)
+    return args.braid, parse_braid(args.braid)
 
 
 def cmd_compute(args) -> int:
@@ -142,15 +140,12 @@ def _bench_row(rec: KnotRecord, color: int, with_no_drl: bool) -> dict:
     start = time.perf_counter()
     result = colored_jones(braid, color)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    counts = result.walk_counts
-    if result.factors:  # the factors ran, not the whole word: count it as an unsplit row does
-        counts = {word: simple_walk_count(word) for word in (reduced, reduced.mirror())}
     return {
         "name": rec.name,
         "crossings": rec.crossings,
         "strands": braid.strands,
-        "simple_walks": counts.get(reduced, 0),
-        "simple_walks_mirror": counts.get(reduced.mirror(), 0),
+        "simple_walks": simple_walk_count(reduced),
+        "simple_walks_mirror": simple_walk_count(reduced.mirror()),
         "walks_no_drl": no_drl,
         "N": color,
         "heights": result.heights_summed,

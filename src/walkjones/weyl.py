@@ -27,8 +27,11 @@ Python integers, and both run on the packed form that a WalkSum is:
   of every field.
 - A coefficient is Kronecker-packed: its value at q = 2^B with its own
   base exponent, so that a coefficient product is one integer multiply.
-  B is one lane width for the whole sum; the signed B-bit digits decode
-  exactly (_pack and _unpack).
+  B is one lane width for the whole sum. The lane layout is stated once,
+  in _join and its inverse _split: digit i plus 2^(B-1) is the i-th B-bit
+  little-endian lane, and one bias (2^(B-1) in every lane) comes off the
+  joined integer. So _pack, _unpack and a change of lane each go through
+  bytes in time linear in the term count.
 - Keys, coefficients and base exponents are three aligned lists.
 - Bounds travel with the sum: its coefficient mass (the sum over entries
   of sum |c|), a bound on every moved field, and a bound on the spread
@@ -59,10 +62,12 @@ on to the product it is the right operand of, and their layout holds at
 every height of the loop.
 
 Lane policy. The mass bounds every digit of every coefficient and of any
-sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2. B
-starts at 64 bits and doubles, re-digiting the sum, only when a carried
-mass needs it. W is the least of 8, 16, 32, 64 bits that the fields (and
-the DRL limit) need, and widens the same way, re-packing the keys.
+sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2, and
+every biased digit fits its lane. B starts at 64 bits and doubles only when
+a carried mass needs it: each coefficient is split into its digits and
+joined again at the wider lane, on the same base exponent. W is the least
+of 8, 16, 32, 64 bits that the fields (and the DRL limit) need, and widens
+the same way, re-packing the keys.
 
 WalkSum is the one walk-sum class, and it is its packed form: an
 immutable sum of aligned lists with its bounds. WalkSum(map) packs a map
@@ -84,7 +89,7 @@ from itertools import compress, repeat
 from struct import Struct
 from typing import Mapping
 
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _trimmed
 
 _LETTER_SLOT = {"b": 0, "c": 1, "a": 2}
 
@@ -253,11 +258,11 @@ class WalkSum:
         return cls._packed(_Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 1, max(low) - min(low))
 
     def _widen(self, layout: "_Keys", bits: int) -> None:
-        """Lay the keys out at ``layout`` and re-digit the coefficients at
+        """Lay the keys out at ``layout`` and re-lane the coefficients at
         ``bits``, both at least as wide as the sum's own; its value, base
         exponents, rows and operator stay."""
         if bits != self.bits:
-            self.coeffs = [_redigit(p, self.bits, base, bits) for p, base in zip(self.coeffs, self.low)]
+            self.coeffs = [_join(_split(p, self.bits), bits) for p in self.coeffs]
             self.bits = bits
         if layout.width != self.layout.width:
             self.keys = [layout.join(self.layout.fields(x)) for x in self.keys]
@@ -331,40 +336,42 @@ def _check_span(bits: int, span: int) -> None:
         )
 
 
+def _halves(bits: int, count: int) -> int:
+    """2^(bits-1) in each of ``count`` bits-bit lanes: the lane bias."""
+    return int.from_bytes((1 << (bits - 1)).to_bytes(bits // 8, "little") * count, "little")
+
+
+def _join(digits, bits: int) -> int:
+    """Signed digits, lowest first, each below 2^(bits-1) in absolute value,
+    as one integer, the sum of d << bits * i: each digit plus 2^(bits-1)
+    fills one bits-bit little-endian lane, and the lane bias comes off once."""
+    size = bits // 8
+    half = 1 << (bits - 1)
+    lanes = b"".join((d + half).to_bytes(size, "little") for d in digits)
+    return int.from_bytes(lanes, "little") - _halves(bits, len(digits))
+
+
+def _split(packed: int, bits: int) -> list[int]:
+    """Inverse of _join: the signed bits-bit digits of ``packed``, lowest
+    first, through its top nonzero one (one zero digit for zero)."""
+    size = bits // 8
+    half = 1 << (bits - 1)
+    count = packed.bit_length() // bits + 1
+    lanes = (packed + _halves(bits, count)).to_bytes(count * size, "little")
+    return [int.from_bytes(lanes[i:i + size], "little") - half for i in range(0, len(lanes), size)]
+
+
 def _pack(coeff: LaurentPolynomial, bits: int) -> tuple[int, int]:
     """A nonzero coefficient at q = 2^bits, with its lowest exponent as base:
     (sum of c << bits * (e - base), base)."""
-    packed = 0
-    for c in reversed(coeff._coeffs):
-        packed = (packed << bits) + c
-    return packed, coeff._low
-
-
-def _redigit(packed: int, bits: int, base: int, to_bits: int) -> int:
-    """A packed coefficient with base exponent ``base`` at q = 2^to_bits in
-    place of 2^bits, on the same base."""
-    wide, low = _pack(_unpack(packed, bits, base), to_bits)
-    return wide << to_bits * (low - base)
+    return _join(coeff._coeffs, bits), coeff._low
 
 
 def _unpack(packed: int, bits: int, base: int) -> LaurentPolynomial:
     """Inverse of _pack: the signed bits-bit digits of packed, from exponent
-    base up, written straight into the polynomial's coefficient tuple.
-    Exact when every coefficient is below 2^(bits-1) in absolute value."""
-    if not packed:
-        return LaurentPolynomial.zero()
-    skip = ((packed & -packed).bit_length() - 1) // bits
-    packed >>= bits * skip
-    digits = []
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    while packed:
-        digit = packed & mask
-        if digit >= half:
-            digit -= mask + 1
-        digits.append(digit)
-        packed = (packed - digit) >> bits
-    return LaurentPolynomial._raw(base + skip, tuple(digits))
+    base up. Exact when every coefficient is below 2^(bits-1) in absolute
+    value."""
+    return _trimmed(base, _split(packed, bits))
 
 
 class _Keys:
@@ -549,7 +556,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     sum of absolute coefficients, so every digit of a group after its
     factors, and of the result, is at most mass * 2^a in absolute value,
     with a the largest multiset size; only when that outgrows B are the
-    group sums re-digited to a wider lane. The groups are then added per
+    group sums re-laned to a wider lane. The groups are then added per
     base exponent, shifted to the lowest base into one integer, and decoded
     once.
     """
@@ -700,10 +707,9 @@ class _Reorder:
         self.columns = [self.combine(layout.fields(x)) for x in left.keys]
         # 2^(width-1) plus the base exponent of left entry i, less the
         # lowest, in row field i
-        half = 1 << (width - 1)
         low = min(left.low)
-        self.bias = int.from_bytes(b"".join((half + e - low).to_bytes(out, "little") for e in left.low), "little")
-        self.offset = low - half
+        self.bias = _join([e - low for e in left.low], width) + _halves(width, count)
+        self.offset = low - (1 << (width - 1))
         self.admitted = None
 
     def row(self, fields: tuple[int, ...]) -> int:

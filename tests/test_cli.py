@@ -130,7 +130,7 @@ def test_compute_non_knot_exit_2(capsys):
     assert "not a knot" in err
 
 
-@pytest.mark.parametrize("argv", [("--braid", "99999999999999999999"), ("--braid", "1", "--strands", "99999999999999999999")])
+@pytest.mark.parametrize("argv", [("--braid", "99999999999999999999")])
 def test_compute_huge_strand_count_not_a_knot_exit_2(capsys, argv):
     code, out, err = run(capsys, "compute", *argv)
     assert code == 2
@@ -336,11 +336,13 @@ def test_bench_bad_braid_named(capsys, monkeypatch, tmp_path, braid, code, messa
     assert computed == []
 
 
-def test_compute_strands_with_knot_exit_1(capsys):
-    code, out, err = run(capsys, "compute", "--knot", "3_1", "--strands", "5")
-    assert code == 1
-    assert out == ""
-    assert "--strands" in err
+@pytest.mark.parametrize("source", [("--braid", "1 1 1"), ("--knot", "3_1")], ids=["braid", "knot"])
+def test_compute_strands_option_rejected_exit_1(capsys, source):
+    # every strand past the highest index is untouched, so no knot could use it
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", *source, "--strands", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --strands 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

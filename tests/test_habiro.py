@@ -1,4 +1,6 @@
-"""Habiro integrality of J_1 .. J_4 on every bundled knot.
+"""Habiro integrality of J_1 .. J_4 on every bundled knot and on seeded
+random knot braids, and up to its color on each job of the benchmark's
+high-color workload.
 
 Habiro (Invent. Math. 171, 2008): for every knot there are Laurent
 polynomials C_k in q with integer coefficients, independent of N, such that
@@ -17,12 +19,15 @@ import random
 
 import pytest
 
+from walkjones.braid import BraidWord
 from walkjones.cjp import colored_jones
 from walkjones.laurent import LaurentPolynomial
 from walkjones.table import knot_lookup, load_table
 
 ONE = LaurentPolynomial.one()
 TOP = 4
+# the (knot, color) jobs of the high-color workload (bench/workloads.py)
+HIGH_COLOR = (("9_1", 6), ("9_2", 4), ("9_5", 4), ("9_35", 5))
 
 
 def divide_exactly(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial | None:
@@ -90,6 +95,32 @@ def test_every_table_knot_is_integral(table_jones):
         coefficients = habiro_coefficients(jones)
         assert coefficients is not None, name
         assert coefficients[0] == ONE, name
+
+
+def random_knot(rng: random.Random, strands: int) -> BraidWord:
+    """A random word of strands + 1 to strands + 9 crossings on ``strands``
+    strands that closes to a knot and keeps every strand when reduced."""
+    while True:
+        k = rng.randrange(strands + 1, strands + 10, 2)
+        word = BraidWord(tuple((rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(k)), strands)
+        if word.is_knot_closure() and word.reduced().strands == strands:
+            return word
+
+
+def test_random_knot_braids_are_integral():
+    rng = random.Random(28)
+    for strands in (2, 3, 4, 5):
+        for _ in range(25):
+            braid = random_knot(rng, strands)
+            jones = [colored_jones(braid, n).polynomial for n in range(1, TOP + 1)]
+            assert habiro_coefficients(jones) is not None, braid
+
+
+@pytest.mark.parametrize("name, top", HIGH_COLOR)
+def test_high_color_jobs_are_integral(name, top):
+    braid = knot_lookup(name).braid_word()
+    coefficients = habiro_coefficients([colored_jones(braid, n).polynomial for n in range(1, top + 1)])
+    assert coefficients is not None and coefficients[0] == ONE
 
 
 def test_one_coefficient_off_is_caught(table_jones):

@@ -558,6 +558,36 @@ def test_constructor_packs_at_the_narrowest_lane(coeff, bits):
     assert ws.entries == {(0, 1, 0): LaurentPolynomial({-3: coeff}), (1, 0, 0): P("q^2")}
 
 
+def test_lane_codec_round_trips_random():
+    # seeded coefficients of 1 to 3 000 terms on bases -50 .. 50, at each
+    # lane: digits up to +-(2^(B-1) - 1), zeros inside, and a top digit of
+    # either sign. Each packs to its value at q = 2^B, unpacks to itself,
+    # also with zero low digits (a shift, as tests/test_laurent.py does),
+    # and re-lanes 64 -> 128 -> 256 to what packing at the wider lane gives
+    rng = random.Random(28)
+    for case in range(120):
+        size = 3000 if case < 3 else int(3000 ** rng.random())
+        start = rng.choice((64, 128, 256))
+        top = (1 << (start - 1)) - 1
+        digits = [rng.choice((0, top, -top, rng.randint(-top, top), rng.randint(-9, 9))) for _ in range(size)]
+        digits[0] = digits[0] or 1
+        digits[-1] = rng.choice((-top, top, -rng.randint(1, top), rng.randint(1, 9)))
+        base = rng.randint(-50, 50)
+        coeff = LaurentPolynomial({base + i: d for i, d in enumerate(digits)})
+        value = 0
+        for d in reversed(digits):
+            value = (value << start) + d
+        assert weyl._pack(coeff, start) == (value, base)
+        assert weyl._unpack(value, start, base) == coeff
+        zeros = rng.randint(1, 3)
+        assert weyl._unpack(value << start * zeros, start, base - zeros) == coeff
+        packed, bits = value, start
+        while bits < 256:
+            packed, bits = weyl._join(weyl._split(packed, bits), 2 * bits), 2 * bits
+            assert weyl._pack(coeff, bits) == (packed, base)
+            assert weyl._unpack(packed, bits, base) == coeff
+
+
 def test_constructor_rejects_bad_keys():
     with pytest.raises(ValueError):
         WalkSum({(0, 0, 1): P("1"), (0, 0, 0, 0, 0, 1): P("1")})
