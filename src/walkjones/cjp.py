@@ -11,12 +11,12 @@ the unknot, with J = 1.
 A reduced word that splits (BraidWord.split) closes to a connected sum,
 and the normalized J_N is multiplicative under it: J_N(K1 # K2) =
 J_N(K1) J_N(K2). The factors are reduced and split again until none
-splits, each runs on its own, and the polynomial is their product. A
-word's cost follows the product of its factors' sizes, so this pays: the
-bundled 9_35 entry, three trefoils, went from 31 to 1.2 ms at N = 5, and
-9_37, a 3-strand knot and a trefoil, from 8-12 to 2.2 ms at N = 4 (CPU
-time, best of 7, 2 vCPUs of a shared VM, Python 3.11). Everything below
-runs on one unsplit reduced word.
+splits, each distinct factor runs once, and the polynomial is their
+product. A word's cost follows the product of its factors' sizes, so
+this pays: the bundled 9_35 entry, three trefoils, went from 31 to 1.2 ms
+at N = 5, and 9_37, a 3-strand knot and a trefoil, from 8-12 to 2.2 ms at
+N = 4 (CPU time, best of 7, 2 vCPUs of a shared VM, Python 3.11).
+Everything below runs on one unsplit reduced word.
 
 The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
@@ -88,13 +88,13 @@ class CjpResult:
     without mirror_opt, and for a word that reduces to one strand.
 
     factors holds the results of the summands of a reduced word that
-    splits (BraidWord.split), each run on its own, in order, and is empty
-    for a word that does not. For a split word the polynomial is the
-    product of theirs; braid_used is the reduced input, with mirror_used
-    False and framing_exponent its own; heights_summed and
-    simple_walk_count are the sums over the factors, so they count the
-    heights evaluated and the level-one walks built in all; and
-    walk_counts is empty, each factor holding its own.
+    splits (BraidWord.split), one per summand, in order, and is empty for
+    a word that does not. Equal summands share one run and one result.
+    For a split word the polynomial is the product of theirs; braid_used
+    is the reduced input, with mirror_used False and framing_exponent its
+    own; heights_summed and simple_walk_count are the sums over the
+    factors, one term per summand; and walk_counts is empty, each factor
+    holding its own.
     """
 
     polynomial: LaurentPolynomial
@@ -210,10 +210,10 @@ def colored_jones(
     The braid is reduced first (BraidWord.reduced); one that reduces to
     one strand gives 1. A reduced word that splits (BraidWord.split) closes
     to a connected sum, and J_N is multiplicative under it: each factor is
-    reduced and split again, the unsplit factors run one by one, and the
-    polynomial is the product of theirs. ``mirror_opt`` runs the word
-    chosen by choose_orientation from each reduced word; without it the
-    reduced word runs as given. ``drl`` enables duplicate-reduction
+    reduced and split again, each distinct unsplit factor runs once, and
+    the polynomial is the product of the factors'. ``mirror_opt`` runs the
+    word chosen by choose_orientation from each reduced word; without it
+    the reduced word runs as given. ``drl`` enables duplicate-reduction
     pruning (simple walks only, and stack pruning at the given color);
     disabling it runs the same loop on the full walk sum, which must
     produce the identical polynomial.
@@ -228,7 +228,8 @@ def colored_jones(
     words = _unsplit_words(braid)
     if words == [braid]:
         return _cjp(braid, color, mirror_opt, drl)
-    factors = [_cjp(word, color, mirror_opt, drl) for word in words]
+    runs = {word: _cjp(word, color, mirror_opt, drl) for word in dict.fromkeys(words)}
+    factors = [runs[word] for word in words]
     polynomial = LaurentPolynomial.one()
     for factor in factors:
         polynomial = polynomial * factor.polynomial

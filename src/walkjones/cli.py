@@ -1,7 +1,8 @@
 """Command line interface: compute one polynomial, or benchmark the table.
 
-Exit codes: 0 success, 1 bad arguments (a color or braid past the engine's
-size limit among them), 2 braid closure is not a knot.
+Exit codes: 0 success, 1 bad arguments (checked before anything is
+computed) or an input past the engine's size limit, 2 braid closure is
+not a knot.
 """
 from __future__ import annotations
 
@@ -58,50 +59,45 @@ def _parse_colors(text: str) -> list[int]:
     return colors
 
 
+def _table_braid(rec: KnotRecord) -> BraidWord:
+    """The record's braid word; a bad word raises naming the knot."""
+    try:
+        return rec.braid_word()
+    except ValueError as exc:
+        raise ValueError(f"{rec.name}: {exc}") from None
+
+
 def _resolve_braid(args) -> tuple[str, BraidWord]:
-    if args.knot is not None:
+    if args.knot is None:
+        return args.braid, parse_braid(args.braid)
+    try:
         rec = knot_lookup(args.knot, load_table(args.table) if args.table else None)
-        try:
-            return rec.name, rec.braid_word()
-        except ValueError as exc:
-            raise ValueError(f"{rec.name}: {exc}") from None
-    return args.braid, parse_braid(args.braid)
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        raise ValueError(exc.args[0]) from None
+    return rec.name, _table_braid(rec)
 
 
 def cmd_compute(args) -> int:
-    try:
-        label, braid = _resolve_braid(args)
-    except (ValueError, OSError) as exc:
-        print(f"walkjones: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:  # str() of a KeyError quotes its message
-        print(f"walkjones: {exc.args[0]}", file=sys.stderr)
-        return 1
-    if args.color < 1:
-        print(f"walkjones: color must be >= 1, got {args.color}", file=sys.stderr)
-        return 1
+    label, braid = _resolve_braid(args)
+    q0 = None
+    if args.eval_q is not None:
+        text = args.eval_q.strip()
+        try:
+            q0 = complex(text[:-1] + "j" if text.endswith("i") else text)
+        except ValueError as exc:
+            raise ValueError(f"bad --eval-q value: {exc}") from None
 
     start = time.perf_counter()
-    try:
-        result = colored_jones(braid, args.color, mirror_opt=not args.no_mirror_opt, drl=not args.no_drl)
-    except NotAKnotError as exc:
-        print(f"walkjones: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:  # the engine's size limit, e.g. a huge color
-        print(f"walkjones: {exc}", file=sys.stderr)
-        return 1
+    result = colored_jones(braid, args.color, mirror_opt=not args.no_mirror_opt, drl=not args.no_drl)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     poly = result.polynomial
 
     value = None
-    if args.eval_q is not None:
+    if q0 is not None:
         try:
-            text = args.eval_q.strip()
-            q0 = complex(text[:-1] + "j" if text.endswith("i") else text)
             value = poly.eval_at(q0)
-        except ValueError as exc:
-            print(f"walkjones: bad --eval-q value: {exc}", file=sys.stderr)
-            return 1
+        except ValueError as exc:  # q = 0, not finite, or overflowing this polynomial
+            raise ValueError(f"bad --eval-q value: {exc}") from None
 
     if args.format == "json":
         payload = {
@@ -166,27 +162,14 @@ def bench_rows(records, colors, with_no_drl=False):
 
 
 def cmd_bench(args) -> int:
-    try:
-        colors = _parse_colors(args.colors)
-        records = [r for r in load_table(args.table) if r.crossings <= args.max_crossings]
-    except (ValueError, OSError) as exc:
-        print(f"walkjones: {exc}", file=sys.stderr)
-        return 1
+    colors = _parse_colors(args.colors)
+    records = [r for r in load_table(args.table) if r.crossings <= args.max_crossings]
     # Every row is checked before any is computed, so a bad row fails at once.
     for rec in records:
-        try:
-            braid = rec.braid_word()
-        except ValueError as exc:
-            print(f"walkjones: {rec.name}: {exc}", file=sys.stderr)
-            return 1
+        braid = _table_braid(rec)
         if not braid.is_knot_closure():
-            print(f"walkjones: {rec.name}: closure of {braid} is not a knot", file=sys.stderr)
-            return 2
-    try:
-        rows = bench_rows(records, colors, with_no_drl=args.with_no_drl)
-    except OverflowError as exc:
-        print(f"walkjones: {exc}", file=sys.stderr)
-        return 1
+            raise NotAKnotError(f"{rec.name}: closure of {braid} is not a knot")
+    rows = bench_rows(records, colors, with_no_drl=args.with_no_drl)
     print(",".join(BENCH_COLUMNS))
     for row in rows:
         print(",".join(str(row[c]) for c in BENCH_COLUMNS))
@@ -205,10 +188,15 @@ def _join_eval_q(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command. Commands raise; this reports a ValueError, OSError
+    or OverflowError as one line and exit 1, or exit 2 for a closure that
+    is not a knot. Any other exception propagates."""
     args = _build_parser().parse_args(_join_eval_q(sys.argv[1:] if argv is None else argv))
-    if args.command == "compute":
-        return cmd_compute(args)
-    return cmd_bench(args)
+    try:
+        return (cmd_compute if args.command == "compute" else cmd_bench)(args)
+    except (ValueError, OSError, OverflowError) as exc:
+        print(f"walkjones: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, NotAKnotError) else 1
 
 
 if __name__ == "__main__":

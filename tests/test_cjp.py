@@ -231,6 +231,25 @@ def test_split_factor_that_reduces_to_one_strand():
     assert result.polynomial == colored_jones(parse_braid("1 1 1"), 3).polynomial
 
 
+def test_equal_factors_run_once(monkeypatch):
+    # the 9_35 entry is three trefoils, the middle one mirrored: the first
+    # and last factor are one word, which runs once, and factors still
+    # lists one result per factor, in order
+    calls = []
+    generator = cjp.walk_generator
+    monkeypatch.setattr(cjp, "walk_generator", lambda braid, **kw: calls.append(braid) or generator(braid, **kw))
+    trefoil = parse_braid("1 1 1")
+    for color in (2, 3, 4, 5):
+        calls.clear()
+        result = colored_jones(parse_braid("1 1 1 -2 -2 -2 3 3 3"), color)
+        # per distinct word, below SEARCH_FROM_COLOR two orientation runs
+        # and the loop's, from it the loop's alone
+        assert len(calls) == (3 if color < cjp.SEARCH_FROM_COLOR else 1) * 2, color
+        assert result.factors == [colored_jones(word, color) for word in (trefoil, trefoil.mirror(), trefoil)]
+        assert result.heights_summed == sum(f.heights_summed for f in result.factors)
+        assert result.simple_walk_count == 3
+
+
 def test_split_words_match_the_unsplit_loop():
     # seeded composite words on 3-5 strands, shuffled by far commutations
     # and rotated: the product of the factors' J_N is the J_N of the whole

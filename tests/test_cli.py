@@ -358,3 +358,41 @@ def test_size_limit_exit_1(capsys, argv):
     assert out == ""
     assert err.startswith("walkjones: coefficients spanning ")
     assert err.endswith(" bits\n") and "exceed the packed budget" in err
+
+
+def test_compute_malformed_eval_q_fails_before_the_engine(capsys, monkeypatch):
+    # --eval-q is parsed before the polynomial is computed
+    computed = []
+    monkeypatch.setattr(cli, "colored_jones", lambda *args, **kwargs: computed.append(args))
+    code, out, err = run(capsys, "compute", "--knot", "9_2", "--color", "8", "--eval-q", "abc")
+    assert (code, out) == (1, "")
+    assert err == "walkjones: bad --eval-q value: complex() arg is a malformed string\n"
+    assert computed == []
+
+
+@pytest.mark.parametrize("color", ["0", "-3"])
+def test_compute_color_below_one_exit_1(capsys, color):
+    code, out, err = run(capsys, "compute", "--knot", "3_1", "--color", color)
+    assert (code, out, err) == (1, "", f"walkjones: color must be >= 1, got {color}\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, OverflowError])
+def test_engine_value_error_reported_exit_1(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("engine says no")
+
+    monkeypatch.setattr(cli, "colored_jones", fail)
+    for argv in (("compute", "--knot", "3_1"), ("bench", "--max-crossings", "3")):
+        assert run(capsys, *argv) == (1, "", "walkjones: engine says no\n")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyError])
+def test_engine_other_errors_propagate(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("engine bug")
+
+    monkeypatch.setattr(cli, "colored_jones", fail)
+    for argv in (("compute", "--knot", "3_1"), ("bench", "--max-crossings", "3")):
+        with pytest.raises(error, match="engine bug"):
+            main(list(argv))
+        assert capsys.readouterr() == ("", "")
