@@ -39,18 +39,21 @@ and its mirror. From that color on they are also the cyclic rotations
 with its mirror: walk counts follow the presentation, not the knot
 (Armond, arXiv:1101.3810). One cut per gap between sigma_1 letters is
 tried: on every rotation of every bundled braid and its flip, a rotation
-past sigma_i with i >= 2 left the count unchanged. Every candidate has the
-input's strands and writhe, up to the mirror's sign, so the polynomial
-and framing do not depend on the choice. The search scores each candidate
-with simple_walk_count, which follows the occupied strands crossing by
-crossing and builds no walk sum (see burau), about 0.05 ms a count where a
-generator run takes 0.7-1 ms; below it the braid and its mirror are still
-scored by one generator run each. On the 84 bundled knots (CPU time, best
-of 3 passes, three rounds, 2 vCPUs of a shared VM, Python 3.11) the whole
-table took, without and with the search, 1.53-1.72 -> 0.61-0.72 s at
-N = 4 and 8.6-10.8 -> 1.75-2.48 s at N = 5. Per job at N = 4 (best of 5)
-the search took 9_5 from 140-204 to 24-26 ms and 9_2 from 33-48 to
-14-22 ms.
+past sigma_i with i >= 2 left the count unchanged. When the winner still
+has DESCENT_FROM_WALKS walks or more, a best-first descent (_descend)
+tries the words one move away (rewrites), fewest walks first, for at
+most DESCENT_COUNTS counts; the mirror, which the cut search already
+compared, is not tried again. Every candidate has the input's strands
+and writhe, up to the mirror's sign, so the polynomial and framing do
+not depend on the choice. The search scores each word with
+simple_walk_count, which builds no walk sum (see burau), about
+0.013-0.026 ms a count where a generator run takes 0.7-1 ms; below it
+the braid and its mirror are still scored by one generator run each. At
+N = 4 the descent took 9_2 from 21 to 14 walks and 13.1 to 7.4 ms, and
+9_5 from 23 to 19 walks and 14.6 to 10.5 ms (CPU time, best of 5,
+medians of 8 alternating rounds, 2 vCPUs of a shared VM, Python 3.11);
+README.md has the whole-table figures and ROADMAP.md item 3 the
+calibration of the two constants.
 
 The loop prepares once per call what depends only on the level-one sum and
 the color (see weyl): the level-one sum keeps its reordering operator,
@@ -64,6 +67,7 @@ reference speed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .braid import BraidWord, NotAKnotError
 from .burau import simple_walk_count, walk_generator
@@ -71,6 +75,10 @@ from .laurent import LaurentPolynomial
 from .weyl import checked_int, evaluate_walk_sum, multiply_walk_sums
 
 SEARCH_FROM_COLOR = 4
+# From SEARCH_FROM_COLOR, a cut winner with at least DESCENT_FROM_WALKS
+# simple walks starts a descent of at most DESCENT_COUNTS counts.
+DESCENT_FROM_WALKS = 19
+DESCENT_COUNTS = 30
 
 
 @dataclass
@@ -83,9 +91,11 @@ class CjpResult:
     whether it is a mirror of the reduced input). With pruning disabled
     simple_walk_count is the unrestricted level-one entry count.
     heights_summed counts the stack heights whose evaluation was added.
-    walk_counts maps each word choose_orientation measured (the reduced
-    input and its mirror among them) to its simple-walk count; empty
-    without mirror_opt, and for a word that reduces to one strand.
+    walk_counts maps each word choose_orientation counted to its
+    simple-walk count: the candidates (the reduced input and its mirror
+    among them) in order, then the words of any descent, so braid_used is
+    a key. It is empty without mirror_opt, and for a word that reduces to
+    one strand.
 
     factors holds the results of the summands of a reduced word that
     splits (BraidWord.split), one per summand, in order, and is empty for
@@ -127,16 +137,66 @@ def cut_candidates(braid: BraidWord) -> list[BraidWord]:
     return list(dict.fromkeys(words))
 
 
+def rewrites(word: BraidWord) -> list[BraidWord]:
+    """The words one move from ``word``, each closing to the same knot with
+    the same strands, length and writhe: the rotation by one letter, and
+    at each place a far commutation sigma_i sigma_j = sigma_j sigma_i
+    (|i - j| >= 2), the braid relation sigma_i^e sigma_j^e sigma_i^e =
+    sigma_j^e sigma_i^e sigma_j^e, or its mixed form sigma_i^e sigma_j^f
+    sigma_i^-e = sigma_j^-e sigma_i^f sigma_j^e (|i - j| = 1)."""
+    c = word.crossings
+    out = [c[1:] + c[:1]]
+    for p in range(len(c) - 1):
+        (i, e), (j, f) = c[p], c[p + 1]
+        if abs(i - j) > 1:
+            out.append(c[:p] + (c[p + 1], c[p]) + c[p + 2:])
+        elif abs(i - j) == 1 and p + 2 < len(c) and c[p + 2][0] == i:
+            g = c[p + 2][1]
+            if e == f == g or g == -e:
+                out.append(c[:p] + ((j, g), (i, f), (j, e)) + c[p + 3:])
+    return [BraidWord(x, word.strands) for x in dict.fromkeys(out) if x != c]
+
+
+def _descend(start: BraidWord, counts: dict[BraidWord, int]) -> BraidWord:
+    """The word with the fewest simple walks that a best-first descent
+    from ``start`` over rewrites finds, the earlier one on a tie. The
+    frontier is ordered by (walk count, sigma_1 letters); ``counts`` holds
+    the words counted so far, and gains each word the descent counts, at
+    most DESCENT_COUNTS of them."""
+    # the third field, the words seen so far, breaks ties in the order found
+    frontier = [(counts[start], 0, 0, start)]
+    seen = {start}
+    best, spent = start, 0
+    while frontier and spent < DESCENT_COUNTS:
+        for word in rewrites(heappop(frontier)[3]):
+            if word in seen:
+                continue
+            if word not in counts:
+                if spent == DESCENT_COUNTS:
+                    break
+                counts[word] = simple_walk_count(word)
+                spent += 1
+                if counts[word] < counts[best]:
+                    best = word
+            seen.add(word)
+            heappush(frontier, (counts[word], sum(i == 1 for i, _ in word.crossings), len(seen), word))
+    return best
+
+
 def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, bool, dict[BraidWord, int]]:
     """Return (the word to run, whether it is a mirror of the input, the
-    simple-walk count of every candidate word).
+    simple-walk count of every word counted).
 
     The candidates are the braid and its mirror, and from ``color`` >=
     SEARCH_FROM_COLOR every cut_candidates word and its mirror. The one
     with the fewest simple walks wins; ties keep the earlier candidate, so
-    the input word first. The search scores with simple_walk_count, which
-    builds nothing; the braid and its mirror alone are scored by generator
-    runs. ``color`` is checked as in colored_jones.
+    the input word first. From SEARCH_FROM_COLOR, a winner with at least
+    DESCENT_FROM_WALKS walks starts a descent over rewrites (_descend),
+    which keeps it unless a word with fewer walks turns up. The search
+    scores with simple_walk_count, which builds nothing; the braid and its
+    mirror alone are scored by generator runs. The counts hold the
+    candidates first, in order, then the descent's words. ``color`` is
+    checked as in colored_jones.
     """
     search = checked_int(color) >= SEARCH_FROM_COLOR
     words = cut_candidates(braid) if search else [braid]
@@ -144,6 +204,8 @@ def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, boo
     candidates = [(w.mirror() if mirrored else w, mirrored) for w in words for mirrored in (False, True)]
     counts = {word: count(word) for word in dict.fromkeys(word for word, _ in candidates)}
     chosen, mirrored = min(candidates, key=lambda candidate: counts[candidate[0]])
+    if search and counts[chosen] >= DESCENT_FROM_WALKS:
+        chosen = _descend(chosen, counts)
     return chosen, mirrored, counts
 
 

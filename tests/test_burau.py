@@ -5,7 +5,9 @@ import random
 import pytest
 
 from conftest import key_from_letters, rand_key, rand_signs
-from walk_helpers import filtered, generator_matrix, kernel_product, scaled, summed, unit_product, walk_sum
+from walk_helpers import (
+    filtered, generator_matrix, kernel_product, occupancy_walk_count, scaled, summed, unit_product, walk_sum,
+)
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones.burau import (
     BurauMatrix,
@@ -243,6 +245,26 @@ def test_simple_walk_count_is_generator_length_random():
             for word in (braid, braid.reduced()):
                 expected = len(walk_generator(word)) if word.strands > 1 else 0
                 assert simple_walk_count(word) == expected, (word.text(), m)
+
+
+def test_packed_count_matches_the_state_by_state_count():
+    # the packed transfer against the dict over (start, occupied set)
+    # states: seeded random knot braids on 2-7 strands, the one-crossing
+    # words (sigma_1^-1's lane reaches the bound 2^(k-1) of a k-bit lane),
+    # and (sigma_1 ... sigma_12)^2 on 13 strands, whose starts fill lanes of
+    # up to C(12, 6) = 924 per held set
+    words = [parse_braid("1"), parse_braid("-1"), parse_braid(" ".join(map(str, [*range(1, 13)] * 2)))]
+    rng = random.Random(30)
+    for m in range(2, 8):
+        found = 0
+        while found < 20:
+            braid = BraidWord(tuple((rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(rng.randint(m - 1, 16))), m)
+            if braid.is_knot_closure():
+                words.append(braid)
+                found += 1
+    for word in words:
+        assert simple_walk_count(word) == occupancy_walk_count(word), (word.text(), word.strands)
+    assert [simple_walk_count(w) for w in words[:3]] == [0, 1, 6]
 
 
 def test_simple_walk_count_rejects_links_and_is_zero_on_one_strand():

@@ -142,21 +142,62 @@ def test_search_finds_a_cheaper_cut():
     b = parse_braid("1 1 2 -1 2 2 3 -2 3 4 -3 4")  # 9_5
     assert simple_walk_count(b.mirror()) < simple_walk_count(b)
     assert choose_orientation(b, 3)[:2] == (b.mirror(), True)
-    chosen, mirrored, _ = choose_orientation(b, 4)
-    assert simple_walk_count(chosen) == 23 < simple_walk_count(b.mirror())
-    assert chosen in cut_candidates(b) and not mirrored
+    chosen, mirrored, counts = choose_orientation(b, 4)
+    # the cut search's winner has 23 walks, and the descent from it finds 19
+    cut = parse_braid("1 2 -1 2 2 3 -2 3 4 -3 4 1")
+    assert cut in cut_candidates(b) and counts[cut] == 23 < simple_walk_count(b.mirror())
+    assert chosen == parse_braid("1 2 -1 2 -3 2 3 3 4 -3 4 1") and not mirrored
+    assert simple_walk_count(chosen) == 19 and chosen not in cut_candidates(b)
     result = colored_jones(b, 4)
-    assert result.braid_used == chosen and result.simple_walk_count == 23
+    assert result.braid_used == chosen and result.simple_walk_count == 19
 
 
-def test_result_carries_every_measured_walk_count():
+def test_result_carries_every_measured_walk_count(monkeypatch):
     b = parse_braid("1 1 2 -1 2 2 3 -2 3 4 -3 4")  # 9_5
     assert colored_jones(b, 3).walk_counts == {b: 47, b.mirror(): 45}
-    words = [w for c in cut_candidates(b) for w in (c, c.mirror())]
-    counts = colored_jones(b, 4).walk_counts
-    assert list(counts) == list(dict.fromkeys(words))
-    assert counts == {w: simple_walk_count(w) for w in words}
+    # every word the call counts, in order: the cut words and mirrors,
+    # then the descent's words, braid_used among them
+    counted = []
+    monkeypatch.setattr(cjp, "simple_walk_count", lambda word: counted.append(word) or simple_walk_count(word))
+    words = list(dict.fromkeys(w for c in cut_candidates(b) for w in (c, c.mirror())))
+    result = colored_jones(b, 4)
+    counts = result.walk_counts
+    assert list(counts) == counted and counted[: len(words)] == words
+    assert len(counted) == len(words) + cjp.DESCENT_COUNTS
+    assert counts == {w: simple_walk_count(w) for w in counted}
+    assert counts[result.braid_used] == result.simple_walk_count == min(counts.values())
     assert colored_jones(b, 4, mirror_opt=False).walk_counts == {}
+
+
+def test_rewrites_are_the_moves_on_one_word():
+    # rotation by one, far commutation, the braid relation and its mixed form
+    assert [w.text() for w in cjp.rewrites(parse_braid("1 2 1 3"))] == ["2 1 3 1", "2 1 2 3", "1 2 3 1"]
+    assert [w.text() for w in cjp.rewrites(parse_braid("-1 -2 -1 -2"))] == ["-2 -1 -2 -1", "-2 -1 -2 -2", "-1 -1 -2 -1"]
+    assert [w.text() for w in cjp.rewrites(parse_braid("1 -2 -1 2"))] == ["-2 -1 2 1", "-2 -1 2 2", "1 1 -2 -1"]
+    # sigma_1 sigma_2^-1 sigma_1: no move at that place
+    assert [w.text() for w in cjp.rewrites(parse_braid("1 -2 1"))] == ["-2 1 1"]
+    assert cjp.rewrites(parse_braid("1 1 1")) == []
+
+
+def test_rewrites_keep_the_knot_and_its_size():
+    for rec in load_table():
+        b = rec.braid_word()
+        for w in cjp.rewrites(b):
+            assert w.is_knot_closure(), rec.name
+            assert (w.strands, w.writhe(), w.k) == (b.strands, b.writhe(), b.k), rec.name
+
+
+@pytest.mark.parametrize("name", ["9_2", "9_5"])
+def test_descent_words_have_the_same_polynomial(name):
+    # every word the descent counts for 9_2 and 9_5 at N = 4, run as given
+    braid = next(rec.braid_word() for rec in load_table() if rec.name == name)
+    counts = colored_jones(braid, 4).walk_counts
+    cut = list(dict.fromkeys(w for c in cut_candidates(braid) for w in (c, c.mirror())))
+    descent = list(counts)[len(cut):]
+    assert len(descent) == cjp.DESCENT_COUNTS
+    expected = colored_jones(braid, 4, mirror_opt=False).polynomial
+    for word in descent:
+        assert colored_jones(word, 4, mirror_opt=False).polynomial == expected, word.text()
 
 
 @pytest.mark.parametrize("color", [3, 4, 5])
@@ -187,9 +228,10 @@ def test_generator_runs_per_job(monkeypatch, color):
 
 
 def test_search_counts_are_generator_lengths_on_every_cut_word(monkeypatch):
-    # walk_counts holds every distinct cut word and mirror of the table, so
-    # this pins simple_walk_count to len(walk_generator) on all of them, and
-    # braid_used and walk_counts to what scoring by generator runs gives
+    # walk_counts holds every distinct cut word and mirror of the table and
+    # every word a descent counts, so this pins simple_walk_count to
+    # len(walk_generator) on all of them, and braid_used and walk_counts to
+    # what scoring by generator runs gives
     records = load_table()
     searched = [choose_orientation(rec.braid_word(), 4) for rec in records]
     monkeypatch.setattr(cjp, "simple_walk_count", cjp._generator_walk_count)

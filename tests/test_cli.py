@@ -60,7 +60,7 @@ def test_compute_json_reports_the_reduced_braid(capsys):
     assert LaurentPolynomial({t["exp"]: t["coeff"] for t in payload["terms"]}) == P("q + q^3 - q^4")
 
 
-@pytest.mark.parametrize("color, used", [("3", "-1 -1 -2 1 -2 -2 -3 2 -3 -4 3 -4"), ("4", "1 2 -1 2 2 3 -2 3 4 -3 4 1")])
+@pytest.mark.parametrize("color, used", [("3", "-1 -1 -2 1 -2 -2 -3 2 -3 -4 3 -4"), ("4", "1 2 -1 2 -3 2 3 3 4 -3 4 1")])
 def test_compute_json_braid_used(capsys, color, used):
     code, out, _ = run(capsys, "compute", "--knot", "9_5", "--color", color, "--format", "json")
     assert code == 0
@@ -193,7 +193,7 @@ def test_bench_reports_walks_of_the_cut_that_ran(capsys, tmp_path):
     assert code == 0
     rows = [dict(zip(BENCH_COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
     assert [(r["N"], r["simple_walks"], r["simple_walks_mirror"], r["simple_walks_used"]) for r in rows] == [
-        ("3", "47", "45", "45"), ("4", "47", "45", "23"),
+        ("3", "47", "45", "45"), ("4", "47", "45", "19"),
     ]
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import rotations, with_relator
 from test_rmatrix import engine_times_quantum_dimension, rmatrix_trace
 from walkjones.braid import BraidWord
-from walkjones.cjp import colored_jones
+from walkjones.cjp import colored_jones, rewrites
 from walkjones.table import knot_lookup
 
 COLOR = 3
@@ -63,6 +63,11 @@ def test_conjugation_invariance(braid, data):
         assert jones(related) == jones(braid)
         for color in (2, 4):
             assert colored_jones(related, color).polynomial == colored_jones(braid, color).polynomial
+    # so is a move of the orientation descent (cjp.rewrites) on the moved
+    # word, where it leaves a word that is no rotation of the source's
+    rewritten = [w for w in rewrites(moved) if w != moved.rotated(1) and w.reduced() not in rotations(braid.reduced())]
+    if rewritten:
+        assert jones(data.draw(st.sampled_from(rewritten))) == jones(braid)
 
 
 @INVARIANTS

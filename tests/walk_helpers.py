@@ -4,10 +4,11 @@ Each states one operation on top of the engine's own: the crossing matrix
 of one generator, the product of two walk sums or of two keys in one
 kernel call, a walk sum summed from monomials, read off a matrix entry,
 scaled or DRL-filtered, the product and the evaluation of single
-monomials, and a walk sum packed from letter masks with general
-coefficients.
+monomials, a walk sum packed from letter masks with general
+coefficients, and the simple-walk count run state by state.
 """
 from walkjones import kernels, weyl
+from walkjones.braid import BraidWord
 from walkjones.burau import BurauMatrix
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import KeyedMonomial
@@ -104,3 +105,34 @@ def packed_from_masks(k: int, walks: dict) -> WalkSum:
     clash = any(mask >> 2 & (mask | mask >> 1) & sum(1 << 3 * j for j in range(k)) for mask in walks)
     span = max(map(max, walks.values())) - min(low)
     return WalkSum._packed(weyl._Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 2 if clash else 1, span)
+
+
+def occupancy_walk_count(braid: BraidWord) -> int:
+    """burau.simple_walk_count on a dict over (start J, occupied set)
+    states, one int of ways each: the sum over nonempty J in strands 2..m
+    of the ways the occupied set, starting as J, is J again after the last
+    crossing. A crossing moves only the sets that hold one of its two
+    strands: both held, the paths swap (b, c); a lone path on the positive
+    crossing's lower strand or the negative crossing's upper strand stays
+    (a) or moves (b); on the other strand it moves (c). The braid must
+    close to a knot."""
+    # bit u - 1 of a set stands for strand u; J leaves strand 1 out
+    states = {(start, start): 1 for start in range(2, 1 << braid.strands, 2)}
+    for index, sign in braid.crossings:
+        lower = 1 << index - 1
+        both = 3 * lower
+        # the strand whose lone path may stay (a) as well as move
+        branching = lower if sign > 0 else 2 * lower
+        moved: dict = {}
+        for (start, held), ways in states.items():
+            here = held & both
+            lone = here and here != both
+            if not lone or here == branching:
+                # no path here, two paths swapping (b, c), or a lone path staying (a)
+                moved[start, held] = moved.get((start, held), 0) + ways
+            if lone:
+                # a lone path moving to the other strand (b or c)
+                key = start, held ^ both
+                moved[key] = moved.get(key, 0) + ways
+        states = moved
+    return sum(ways for (start, held), ways in states.items() if start == held)
