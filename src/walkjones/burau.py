@@ -76,7 +76,10 @@ after it is at most the total before it, so no lane passes 2^(k-1) on k
 crossings and k bits hold it. On the bundled braids' cut words this
 counts in about 0.013 ms on 4 strands and 0.026 ms on 5, 4-6x faster
 than a dict over the (J, S) states, of which there are up to
-C(2m-1, m-1) (CPU time, 2 vCPUs of a shared VM, Python 3.11).
+C(2m-1, m-1) (CPU time, 2 vCPUs of a shared VM, Python 3.11). The lanes
+grow with the strands whatever the word (a peak of 52 MB on 14 strands and
+39 crossings, 125 MB on 15 and 28), so a count refuses more than
+COUNT_STRANDS_MAX = 13 strands.
 
 The braid matrix stays in the kernel's own data: each entry is a {key:
 coefficient dict} map, and the minor recursions read those maps as they
@@ -323,41 +326,70 @@ def unpruned_walk_count(braid: BraidWord) -> int:
     return total[0]
 
 
+# The most strands a walk count takes (see the module docstring).
+COUNT_STRANDS_MAX = 13
+
+
+class WalkCounter:
+    """simple_walk_count on the knot words of ``strands`` strands and
+    ``crossings`` crossings, with the start ranks, start lanes and pairs
+    built once, as for all the words of an orientation search.
+    OverflowError past COUNT_STRANDS_MAX strands, before anything is
+    allocated."""
+
+    __slots__ = ("strands", "k", "rank", "starts", "pairs")
+
+    def __init__(self, strands: int, crossings: int):
+        if strands > COUNT_STRANDS_MAX:
+            raise OverflowError(
+                f"a braid on {strands} strands is past the walk count's bound of {COUNT_STRANDS_MAX} strands"
+            )
+        m = self.strands = strands
+        k = self.k = crossings
+        # bit u - 1 of a set stands for strand u. A start J leaves strand 1 out
+        # and is ranked among the starts of its size: ways[held] holds, in its
+        # k-bit lane rank[J], the ways from J to the held set (see the module
+        # docstring for why k bits suffice).
+        rank = self.rank = [0] * (1 << m)
+        ranked = [0] * (m + 1)
+        starts = self.starts = [0] * (1 << m)
+        for start in range(2, 1 << m, 2):
+            size = start.bit_count()
+            rank[start], ranked[size] = ranked[size], ranked[size] + 1
+            starts[start] = 1 << rank[start] * k
+        # pairs[i - 1]: each held set with a lone path on strand i, beside the
+        # same set with the path on strand i + 1 instead
+        self.pairs = [[(rest | 1 << i, rest | 2 << i) for rest in range(1 << m) if not rest >> i & 3] for i in range(m - 1)]
+
+    def __call__(self, braid: BraidWord) -> int:
+        m, k = self.strands, self.k
+        if (braid.strands, braid.k) != (m, k):
+            raise ValueError(f"{braid} is not a word on {m} strands with {k} crossings")
+        if m < 2:
+            return 0
+        ways = self.starts.copy()
+        for index, sign in braid.crossings:
+            for branching, other in self.pairs[index - 1]:
+                if sign < 0:
+                    branching, other = other, branching
+                # a lone path on the branching strand stays (a) or moves (b or
+                # c), one on the other strand moves; sets holding both strands
+                # (the paths swap) or neither stay as they are
+                ways[branching], ways[other] = ways[branching] + ways[other], ways[branching]
+        lane = (1 << k) - 1
+        return sum(ways[start] >> self.rank[start] * k & lane for start in range(2, 1 << m, 2))
+
+
 def simple_walk_count(braid: BraidWord) -> int:
     """Number of simple walks in a knot braid's level-one walk sum, the
     length of walk_generator's result, counted on occupied strands alone
     (see the module docstring): no braid matrix, keys or exponents. 0 on
     one strand, where the only braid is the unknot's empty word.
+    OverflowError past COUNT_STRANDS_MAX strands.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
-    m, k = braid.strands, braid.k
-    if m < 2:
-        return 0
-    # bit u - 1 of a set stands for strand u. A start J leaves strand 1 out
-    # and is ranked among the starts of its size: ways[held] holds, in its
-    # k-bit lane rank[J], the ways from J to the held set (see the module
-    # docstring for why k bits suffice).
-    rank = [0] * (1 << m)
-    ranked = [0] * (m + 1)
-    ways = [0] * (1 << m)
-    for start in range(2, 1 << m, 2):
-        size = start.bit_count()
-        rank[start], ranked[size] = ranked[size], ranked[size] + 1
-        ways[start] = 1 << rank[start] * k
-    # pairs[i - 1]: each held set with a lone path on strand i, beside the
-    # same set with the path on strand i + 1 instead
-    pairs = [[(rest | 1 << i, rest | 2 << i) for rest in range(1 << m) if not rest >> i & 3] for i in range(m - 1)]
-    for index, sign in braid.crossings:
-        for branching, other in pairs[index - 1]:
-            if sign < 0:
-                branching, other = other, branching
-            # a lone path on the branching strand stays (a) or moves (b or
-            # c), one on the other strand moves; sets holding both strands
-            # (the paths swap) or neither stay as they are
-            ways[branching], ways[other] = ways[branching] + ways[other], ways[branching]
-    lane = (1 << k) - 1
-    return sum(ways[start] >> rank[start] * k & lane for start in range(2, 1 << m, 2))
+    return WalkCounter(braid.strands, braid.k)(braid)
 
 
 def _simple_walks(braid: BraidWord) -> list:

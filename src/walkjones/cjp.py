@@ -21,15 +21,18 @@ Everything below runs on one unsplit reduced word.
 The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
 that height. The stack is rebuilt each height by left-multiplying with the
-level-one walk sum; the loop ends when the stack is empty or its evaluation
-is the zero polynomial. The first stack is the level-one sum itself,
-which walk_generator returns already packed from its simple walks, one
-(letter mask, exponent, sign) item per walk (WalkSum.from_masks), and
-from the second height on the stack is the packed walk sum
-multiply_walk_sums returns (see weyl): evaluate_walk_sum and the next
-multiply read it as it is, so it is never decoded into tuple keys and
-LaurentPolynomials. Evaluation sums the monomials per multiset of
-(1 - q^e) factors and applies each multiset once.
+level-one walk sum. The first stack is the level-one sum itself, which
+walk_generator returns already packed from its simple walks, one (letter
+mask, exponent, sign) item per walk (WalkSum.from_masks), and from the
+second height on the stack is the packed walk sum multiply_walk_sums
+returns (see weyl), so it is never decoded. Evaluation is additive, so
+under DRL the loop runs until the stack is empty and evaluates once, on
+the sum of its stacks (add_walk_sums). A stack that evaluates to zero
+adds nothing: under DRL none occurs on the table's words at N = 2..4, and
+on random knot words they only trail (tests/test_cjp.py). Without DRL the
+stacks never run out, so each height is evaluated and the loop stops at
+the first that evaluates to zero. At color 1 the level-one sum evaluates
+to zero, so J_1 = 1 with no height summed.
 
 Orientation selection runs the word with the fewest simple walks among
 words whose closures are the same knot, compensating a mirror at the end
@@ -45,9 +48,9 @@ tries the words one move away (rewrites), fewest walks first, for at
 most DESCENT_COUNTS counts; the mirror, which the cut search already
 compared, is not tried again. Every candidate has the input's strands
 and writhe, up to the mirror's sign, so the polynomial and framing do
-not depend on the choice. The search scores each word with
-simple_walk_count, which builds no walk sum (see burau), about
-0.013-0.026 ms a count where a generator run takes 0.7-1 ms; below it
+not depend on the choice. The search scores every word with one
+WalkCounter (see burau), which builds no walk sum: 0.006-0.011 ms a
+count, where a generator run takes 0.7-1 ms; below it
 the braid and its mirror are still scored by one generator run each. At
 N = 4 the descent took 9_2 from 21 to 14 walks and 13.1 to 7.4 ms, and
 9_5 from 23 to 19 walks and 14.6 to 10.5 ms (CPU time, best of 5,
@@ -57,11 +60,10 @@ calibration of the two constants.
 
 The loop prepares once per call what depends only on the level-one sum and
 the color (see weyl): the level-one sum keeps its reordering operator,
-with the lefts each saturation signature admits, and each stack hands its
-evaluation class tables to the next. On the high-color bench jobs
-(9_1 at N = 6, 9_2 and 9_5 at N = 4, 9_35 at N = 5) a traced pass spends
-87.6 ms in the stack multiply and 38.9 ms in evaluation, 59% and 26%
-of the pass (bench/run.py --trace 1, seed 1, times at the bench's
+with the lefts each saturation signature admits. On the high-color bench
+jobs (9_1 at N = 6, 9_2 and 9_5 at N = 4, 9_35 at N = 5) a traced pass
+spends 75.7 ms in the stack multiply and 28.3 ms in evaluation, 61% and
+23% of the pass (bench/run.py --trace 1, seed 1, times at the bench's
 reference speed).
 """
 from __future__ import annotations
@@ -70,9 +72,9 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .braid import BraidWord, NotAKnotError
-from .burau import simple_walk_count, walk_generator
+from .burau import WalkCounter, simple_walk_count, walk_generator
 from .laurent import LaurentPolynomial
-from .weyl import checked_int, evaluate_walk_sum, multiply_walk_sums
+from .weyl import add_walk_sums, checked_int, evaluate_walk_sum, multiply_walk_sums
 
 SEARCH_FROM_COLOR = 4
 # From SEARCH_FROM_COLOR, a cut winner with at least DESCENT_FROM_WALKS
@@ -90,7 +92,8 @@ class CjpResult:
     framing_exponent and simple_walk_count describe it (mirror_used says
     whether it is a mirror of the reduced input). With pruning disabled
     simple_walk_count is the unrestricted level-one entry count.
-    heights_summed counts the stack heights whose evaluation was added.
+    heights_summed counts the stacks summed: under DRL the nonempty ones,
+    without it those before the first that evaluates to zero; 0 at color 1.
     walk_counts maps each word choose_orientation counted to its
     simple-walk count: the candidates (the reduced input and its mirror
     among them) in order, then the words of any descent, so braid_used is
@@ -157,12 +160,12 @@ def rewrites(word: BraidWord) -> list[BraidWord]:
     return [BraidWord(x, word.strands) for x in dict.fromkeys(out) if x != c]
 
 
-def _descend(start: BraidWord, counts: dict[BraidWord, int]) -> BraidWord:
+def _descend(start: BraidWord, counts: dict[BraidWord, int], count) -> BraidWord:
     """The word with the fewest simple walks that a best-first descent
     from ``start`` over rewrites finds, the earlier one on a tie. The
     frontier is ordered by (walk count, sigma_1 letters); ``counts`` holds
-    the words counted so far, and gains each word the descent counts, at
-    most DESCENT_COUNTS of them."""
+    the words counted so far, and gains each word the descent counts with
+    ``count``, at most DESCENT_COUNTS of them."""
     # the third field, the words seen so far, breaks ties in the order found
     frontier = [(counts[start], 0, 0, start)]
     seen = {start}
@@ -174,7 +177,7 @@ def _descend(start: BraidWord, counts: dict[BraidWord, int]) -> BraidWord:
             if word not in counts:
                 if spent == DESCENT_COUNTS:
                     break
-                counts[word] = simple_walk_count(word)
+                counts[word] = count(word)
                 spent += 1
                 if counts[word] < counts[best]:
                     best = word
@@ -193,19 +196,21 @@ def choose_orientation(braid: BraidWord, color: int = 2) -> tuple[BraidWord, boo
     the input word first. From SEARCH_FROM_COLOR, a winner with at least
     DESCENT_FROM_WALKS walks starts a descent over rewrites (_descend),
     which keeps it unless a word with fewer walks turns up. The search
-    scores with simple_walk_count, which builds nothing; the braid and its
+    scores with one WalkCounter, which builds nothing; the braid and its
     mirror alone are scored by generator runs. The counts hold the
     candidates first, in order, then the descent's words. ``color`` is
     checked as in colored_jones.
     """
     search = checked_int(color) >= SEARCH_FROM_COLOR
     words = cut_candidates(braid) if search else [braid]
-    count = simple_walk_count if search else _generator_walk_count
+    if not braid.is_knot_closure():
+        raise NotAKnotError(f"closure of {braid} is not a knot")
+    count = WalkCounter(braid.strands, braid.k) if search else _generator_walk_count
     candidates = [(w.mirror() if mirrored else w, mirrored) for w in words for mirrored in (False, True)]
     counts = {word: count(word) for word in dict.fromkeys(word for word, _ in candidates)}
     chosen, mirrored = min(candidates, key=lambda candidate: counts[candidate[0]])
     if search and counts[chosen] >= DESCENT_FROM_WALKS:
-        chosen = _descend(chosen, counts)
+        chosen = _descend(chosen, counts, count)
     return chosen, mirrored, counts
 
 
@@ -233,26 +238,35 @@ def _cjp(braid: BraidWord, color: int, mirror_opt: bool, drl: bool) -> CjpResult
     chosen, mirror_used, walk_counts = choose_orientation(braid, color) if mirror_opt else (braid, False, {})
     framing_exponent = _framing_exponent(chosen, color)
 
-    signs = chosen.signs()
-    # The level-one sum is the first stack as built: every simple walk passes
-    # DRL at color >= 2, and at color 1 every level-one key has an a letter
-    # (a knot's closure permutation is one cycle), so it evaluates to zero.
     level_one = stack = walk_generator(chosen, prune_simple=drl)
+    if color == 1:
+        # every level-one key has an a letter (a knot's closure permutation
+        # is one cycle), so at color 1 the sum evaluates to zero
+        return CjpResult(LaurentPolynomial.one(), mirror_used, framing_exponent, 0, len(level_one), chosen, walk_counts)
+    signs = chosen.signs()
     cap = 2 * color * chosen.k
 
+    # every simple walk passes DRL at color >= 2: the level-one sum is the
+    # first stack as built
     total = LaurentPolynomial.one()
+    stacks = []
     heights = 0
     while stack:
-        value = evaluate_walk_sum(stack, signs, color)
-        if value.is_zero():
-            break
-        total = total + value
+        if drl:
+            stacks.append(stack)
+        else:
+            value = evaluate_walk_sum(stack, signs, color)
+            if value.is_zero():
+                break
+            total = total + value
         heights += 1
         if heights > cap:
             raise RuntimeError(
                 f"stack exceeded height cap {cap}; this indicates a bug in the walk pipeline"
             )
         stack = multiply_walk_sums(level_one, stack, signs, color if drl else 0)
+    if stacks:
+        total = total + evaluate_walk_sum(add_walk_sums(stacks), signs, color)
 
     polynomial = total.shift(framing_exponent)
     if mirror_used:

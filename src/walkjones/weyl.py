@@ -18,8 +18,8 @@ canonical map key -> coefficient; merging like keys is exact because the
 color evaluation of a monomial is its coefficient times a function of the
 key alone.
 
-The two operations of the colored Jones height loop live here, both on
-Python integers, and both run on the packed form that a WalkSum is:
+The operations of the colored Jones height loop live here, all on Python
+integers, and all run on the packed form that a WalkSum is:
 
 - A key is one integer of 3k fields, W bits each, holding the moved counts
   (d+s, d+r, d) per crossing, so that a key product is one add and the
@@ -55,11 +55,10 @@ crossings cut straight off the packed key, and sums coefficients per
 class and base exponent before it shifts anything.
 
 What depends only on the level-one sum and the color is built once per
-height loop, not once per height. The left's operator (_Reorder) keeps
+height loop, not once per height: the left's operator (_Reorder) keeps
 its row weights, columns and bias, and the lefts each saturation
-signature admits; each stack hands its evaluation class tables (_Classes)
-on to the product it is the right operand of, and their layout holds at
-every height of the loop.
+signature admits. The DRL loop evaluates once, on the sum of its stacks
+(add_walk_sums).
 
 Lane policy. The mass bounds every digit of every coefficient and of any
 sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2, and
@@ -78,8 +77,8 @@ only crossings between the tuple-key maps of the kernel layer and the
 packed sums. multiply_walk_sums returns a packed sum and evaluate_walk_sum
 reads one as it is, so the stack stays packed from height to height and
 there is one arithmetic path. No packed integer may
-span more than PACKED_BITS_MAX bits: both operations check B times the
-exponent spread their bounds allow before any shift, and raise
+span more than PACKED_BITS_MAX bits: each operation checks B times the
+exponent spread its bounds allow before any shift, and raises
 OverflowError past it. Colors and DRL limits pass one check, checked_int.
 """
 from __future__ import annotations
@@ -104,10 +103,6 @@ _ROW_BITS = 16
 
 # Crossings per run of an evaluation class table (see evaluate_walk_sum).
 _RUN = 3
-
-# Spare bits of the p field of an evaluation class, so that the tables of a
-# height loop hold while the stack's span grows (see _Classes).
-_P_HEADROOM = 3
 
 
 def _moved_digit(letters: int) -> str:
@@ -149,18 +144,16 @@ class WalkSum:
 
     A product also carries ``rows``, aligned with the keys: each key's
     reordering row for the operator ``rows_for`` (see multiply_walk_sums);
-    ``reorder`` caches the operator of this sum as a left operand, and
-    ``classes`` the evaluation class tables it was last evaluated with, or
-    those of its right operand (see _Classes). multiply_walk_sums may
-    widen an operand's key fields and lane in place, which leaves its
-    value, base exponents, rows and operator as they are. ``entries``
-    decodes the sum into its canonical map, tuple key -> LaurentPolynomial,
-    the first time it is read.
+    ``reorder`` caches the operator of this sum as a left operand.
+    multiply_walk_sums may widen an operand's key fields and lane in place,
+    which leaves its value, base exponents, rows and operator as they are.
+    ``entries`` decodes the sum into its canonical map, tuple key ->
+    LaurentPolynomial, the first time it is read.
     """
 
     __slots__ = (
         "layout", "bits", "keys", "coeffs", "low", "mass", "field_max", "span", "rows", "rows_for", "reorder",
-        "classes", "_entries",
+        "_entries",
     )
 
     def __init__(self, entries: Mapping[tuple[int, ...], LaurentPolynomial] | None = None):
@@ -195,7 +188,7 @@ class WalkSum:
 
     def _set(
         self, layout: "_Keys | None", bits: int, keys: list, coeffs: list, low: list, mass: int, field_max: int,
-        span: int, rows: list | None = None, rows_for: "_Reorder | None" = None, classes: "_Classes | None" = None,
+        span: int, rows: list | None = None, rows_for: "_Reorder | None" = None,
     ) -> None:
         self.layout = layout
         self.bits = bits
@@ -208,7 +201,6 @@ class WalkSum:
         self.rows = rows
         self.rows_for = rows_for
         self.reorder = None
-        self.classes = classes
         self._entries = None
 
     @classmethod
@@ -261,12 +253,18 @@ class WalkSum:
         """Lay the keys out at ``layout`` and re-lane the coefficients at
         ``bits``, both at least as wide as the sum's own; its value, base
         exponents, rows and operator stay."""
+        self.keys, self.coeffs = self._relaid(layout, bits)
+        self.layout, self.bits = layout, bits
+
+    def _relaid(self, layout: "_Keys", bits: int) -> tuple[list, list]:
+        """The keys at ``layout`` and the coefficients at ``bits``, which the
+        mass must fit; the sum's own lists where nothing changes."""
+        keys, coeffs = self.keys, self.coeffs
         if bits != self.bits:
-            self.coeffs = [_join(_split(p, self.bits), bits) for p in self.coeffs]
-            self.bits = bits
+            coeffs = [_join(_split(p, self.bits), bits) for p in coeffs]
         if layout.width != self.layout.width:
-            self.keys = [layout.join(self.layout.fields(x)) for x in self.keys]
-            self.layout = layout
+            keys = [layout.join(self.layout.fields(x)) for x in keys]
+        return keys, coeffs
 
     def _check_crossings(self, k: int) -> None:
         if self.layout.k != k:
@@ -406,6 +404,59 @@ class _Keys:
         return int.from_bytes(self.struct.pack(*fields), "little")
 
 
+def add_walk_sums(sums) -> WalkSum:
+    """The sum of packed walk sums on one crossing count, packed, with no
+    rows. Like keys merge by shifted adds; a sum that shares no key with
+    the running total joins it whole, with no Python loop over its keys.
+    The keys take the widest operand's layout, and the lane is the one the
+    summed mass needs. The field and span bounds carry over."""
+    sums = [ws for ws in sums if ws]
+    if not sums:
+        return WalkSum.zero()
+    k = sums[0].layout.k
+    for ws in sums:
+        ws._check_crossings(k)
+    mass = sum(ws.mass for ws in sums)
+    bits = _lane(mass.bit_length() + 2)
+    layout = max((ws.layout for ws in sums), key=operator.attrgetter("width"))
+    bases = [min(ws.low) for ws in sums]
+    span = max(base + ws.span for base, ws in zip(bases, sums)) - min(bases)
+    _check_span(bits, span)
+    # the last operand's keys need no slots: no later operand can meet them
+    slots: dict[int, int] = {}
+    keys: list[int] = []
+    coeffs: list[int] = []
+    low: list[int] = []
+    merged = False
+    last = len(sums) - 1
+    for i, ws in enumerate(sums):
+        xs, packed = ws._relaid(layout, bits)
+        if slots.keys().isdisjoint(xs):
+            if i < last:
+                slots.update(zip(xs, range(len(keys), len(keys) + len(xs))))
+            keys += xs
+            coeffs += packed
+            low += ws.low
+            continue
+        merged = True
+        for x, p, e in zip(xs, packed, ws.low):
+            slot = slots.get(x)
+            if slot is None:
+                slots[x] = len(keys)
+                keys.append(x)
+                coeffs.append(p)
+                low.append(e)
+            elif e >= low[slot]:
+                coeffs[slot] += p << bits * (e - low[slot])
+            else:
+                coeffs[slot] = (coeffs[slot] << bits * (low[slot] - e)) + p
+                low[slot] = e
+    if merged and 0 in coeffs:
+        nonzero_sums = [bool(p) for p in coeffs]
+        keys, coeffs, low = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low))
+    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, max(ws.field_max for ws in sums), span)
+
+
 class _FactorTable(dict):
     """For one crossing sign and color top + 1, maps the moved fields
     (d+r, d) of a crossing to the integer that encodes its evaluation (see
@@ -413,8 +464,8 @@ class _FactorTable(dict):
     (count_bits, p_bound, flips_shift, hist_shift, zero_shift): the width
     of a count, the bias of p, where the flip count and the histogram
     start, and the shift of -1 that gives a zero factor's value. That
-    value is made only when a zero factor is met: the layout's field bound
-    follows the color (_Classes), so at a huge color it would be huge."""
+    value is made only when a zero factor is met: its shift grows with the
+    color (_Classes), so at a huge color it would be huge."""
 
     __slots__ = ("positive", "top", "layout")
 
@@ -468,30 +519,21 @@ class _RunTable(dict):
 
 
 class _Classes:
-    """The class tables of evaluate_walk_sum for one sign vector, color n
-    and key width: a _FactorTable per crossing sign and a _RunTable per run
-    of crossings, with the class layout they share. The layout holds for
-    every sum whose fields are at most ``fields`` and whose span is at most
-    ``span``: ``fields`` is n - 1, the bound of every stack under a DRL
-    limit of n, or twice the first sum's own bound past it, since without
-    DRL the fields grow every height; the p field has _P_HEADROOM bits
-    more than the first sum's span needs. A sum keeps
-    the tables it was evaluated with, and a product takes over its right
-    operand's (multiply_walk_sums), so that the tables of a height loop fill
-    once for all heights; they are rebuilt only for a sum they do not fit."""
+    """The class tables of evaluate_walk_sum for one sum, sign vector and
+    color n: a _FactorTable per crossing sign and a _RunTable per run of
+    crossings, with the class layout they share, sized by the sum's field
+    bound and span."""
 
-    __slots__ = ("signs", "n", "width", "fields", "span", "p_bound", "count_bits", "flips_shift", "hist_shift", "runs")
+    __slots__ = ("p_bound", "count_bits", "flips_shift", "hist_shift", "runs")
 
     def __init__(self, ws: WalkSum, signs: tuple[int, ...], n: int):
         k = len(signs)
-        fields = n - 1 if ws.field_max < n else 2 * ws.field_max
-        self.signs, self.n, self.width, self.fields = signs, n, ws.layout.width, fields
+        fields = ws.field_max
         # a key has at most ``most`` factors, and per crossing |p| is at most p_bound
         most = k * fields
         p_bound = self.p_bound = fields * (2 * n + 3 * fields)
         count_bits = self.count_bits = most.bit_length()
-        flips_shift = self.flips_shift = (2 * k * p_bound + ws.span).bit_length() + _P_HEADROOM
-        self.span = (1 << flips_shift) - 1 - 2 * k * p_bound
+        flips_shift = self.flips_shift = (2 * k * p_bound + ws.span).bit_length()
         hist_shift = self.hist_shift = flips_shift + count_bits
         factor_layout = (count_bits, p_bound, flips_shift, hist_shift, hist_shift + count_bits * (n + 2 * fields))
         by_sign = {positive: _FactorTable(positive, n - 1, factor_layout) for positive in (True, False)}
@@ -504,13 +546,6 @@ class _Classes:
             for j in run:
                 keep[3 * j + 1] = keep[3 * j + 2] = full
             self.runs.append((_RunTable(layout.fields, [(j, by_sign[signs[j] > 0]) for j in run]), layout.join(keep)))
-
-    def fit(self, ws: WalkSum, signs: tuple[int, ...], n: int) -> bool:
-        """Whether these tables evaluate ``ws`` at these signs and color."""
-        return (
-            ws.span <= self.span and ws.field_max <= self.fields and n == self.n
-            and ws.layout.width == self.width and signs == self.signs
-        )
 
 
 def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
@@ -535,13 +570,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     table per run (_RunTable) maps the key, masked to the run's (d+r, d)
     fields, straight to the sum of the run's entries: one AND and one
     lookup per run, with no unpacking. Both kinds of table fill on first
-    use, and they live for a whole height loop (_Classes): the sum keeps
-    them, a product takes over its right operand's, and their layout is
-    taken from bounds that hold at every height (fields at most n - 1, as
-    under a DRL limit of n, and a p field with spare bits for the span),
-    so each run of (d+r, d) fields is computed once per loop. Tables that
-    do not fit a sum (another color, sign vector or key width, a larger
-    field bound, or a span past the p field's room) are rebuilt for it.
+    use and live for one call (_Classes).
 
     Buckets. The p field also has room for the key's base exponent less
     the lowest one, so the class plus that offset names the monomial's
@@ -573,9 +602,7 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     grow = most * (n + 2 * fields)
     _check_span(_lane(mass.bit_length() + most + 2, bits), span + 2 * k * p_bound + grow)
 
-    classes = ws.classes
-    if classes is None or not classes.fit(ws, signs, n):
-        classes = ws.classes = _Classes(ws, signs, n)
+    classes = _Classes(ws, signs, n)
     base_min = min(ws.low)
     buckets: dict[int, int] = {}
     get = buckets.get
@@ -817,8 +844,7 @@ def multiply_walk_sums(
     lists as they are. The product's mass is at most the product of the
     operands' masses, which sets the lane; its fields are below n, and its
     exponent spread is at most the sum of the operands' spreads plus twice
-    the row bound. Zero sums are dropped; nothing is decoded. The product
-    takes over the right operand's evaluation class tables (_Classes).
+    the row bound. Zero sums are dropped; nothing is decoded.
     """
     n = checked_int(n, 0, "DRL limit")
     if not a or not b:
@@ -899,4 +925,4 @@ def multiply_walk_sums(
     if 0 in coeffs:
         nonzero_sums = [bool(p) for p in coeffs]
         keys, coeffs, low, rows = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low, rows))
-    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op, b.classes)
+    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op)

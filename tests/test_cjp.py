@@ -3,12 +3,15 @@ import random
 
 import pytest
 
-from conftest import composite_word, markov_moved, rotations, with_relator
+from conftest import composite_word, knot_factor, markov_moved, rotations, with_relator
+from walk_helpers import per_height_jones, stack_values
 from walkjones import cjp
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
+from walkjones.burau import WalkCounter
 from walkjones.cjp import choose_orientation, colored_jones, cut_candidates, simple_walk_count
 from walkjones.laurent import LaurentPolynomial
 from walkjones.table import load_table
+from walkjones.weyl import WalkSum
 
 P = LaurentPolynomial.parse
 ONE = LaurentPolynomial.one()
@@ -58,6 +61,8 @@ def test_color_one_is_one():
         result = colored_jones(parse_braid(text), 1)
         assert result.polynomial == ONE
         assert result.framing_exponent == 0
+        # the level-one sum evaluates to zero at color 1, so no height is summed
+        assert result.heights_summed == 0
 
 
 def test_simple_walk_counts():
@@ -158,7 +163,12 @@ def test_result_carries_every_measured_walk_count(monkeypatch):
     # every word the call counts, in order: the cut words and mirrors,
     # then the descent's words, braid_used among them
     counted = []
-    monkeypatch.setattr(cjp, "simple_walk_count", lambda word: counted.append(word) or simple_walk_count(word))
+
+    def recording_counter(strands, crossings):
+        counter = WalkCounter(strands, crossings)
+        return lambda word: counted.append(word) or counter(word)
+
+    monkeypatch.setattr(cjp, "WalkCounter", recording_counter)
     words = list(dict.fromkeys(w for c in cut_candidates(b) for w in (c, c.mirror())))
     result = colored_jones(b, 4)
     counts = result.walk_counts
@@ -234,7 +244,7 @@ def test_search_counts_are_generator_lengths_on_every_cut_word(monkeypatch):
     # what scoring by generator runs gives
     records = load_table()
     searched = [choose_orientation(rec.braid_word(), 4) for rec in records]
-    monkeypatch.setattr(cjp, "simple_walk_count", cjp._generator_walk_count)
+    monkeypatch.setattr(cjp, "WalkCounter", lambda strands, crossings: cjp._generator_walk_count)
     for rec, found in zip(records, searched):
         chosen, mirrored, counts = choose_orientation(rec.braid_word(), 4)
         assert found == (chosen, mirrored, counts) and list(found[2]) == list(counts), rec.name
@@ -311,10 +321,11 @@ def test_unsplit_table_jobs_run_one_word(monkeypatch):
     # every table knot but the two split entries runs as before the split
     # step: no factors, the orientation choose_orientation makes from the
     # reduced word, and the generator runs of one orientation and one loop.
-    # A zero evaluation stops each loop after its first height.
+    # An empty product ends each loop after its first height.
     calls = []
     generator = cjp.walk_generator
     monkeypatch.setattr(cjp, "walk_generator", lambda braid, **kw: calls.append(braid) or generator(braid, **kw))
+    monkeypatch.setattr(cjp, "multiply_walk_sums", lambda *args: WalkSum.zero())
     monkeypatch.setattr(cjp, "evaluate_walk_sum", lambda *args: LaurentPolynomial.zero())
     records = [rec for rec in load_table() if rec.name not in ("9_35", "9_37")]
     assert len(records) == 82
@@ -424,6 +435,73 @@ def test_choose_orientation_checks_color_as_colored_jones_does():
         with pytest.raises(error, match="color"):
             choose_orientation(b, color)
     assert choose_orientation(b, True) == choose_orientation(b, 1)
+
+
+HIGH_COLOR_JOBS = (("9_1", 6), ("9_2", 4), ("9_5", 4), ("9_35", 5))
+
+
+def loop_words(braid, n):
+    """The words colored_jones runs its height loops on: the word
+    choose_orientation picks from each unsplit factor of two or more
+    strands."""
+    words = cjp._unsplit_words(braid.reduced())
+    return [choose_orientation(word, n)[0] for word in words if word.strands > 1]
+
+
+def test_zero_stacks_under_drl_only_trail():
+    # the loop evaluates once, on the sum of its stacks, and no longer stops
+    # at a stack that evaluates to zero. That gives the per-height loop's
+    # polynomial because under DRL such a stack is followed only by more
+    # of them: none occurs on the table's loop words, and on random knot
+    # words, as given, the zeros trail (as on "-4 2 -5 4 -1 3 -5 2 1" at
+    # N = 2, whose last of two stacks evaluates to zero, or on
+    # "3 -4 3 1 2 1 4 -1" at N = 2, both of whose stacks do)
+    for n in (2, 3, 4):
+        for rec in load_table():
+            for word in loop_words(rec.braid_word(), n):
+                values = list(stack_values(word, n))
+                assert values and not any(value.is_zero() for value in values), (rec.name, n)
+    rng = random.Random(31)
+    trailing = 0
+    for i in range(50):
+        word = knot_factor(rng, 2 + i % 5)
+        for n in (2, 3, 4):
+            zeros = [value.is_zero() for value in stack_values(word, n)]
+            first = zeros.index(True) if True in zeros else len(zeros)
+            assert zeros and all(zeros[first:]), (word.text(), n, zeros)
+            trailing += first < len(zeros)
+    assert trailing
+
+
+def test_summed_loop_matches_per_height_oracle():
+    # colored_jones against the loop that evaluates each height on its own,
+    # run on the word, mirror and factors colored_jones chose: the same
+    # polynomial and the same heights, on the table at N = 2..4 and on the
+    # high-color bench jobs
+    table = load_table()
+    by_name = {rec.name: rec for rec in table}
+    jobs = [(rec, n) for n in (2, 3, 4) for rec in table] + [(by_name[name], n) for name, n in HIGH_COLOR_JOBS]
+    for rec, n in jobs:
+        result = colored_jones(rec.braid_word(), n)
+        polynomial = ONE
+        for run in result.factors or [result]:
+            value, heights = per_height_jones(run.braid_used, n)
+            assert heights == run.heights_summed, (rec.name, n)
+            polynomial = polynomial * (value.invert_var() if run.mirror_used else value)
+        assert polynomial == result.polynomial, (rec.name, n)
+
+
+def test_search_builds_one_counter(monkeypatch):
+    # every word the search counts shares the braid's strands and crossings,
+    # so one counter serves the cut words, their mirrors and the descent
+    built = []
+    monkeypatch.setattr(cjp, "WalkCounter", lambda *args: built.append(args) or WalkCounter(*args))
+    b = parse_braid("1 1 2 -1 2 2 3 -2 3 4 -3 4")  # 9_5
+    counts = choose_orientation(b, 4)[2]
+    assert built == [(5, 12)] and len(counts) > 2 * len(cut_candidates(b))
+    built.clear()
+    choose_orientation(b, 3)
+    assert built == []
 
 
 def test_height_cap_guard(monkeypatch):

@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, bench CSV."""
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,23 @@ def test_bench_deterministic_nontime_columns(capsys):
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         runs.append([[c for i, c in enumerate(row) if BENCH_COLUMNS[i] != "time_ms"] for row in rows])
     assert runs[0] == runs[1]
+
+
+def test_compute_past_the_strand_bound_fails_fast(capsys):
+    # T(3, 17) as (sigma_1 ... sigma_16)^3 neither reduces nor splits, and
+    # at color 4 the orientation search counts it: the count refuses its 17
+    # strands before building anything, where it would take gigabytes
+    braid = " ".join(str(i) for i in range(1, 17)) + " "
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "compute", "--braid", braid * 3, "--color", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err == "walkjones: a braid on 17 strands is past the walk count's bound of 13 strands\n"
+    assert peak < 1 << 20
 
 
 def test_compute_missing_table_exit_1(capsys, tmp_path):

@@ -17,6 +17,7 @@ from walkjones.oracle import FreeWord, KeyedMonomial, _swap_exponent, free_norma
 from walkjones.table import load_table
 from walkjones.weyl import (
     WalkSum,
+    add_walk_sums,
     drl_keep,
     evaluate_walk_sum,
     multiply_walk_sums,
@@ -860,20 +861,106 @@ def test_class_tables_fill_once_per_loop(monkeypatch):
         assert len(misses) == len(set(misses)), text
 
 
-@pytest.mark.parametrize("text, n, builds", [("1 1 2 -1 -3 2 -3", 3, 3), ("-1 2 -1 2", 4, 2), ("1 1 1", 5, 2)])
-def test_class_tables_without_drl_rebuild_with_headroom(monkeypatch, text, n, builds):
-    # without DRL the stack's fields grow past n - 1 every height, so tables
-    # rebuilt for a sum take twice its field bound: fewer builds than
-    # heights, and the polynomial of tables built fresh at every height
+@pytest.mark.parametrize("text, n", [("1 1 2 -1 -3 2 -3", 3), ("-1 2 -1 2", 4), ("1 1 1", 5)])
+def test_class_tables_without_drl_built_per_height(monkeypatch, text, n):
+    # without DRL each height is evaluated on its own, down to the stack
+    # that evaluates to zero and stops the loop, and builds its own tables
     braid = parse_braid(text)
     built = []
     init = weyl._Classes.__init__
     monkeypatch.setattr(weyl._Classes, "__init__", lambda self, *args: built.append(self) or init(self, *args))
     result = colored_jones(braid, n, drl=False)
-    assert len(built) == builds < result.heights_summed
+    assert len(built) == result.heights_summed + 1
     assert result.polynomial == colored_jones(braid, n).polynomial
-    monkeypatch.setattr(weyl._Classes, "fit", lambda self, *args: False)
-    assert colored_jones(braid, n, drl=False).polynomial == result.polynomial
+
+
+def test_add_walk_sums_merges_like_keys_at_their_lower_base():
+    # one key in all three sums, at base exponents -3, 2 and 0: the merged
+    # coefficient keeps the lowest base, and keys met once join as they are
+    x, y, z = key_from_letters(2, "a1"), key_from_letters(2, "b1 c2"), key_from_letters(2, "a2")
+    sums = [WalkSum({x: P("q^-3 + 2*q^-1"), y: P("5")}), WalkSum({x: P("q^2 - q^4")}), WalkSum({x: P("7"), z: P("q")})]
+    total = add_walk_sums(sums)
+    assert total.entries == {x: P("q^-3 + 2*q^-1 + 7 + q^2 - q^4"), y: P("5"), z: P("q")}
+    assert min(total.low) == -3 and total.mass == sum(ws.mass for ws in sums)
+    assert total.span >= 7 and total.field_max == 2
+    assert add_walk_sums([]) == add_walk_sums([WalkSum.zero()]) == WalkSum.zero()
+    assert add_walk_sums([sums[0], sums[0]]).entries == {x: P("2*q^-3 + 4*q^-1"), y: P("10")}
+
+
+def test_add_walk_sums_drops_what_cancels():
+    x, y = key_from_letters(1, "a1"), key_from_letters(1, "c1")
+    a = WalkSum({x: P("q - 3*q^5"), y: P("2")})
+    total = add_walk_sums([a, WalkSum({x: P("-q + 3*q^5")})])
+    assert total.keys == [total.layout.move(y)] and total.entries == {y: P("2")}
+    assert add_walk_sums([a, WalkSum({x: P("-q + 3*q^5"), y: P("-2")})]) == WalkSum.zero()
+    assert not add_walk_sums([a, WalkSum({x: P("-q + 3*q^5"), y: P("-2")})]).keys
+
+
+def test_add_walk_sums_mixes_key_widths_and_lanes():
+    # a count of 100 takes 16-bit fields and a coefficient near 2^70 a
+    # 128-bit lane; the narrow operand's keys and lane follow the wide one's
+    x, y = key_from_letters(2, "a1 b2"), (0, 100, 1, 0, 0, 0)
+    narrow = WalkSum({x: P("q - 2"), zero_key(2): P("3")})
+    wide = WalkSum({y: P(f"{1 << 70}*q^3"), x: P("q^-2")})
+    assert (narrow.layout.width, narrow.bits, wide.layout.width, wide.bits) == (8, 64, 16, 128)
+    total = add_walk_sums([narrow, wide])
+    assert (total.layout.width, total.bits, total.field_max) == (16, 128, 200)
+    assert total.entries == {x: P("q^-2 + q - 2"), zero_key(2): P("3"), y: P(f"{1 << 70}*q^3")}
+    # the operands are left as they were
+    assert (narrow.layout.width, narrow.bits) == (8, 64)
+    # a sum whose mass needs a narrower lane than its widest operand's
+    widened = WalkSum({x: P("q")})
+    widened._widen(weyl._Keys(2, 32), 256)
+    total = add_walk_sums([widened, narrow])
+    assert (total.layout.width, total.bits) == (32, 64) and total.entries == {x: P("2*q - 2"), zero_key(2): P("3")}
+
+
+def test_add_walk_sums_widens_the_lane_for_the_summed_mass():
+    # each operand's mass fits the 64-bit lane (below 2^62), their sum does
+    # not: the lane follows the summed mass, and no digit overflows
+    big = (1 << 62) - 2
+    x, y = key_from_letters(1, "a1"), key_from_letters(1, "b1")
+    a, b = WalkSum({x: P(f"{big}*q^2")}), WalkSum({x: P(f"{big}*q^2"), y: P("1")})
+    assert (a.bits, b.bits) == (64, 64)
+    total = add_walk_sums([a, b])
+    assert total.bits == 128 and total.entries == {x: P(f"{2 * big}*q^2"), y: P("1")}
+    assert evaluate_walk_sum(total, (1,), 3) == evaluate_walk_sum(a, (1,), 3) + evaluate_walk_sum(b, (1,), 3)
+
+
+def test_add_walk_sums_matches_summed_entries_random():
+    # sums sharing some keys and not others, on random coefficients, lanes
+    # and key widths (70 b letters, which evaluation ignores, take 16-bit
+    # fields); evaluation is additive, so the sum evaluates to the sum of
+    # the evaluations
+    rng = random.Random(53)
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        signs = rand_signs(rng, k)
+        pool = [rand_key(rng, k, n) for _ in range(rng.randint(1, 6))]
+        sums = []
+        for _ in range(rng.randint(1, 5)):
+            own = rand_key(rng, k, n)
+            if rng.random() < 0.3:
+                own = (70,) + own[1:]
+            keys = rng.sample(pool, rng.randint(0, len(pool))) + [own]
+            sums.append(summed((key, rand_coeff(rng, rng.choice((3, 70)))) for key in keys))
+        total = add_walk_sums(sums)
+        assert total == summed(item for ws in sums for item in ws.entries.items())
+        assert total.mass == sum(ws.mass for ws in sums)
+        assert total.field_max == max(ws.field_max for ws in sums)
+        assert total.span >= WalkSum(total.entries).span
+        assert evaluate_walk_sum(total, signs, n) == sum(
+            (evaluate_walk_sum(ws, signs, n) for ws in sums), LaurentPolynomial.zero()
+        )
+
+
+def test_add_walk_sums_rejects_other_crossing_counts_and_huge_spans():
+    with pytest.raises(ValueError):
+        add_walk_sums([WalkSum({zero_key(1): P("1")}), WalkSum({zero_key(2): P("1")})])
+    far = 1 << 30
+    with pytest.raises(OverflowError, match="packed budget"):
+        add_walk_sums([WalkSum({zero_key(1): P(f"q^{far}")}), WalkSum({zero_key(1): P("1")})])
 
 
 @pytest.mark.parametrize("drl", [True, False])

@@ -5,14 +5,23 @@ of one generator, the product of two walk sums or of two keys in one
 kernel call, a walk sum summed from monomials, read off a matrix entry,
 scaled or DRL-filtered, the product and the evaluation of single
 monomials, a walk sum packed from letter masks with general
-coefficients, and the simple-walk count run state by state.
+coefficients, the simple-walk count run state by state, and the height
+loop evaluated height by height.
 """
 from walkjones import kernels, weyl
 from walkjones.braid import BraidWord
-from walkjones.burau import BurauMatrix
+from walkjones.burau import BurauMatrix, walk_generator
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import KeyedMonomial
-from walkjones.weyl import WalkSum, checked_int, drl_keep, evaluate_walk_sum, letter_key, zero_key
+from walkjones.weyl import (
+    WalkSum,
+    checked_int,
+    drl_keep,
+    evaluate_walk_sum,
+    letter_key,
+    multiply_walk_sums,
+    zero_key,
+)
 
 
 def generator_matrix(crossing_ordinal: int, index: int, sign: int, m: int, crossings: int | None = None) -> BurauMatrix:
@@ -136,3 +145,28 @@ def occupancy_walk_count(braid: BraidWord) -> int:
                 moved[key] = moved.get(key, 0) + ways
         states = moved
     return sum(ways for (start, held), ways in states.items() if start == held)
+
+
+def stack_values(word: BraidWord, n: int, drl: bool = True):
+    """Yield the color-n evaluation of each stack of the height loop on a
+    knot word of two or more strands, run as given, one per height, until
+    the stack is empty. Without DRL the stacks never run out, and the
+    caller stops."""
+    level_one = stack = walk_generator(word, prune_simple=drl)
+    signs = word.signs()
+    while stack:
+        yield evaluate_walk_sum(stack, signs, n)
+        stack = multiply_walk_sums(level_one, stack, signs, n if drl else 0)
+
+
+def per_height_jones(word: BraidWord, n: int, drl: bool = True) -> tuple[LaurentPolynomial, int]:
+    """J_n of an unsplit reduced knot word of two or more strands, run as
+    given, with each stack height evaluated on its own: the framing factor
+    times 1 plus the value of every height before the first that is zero
+    or empty. Returns the polynomial and the heights added."""
+    total, heights = LaurentPolynomial.one(), 0
+    for value in stack_values(word, n, drl):
+        if value.is_zero():
+            break
+        total, heights = total + value, heights + 1
+    return total.shift((n - 1) * (word.writhe() - word.strands + 1) // 2), heights
