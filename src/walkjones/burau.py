@@ -312,14 +312,27 @@ def unpruned_walk_count(braid: BraidWord) -> int:
     before any like-key cancellation or pruning.
 
     Distinct paths from u to v have distinct keys, so the count of words in
-    a matrix entry is its entry size S[u][v], and the number of determinant
-    products is the sum over nonempty principal minors J of perm(S_J):
-    _minor_sum on the sizes, with integer products and every index
-    optional.
+    a braid matrix entry is the number S[u][v] of paths from strand u to v,
+    and the number of determinant products is the sum over nonempty
+    principal minors J of the reduced matrix of perm(S_J): _minor_sum on
+    the counts, with integer products and every index optional. S is built
+    crossing by crossing as braid_matrix builds its entries, on ints: at a
+    positive crossing on strands i, i+1 a row's counts (x, y) there become
+    (x + y, x), paths leaving i by a or arriving by c, and leaving i by b;
+    at a negative one they become (y, x + y). ValueError on one strand.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
-    sizes = [[len(e) for e in row] for row in reduced_matrix(braid_matrix(braid)).entries]
+    m = braid.strands
+    if m < 2:
+        raise ValueError("cannot reduce a matrix of dimension < 2")
+    paths = [[int(u == v) for v in range(m)] for u in range(m)]
+    for index, sign in braid.crossings:
+        i = index - 1
+        for row in paths:
+            x, y = row[i], row[i + 1]
+            row[i], row[i + 1] = (x + y, x) if sign > 0 else (y, x + y)
+    sizes = [row[1:] for row in paths[1:]]
     total = [0]
     every = (1 << len(sizes)) - 1
     _minor_sum(sizes, lambda partial, size, _: partial * size, None, _add_count, every, total, 0, 0, 0, 0, 1)

@@ -20,19 +20,29 @@ Everything below runs on one unsplit reduced word.
 
 The polynomial is the framing factor q^((n-1)(writhe - m + 1)/2) times the
 sum over stack heights of the color evaluation of the walk sum raised to
-that height. The stack is rebuilt each height by left-multiplying with the
-level-one walk sum. The first stack is the level-one sum itself, which
-walk_generator returns already packed from its simple walks, one (letter
-mask, exponent, sign) item per walk (WalkSum.from_masks), and from the
-second height on the stack is the packed walk sum multiply_walk_sums
-returns (see weyl), so it is never decoded. Evaluation is additive, so
-under DRL the loop runs until the stack is empty and evaluates once, on
-the sum of its stacks (add_walk_sums). A stack that evaluates to zero
-adds nothing: under DRL none occurs on the table's words at N = 2..4, and
-on random knot words they only trail (tests/test_cjp.py). Without DRL the
-stacks never run out, so each height is evaluated and the loop stops at
-the first that evaluates to zero. At color 1 the level-one sum evaluates
-to zero, so J_1 = 1 with no height summed.
+that height. The first stack is the level-one sum L, which walk_generator
+returns already packed from its simple walks, one (letter mask, exponent,
+sign) item per walk (WalkSum.from_masks), and each later stack is L times
+the one before, pruned by DRL at the color (multiply_walk_sums), so no
+stack is ever decoded. Evaluation is additive, so under DRL the stacks are
+summed until one is empty and the sum is evaluated once. A stack that
+evaluates to zero adds nothing: under DRL none occurs on the table's words
+at N = 2..4, and on random knot words they only trail (tests/test_cjp.py).
+
+A key can sit at several heights when L's keys have more than one letter
+count: on the words the table's knots run, the stacks hold 1 656 keys of
+which 1 396 are distinct at N = 2, 19 852 and 13 899 at N = 3, 50 763 and
+31 237 at N = 4, and 208 943 and 110 958 at N = 5. Such a word runs
+walk_series, which builds the sum L + L^2 + ... extending each distinct
+key once, by increasing letter count (see weyl). When every walk of L
+has the same letter count, as on every 2-strand word, a key's height is
+its letter count over that count, the stacks share no key, and the loop
+builds them one height at a time and joins them (add_walk_sums): there
+the series' depth and level bookkeeping only costs, 1.3% over the
+table's 2-strand words at N = 4..6 and 6% on 9_1 at N = 6. Without DRL
+the stacks never run out, so each height is evaluated and the loop stops
+at the first that evaluates to zero. At color 1 the level-one sum
+evaluates to zero, so J_1 = 1 with no height summed.
 
 Orientation selection runs the word with the fewest simple walks among
 words whose closures are the same knot, compensating a mirror at the end
@@ -60,11 +70,11 @@ calibration of the two constants.
 
 The loop prepares once per call what depends only on the level-one sum and
 the color (see weyl): the level-one sum keeps its reordering operator,
-with the lefts each saturation signature admits. On the high-color bench
-jobs (9_1 at N = 6, 9_2 and 9_5 at N = 4, 9_35 at N = 5) a traced pass
-spends 75.7 ms in the stack multiply and 28.3 ms in evaluation, 61% and
-23% of the pass (bench/run.py --trace 1, seed 1, times at the bench's
-reference speed).
+with the lefts each saturation signature admits. Against the height loop
+with like keys merged, the series builds the summed stacks of 9_2 at
+N = 4 in 1.28 ms instead of 2.25, of 9_5 at N = 4 in 2.87 instead of 3.85,
+and of T(3,7) at N = 5 in 143 instead of 221 (CPU time, best of 9, 2
+vCPUs of a shared VM, Python 3.11). README.md has the whole-table times.
 """
 from __future__ import annotations
 
@@ -74,7 +84,7 @@ from heapq import heappop, heappush
 from .braid import BraidWord, NotAKnotError
 from .burau import WalkCounter, simple_walk_count, walk_generator
 from .laurent import LaurentPolynomial
-from .weyl import add_walk_sums, checked_int, evaluate_walk_sum, multiply_walk_sums
+from .weyl import add_walk_sums, checked_int, evaluate_walk_sum, letter_counts, multiply_walk_sums, walk_series
 
 SEARCH_FROM_COLOR = 4
 # From SEARCH_FROM_COLOR, a cut winner with at least DESCENT_FROM_WALKS
@@ -93,7 +103,9 @@ class CjpResult:
     whether it is a mirror of the reduced input). With pruning disabled
     simple_walk_count is the unrestricted level-one entry count.
     heights_summed counts the stacks summed: under DRL the nonempty ones,
-    without it those before the first that evaluates to zero; 0 at color 1.
+    which is the length of the longest chain of level-one walks whose
+    product survives in the sum; without DRL those before the first that
+    evaluates to zero; 0 at color 1.
     walk_counts maps each word choose_orientation counted to its
     simple-walk count: the candidates (the reduced input and its mirror
     among them) in order, then the words of any descent, so braid_used is
@@ -238,19 +250,37 @@ def _cjp(braid: BraidWord, color: int, mirror_opt: bool, drl: bool) -> CjpResult
     chosen, mirror_used, walk_counts = choose_orientation(braid, color) if mirror_opt else (braid, False, {})
     framing_exponent = _framing_exponent(chosen, color)
 
-    level_one = stack = walk_generator(chosen, prune_simple=drl)
+    level_one = walk_generator(chosen, prune_simple=drl)
     if color == 1:
         # every level-one key has an a letter (a knot's closure permutation
         # is one cycle), so at color 1 the sum evaluates to zero
         return CjpResult(LaurentPolynomial.one(), mirror_used, framing_exponent, 0, len(level_one), chosen, walk_counts)
     signs = chosen.signs()
-    cap = 2 * color * chosen.k
+    if drl and len(set(letter_counts(level_one))) > 1:
+        series, heights = walk_series(level_one, signs, color)
+        total = LaurentPolynomial.one() + evaluate_walk_sum(series, signs, color)
+    else:
+        total, heights = _height_loop(level_one, signs, color, drl)
 
+    polynomial = total.shift(framing_exponent)
+    if mirror_used:
+        polynomial = polynomial.invert_var()
+    return CjpResult(polynomial, mirror_used, framing_exponent, heights, len(level_one), chosen, walk_counts)
+
+
+def _height_loop(level_one, signs: tuple[int, ...], color: int, drl: bool) -> tuple[LaurentPolynomial, int]:
+    """1 plus the color evaluation of the stacks L, L^2, ... of the level-one
+    sum L, built one height at a time, and the number of stacks summed. Under
+    DRL every stack is kept and the sum of them is evaluated once; without
+    it each is evaluated on its own, up to the first that evaluates to zero.
+    RuntimeError past 2 * color * k heights."""
+    cap = 2 * color * len(signs)
     # every simple walk passes DRL at color >= 2: the level-one sum is the
     # first stack as built
     total = LaurentPolynomial.one()
     stacks = []
     heights = 0
+    stack = level_one
     while stack:
         if drl:
             stacks.append(stack)
@@ -267,11 +297,7 @@ def _cjp(braid: BraidWord, color: int, mirror_opt: bool, drl: bool) -> CjpResult
         stack = multiply_walk_sums(level_one, stack, signs, color if drl else 0)
     if stacks:
         total = total + evaluate_walk_sum(add_walk_sums(stacks), signs, color)
-
-    polynomial = total.shift(framing_exponent)
-    if mirror_used:
-        polynomial = polynomial.invert_var()
-    return CjpResult(polynomial, mirror_used, framing_exponent, heights, len(level_one), chosen, walk_counts)
+    return total, heights
 
 
 def colored_jones(

@@ -57,8 +57,11 @@ class and base exponent before it shifts anything.
 What depends only on the level-one sum and the color is built once per
 height loop, not once per height: the left's operator (_Reorder) keeps
 its row weights, columns and bias, and the lefts each saturation
-signature admits. The DRL loop evaluates once, on the sum of its stacks
-(add_walk_sums).
+signature admits. The DRL stacks are summed and evaluated once. When the
+level-one keys have more than one letter count, a key can turn up at
+several heights, and walk_series builds the sum with each distinct key
+extended once, by increasing letter count; otherwise the stacks share no
+key, and add_walk_sums joins them as they are.
 
 Lane policy. The mass bounds every digit of every coefficient and of any
 sum of coefficients, so a packed sum keeps B >= mass.bit_length() + 2, and
@@ -405,10 +408,10 @@ class _Keys:
 
 
 def add_walk_sums(sums) -> WalkSum:
-    """The sum of packed walk sums on one crossing count, packed, with no
-    rows. Like keys merge by shifted adds; a sum that shares no key with
-    the running total joins it whole, with no Python loop over its keys.
-    The keys take the widest operand's layout, and the lane is the one the
+    """The sum of packed walk sums on one crossing count that share no key,
+    packed, with no rows: each joins the running total whole, with no
+    Python loop over its keys. ValueError if two of them share a key. The
+    keys take the widest operand's layout, and the lane is the one the
     summed mass needs. The field and span bounds carry over."""
     sums = [ws for ws in sums if ws]
     if not sums:
@@ -422,38 +425,21 @@ def add_walk_sums(sums) -> WalkSum:
     bases = [min(ws.low) for ws in sums]
     span = max(base + ws.span for base, ws in zip(bases, sums)) - min(bases)
     _check_span(bits, span)
-    # the last operand's keys need no slots: no later operand can meet them
-    slots: dict[int, int] = {}
+    # the last operand's keys need no place in ``seen``: no later operand can meet them
+    seen: set[int] = set()
     keys: list[int] = []
     coeffs: list[int] = []
     low: list[int] = []
-    merged = False
     last = len(sums) - 1
     for i, ws in enumerate(sums):
         xs, packed = ws._relaid(layout, bits)
-        if slots.keys().isdisjoint(xs):
-            if i < last:
-                slots.update(zip(xs, range(len(keys), len(keys) + len(xs))))
-            keys += xs
-            coeffs += packed
-            low += ws.low
-            continue
-        merged = True
-        for x, p, e in zip(xs, packed, ws.low):
-            slot = slots.get(x)
-            if slot is None:
-                slots[x] = len(keys)
-                keys.append(x)
-                coeffs.append(p)
-                low.append(e)
-            elif e >= low[slot]:
-                coeffs[slot] += p << bits * (e - low[slot])
-            else:
-                coeffs[slot] = (coeffs[slot] << bits * (low[slot] - e)) + p
-                low[slot] = e
-    if merged and 0 in coeffs:
-        nonzero_sums = [bool(p) for p in coeffs]
-        keys, coeffs, low = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low))
+        if not seen.isdisjoint(xs):
+            raise ValueError("walk sums to add share a key")
+        if i < last:
+            seen.update(xs)
+        keys += xs
+        coeffs += packed
+        low += ws.low
     return WalkSum._packed(layout, bits, keys, coeffs, low, mass, max(ws.field_max for ws in sums), span)
 
 
@@ -696,6 +682,8 @@ def _moved_form(form: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...
 # positive, and the largest sum of absolute entries of either form.
 _MOVED_FORMS = {True: _moved_form(_FORM_PLUS), False: _moved_form(_FORM_MINUS)}
 _FORM_NORM = max(sum(map(abs, sum(form, ()))) for form in _MOVED_FORMS.values())
+# The columns of each moved form, F[.][u] for u = 0, 1, 2.
+_FORM_COLUMNS = {positive: tuple(zip(*form)) for positive, form in _MOVED_FORMS.items()}
 
 
 class _Reorder:
@@ -724,14 +712,17 @@ class _Reorder:
             for byte in range(step):
                 buf[byte::out] = data[j * step + byte::size]
             by_field.append(int.from_bytes(buf, "little"))
-        # W_(3c+u) = sum over t of F_c[t][u] * FA_(3c+t)
+        # W_(3c+u) = sum over t of F_c[t][u] * FA_(3c+t), from column u of F_c
         weights = []
         for c, sign in enumerate(signs):
-            form = _MOVED_FORMS[sign > 0]
-            fa = by_field[3 * c:3 * c + 3]
-            weights += [sum(form[t][u] * fa[t] for t in range(3)) for u in range(3)]
+            a0, a1, a2 = by_field[3 * c:3 * c + 3]
+            weights += [f0 * a0 + f1 * a1 + f2 * a2 for f0, f1, f2 in _FORM_COLUMNS[sign > 0]]
         self.weights = weights
-        self.columns = [self.combine(layout.fields(x)) for x in left.keys]
+        if layout.width == 8 and left.field_max <= 1:
+            # each field is one byte, 0 or 1, so a key's bytes select its weights
+            self.columns = [sum(compress(weights, x.to_bytes(size, "little"))) for x in left.keys]
+        else:
+            self.columns = [self.combine(layout.fields(x)) for x in left.keys]
         # 2^(width-1) plus the base exponent of left entry i, less the
         # lowest, in row field i
         low = min(left.low)
@@ -752,9 +743,10 @@ class _Reorder:
 class _Admitted(dict):
     """For one left operand at one key width and lane (``key``), maps the
     saturation signature of a right key to the entries (xa, pa, shift,
-    column) of the lefts it admits, filling itself on first use. ``lefts``
-    lists each left entry with its mask. The DRL limit only sets how a
-    signature is computed, so one table serves every limit."""
+    column) of the lefts it admits, filling itself on first use; walk_series
+    adds each left's letter count to its entries. ``lefts`` lists each left
+    entry with its mask. The DRL limit only sets how a signature is
+    computed, so one table serves every limit."""
 
     __slots__ = ("key", "lefts")
 
@@ -765,6 +757,45 @@ class _Admitted(dict):
     def __missing__(self, signature: int) -> list:
         admitted = self[signature] = [entry for mask, entry in self.lefts if not mask & signature]
         return admitted
+
+
+def _pairing(left: WalkSum, fields_b: int, n: int, key_width: int) -> tuple[_Keys, bool, int, int]:
+    """The rules of multiply_walk_sums for ``left`` times right keys whose
+    fields are at most fields_b, at DRL limit n: the key layout, at least
+    ``key_width`` bits a field; whether an admitted pair still runs the DRL
+    test (see the prefilter); the row bound, the most a pair's reordering
+    moves its exponent; and the row field width. OverflowError if the
+    fields or n need more than 64 bits."""
+    fields_a = left.field_max
+    top = fields_a + fields_b
+    width = _key_width(max(top, n))
+    if width is None:
+        raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
+    drl_test = top >= n and not (fields_a <= 1 and fields_b < n)
+    row_bound = left.layout.k * _FORM_NORM * fields_a * fields_b
+    layout = _Keys(left.layout.k, max(width, key_width))
+    row_width = _lane(max((row_bound + left.span).bit_length() + 1, layout.width), _ROW_BITS)
+    return layout, drl_test, row_bound, row_width
+
+
+def _guards(layout: _Keys, n: int) -> tuple[int, int, int, int]:
+    """The DRL masks of multiply_walk_sums at ``layout`` and limit n, each
+    one value per field: the guard (the field's top bit), the bias
+    2^(W-1) - n, the bias that sets the guard of a field at least n - 1,
+    and the one that sets it for a field at least 1."""
+    unit = layout.join((1,) * (3 * layout.k))
+    guard = unit << (layout.width - 1)
+    bias = guard - n * unit
+    return guard, bias, bias + unit, guard - unit
+
+
+def _operator(left: WalkSum, signs: tuple[int, ...], row_width: int) -> _Reorder:
+    """The reordering operator of ``left`` at ``signs``, kept on the sum,
+    built again when it was built for other signs or narrower rows."""
+    op = left.reorder
+    if op is None or op.signs != signs or op.width < row_width:
+        op = left.reorder = _Reorder(left, signs, row_width)
+    return op
 
 
 def multiply_walk_sums(
@@ -852,34 +883,19 @@ def multiply_walk_sums(
     k = len(signs)
     a._check_crossings(k)
     b._check_crossings(k)
-    fields_a, fields_b = a.field_max, b.field_max
-    top = fields_a + fields_b
+    top = a.field_max + b.field_max
     n = n or top + 1
-    width = _key_width(max(top, n))
-    if width is None:
-        raise OverflowError(f"letter counts or DRL limit {n} too large to pack")
-    # whether an admitted pair can still fail DRL (see the prefilter above)
-    drl_test = top >= n and not (fields_a <= 1 and fields_b < n)
+    layout, drl_test, row_bound, row_width = _pairing(a, b.field_max, n, max(a.layout.width, b.layout.width))
     mass = a.mass * b.mass
     bits = _lane(mass.bit_length() + 2, max(a.bits, b.bits))
-    row_bound = k * _FORM_NORM * fields_a * fields_b
     span = a.span + b.span + 2 * row_bound
     _check_span(bits, span)
-    layout = _Keys(k, max(width, a.layout.width, b.layout.width))
     a._widen(layout, bits)
     b._widen(layout, bits)
-    row_width = _lane(max((row_bound + a.span).bit_length() + 1, layout.width), _ROW_BITS)
 
     width = layout.width
-    unit = layout.join((1,) * (3 * k))
-    guard = unit << (width - 1)
-    bias = guard - n * unit
-    saturated = bias + unit
-    nonzero = guard - unit
-
-    op = a.reorder
-    if op is None or op.signs != signs or op.width < row_width:
-        op = a.reorder = _Reorder(a, signs, row_width)
+    guard, bias, saturated, nonzero = _guards(layout, n)
+    op = _operator(a, signs, row_width)
     row_mask = (1 << op.width) - 1
     admitted_by = op.admitted
     if admitted_by is None or admitted_by.key != (width, bits):
@@ -926,3 +942,171 @@ def multiply_walk_sums(
         nonzero_sums = [bool(p) for p in coeffs]
         keys, coeffs, low, rows = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low, rows))
     return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op)
+
+
+def letter_counts(ws: WalkSum) -> list[int]:
+    """The letter count of each key of a packed sum, in key order: s + r +
+    d summed over the crossings. The moved fields of a key sum to s + r +
+    3d, so the count is that sum less twice the d fields'. With every
+    field 0 or 1, as in a level-one sum, each sum is a popcount of the key
+    (or of its d fields), read with no unpacking."""
+    if not ws:
+        return []
+    d_fields = ws.layout.d_fields
+    if ws.field_max <= 1:
+        return [x.bit_count() - 2 * (x & d_fields).bit_count() for x in ws.keys]
+    fields = ws.layout.fields
+    return [sum(f) - 2 * sum(f[2::3]) for f in map(fields, ws.keys)]
+
+
+def walk_series(level_one: WalkSum, signs: tuple[int, ...], n: int) -> tuple[WalkSum, int]:
+    """The sum of every stack of the DRL height loop at color n, packed,
+    with the number of stacks: S = L + L^2 + L^3 + ..., L = ``level_one``
+    and L^(h+1) = L * L^h pruned by drl_keep at n, as multiply_walk_sums
+    builds it, until a stack is empty.
+
+    Pruning depends on the key alone and the product is linear in its right
+    operand, so S = L + (L * S, pruned): the product of L by each distinct
+    key of S, taken once with its full coefficient, rather than once for
+    every height the key shows up at. A product key has the letters of its
+    right key plus those of a level-one key, at least one more, so every key
+    that adds into a key has fewer letters than it. Keys are therefore
+    extended by increasing letter count (letter_counts), each one the first
+    time its count comes up, when nothing more can add into it. A key whose
+    coefficient sums to zero is neither extended nor kept.
+
+    The pair loop is multiply_walk_sums's, on its parts: the left's
+    operator (_Reorder), the lefts each saturation signature admits
+    (_Admitted, here with each left's letter count), the DRL test, the
+    exponent off the carried row, and the slot per key. The keys take the
+    widths their bounds need once: the fields of a key of S are those of L
+    or below n. The lane follows the summed stacks' mass, the sum over
+    h <= depth of mass(L)^h, and the span the terms of a depth-h key can
+    reach, h times the range of L's exponents widened by h - 1 row bounds;
+    depth is the length of the longest chain of level-one keys that makes a
+    key, and each key keeps its own. Before a key is extended, the products'
+    depth is checked against the depth the lane and span cover: past it the
+    lane widens in place, coefficients and lefts with it, and the span is
+    checked again (OverflowError past PACKED_BITS_MAX).
+
+    The count returned is the greatest depth of a kept key, the number of
+    nonempty stacks. A chain has no more links than its key has letters,
+    and a product's fields are below n, so the count stays below the height
+    loop's cap of 2 * n * k; only a level-one key with no letter, whose
+    chains never end, passes it, and that raises RuntimeError at once.
+    """
+    n = checked_int(n)
+    if not level_one:
+        return WalkSum.zero(), 0
+    k = len(signs)
+    level_one._check_crossings(k)
+    letters = letter_counts(level_one)
+    if not min(letters):
+        raise RuntimeError(
+            f"stack exceeded height cap {2 * n * k}; a level-one key with no letter stacks without end"
+        )
+    fields_a = level_one.field_max
+    # a key of the series is a level-one key or a product, whose fields are below n
+    layout, drl_test, row_bound, row_width = _pairing(level_one, max(fields_a, n - 1), n, level_one.layout.width)
+    mass_one = level_one.mass
+    low_one = min(level_one.low)
+    high_one = low_one + level_one.span
+    # the lane and span cover keys up to depth ``reach``, of summed mass ``mass``
+    reach, mass = 1, mass_one
+    bits = level_one.bits
+    level_one._widen(layout, bits)
+
+    guard, bias, saturated, nonzero = _guards(layout, n)
+    op = _operator(level_one, signs, row_width)
+    row_mask = (1 << op.width) - 1
+    offset = op.offset
+    shifts = range(0, op.width * len(level_one), op.width)
+
+    def admitting() -> _Admitted:
+        entries = zip(level_one.keys, level_one.coeffs, shifts, op.columns, letters)
+        return _Admitted((layout.width, bits), [((entry[0] + nonzero) & guard, entry) for entry in entries])
+
+    admitted_by = admitting()
+    count = len(level_one)
+    slots = dict(zip(level_one.keys, range(count)))
+    slot_of = slots.setdefault
+    coeffs = list(level_one.coeffs)
+    low = list(level_one.low)
+    # a level-one key's row is its column plus the bias
+    rows = [op.bias + column for column in op.columns]
+    depth = [1] * count
+    # a product has at most 2(n - 1) letters per crossing (its fields are below n)
+    levels: list[list[int]] = [[] for _ in range(max(max(letters), 2 * k * (n - 1)) + 1)]
+    for x, c in zip(level_one.keys, letters):
+        levels[c].append(x)
+    appends = [xs.append for xs in levels]
+    for level, xs in enumerate(levels):
+        for xb in xs:
+            slot = slots[xb]
+            pb = coeffs[slot]
+            if not pb:
+                continue
+            admitted = admitted_by[(xb + saturated) & guard]
+            if not admitted:
+                continue
+            db = depth[slot] + 1
+            if db > reach:
+                reach = db
+                mass = mass * mass_one + mass_one
+                wider = _lane(mass.bit_length() + 2, bits)
+                _check_span(wider, _series_span(low_one, high_one, row_bound, reach))
+                if wider != bits:
+                    coeffs[:] = [_join(_split(p, bits), wider) for p in coeffs]
+                    level_one._widen(layout, wider)
+                    bits = wider
+                    admitted_by = admitting()
+                    admitted = admitted_by[(xb + saturated) & guard]
+                    pb = coeffs[slot]
+            rb = rows[slot]
+            eb = low[slot] + offset
+            for xa, pa, shift, column, c in admitted:
+                x = xa + xb
+                if drl_test and (x + bias) & guard:
+                    continue
+                e = eb + (rb >> shift & row_mask)
+                p = pb if pa == 1 else -pb if pa == -1 else pa * pb
+                at = slot_of(x, count)
+                if at == count:
+                    count += 1
+                    coeffs.append(p)
+                    low.append(e)
+                    rows.append(rb + column)
+                    depth.append(db)
+                    appends[level + c](x)
+                else:
+                    old = low[at]
+                    if e >= old:
+                        coeffs[at] += p << bits * (e - old)
+                    else:
+                        coeffs[at] = (coeffs[at] << bits * (old - e)) + p
+                        low[at] = e
+                    if depth[at] < db:
+                        depth[at] = db
+    keys = list(slots)
+    if 0 in coeffs:
+        kept = [bool(p) for p in coeffs]
+        keys, coeffs, low, depth = (list(compress(seq, kept)) for seq in (keys, coeffs, low, depth))
+    if not keys:
+        return WalkSum.zero(), 0
+    heights = max(depth)
+    # the field bound of the stack at each height, as multiply_walk_sums carries it
+    field_max = bound = fields_a
+    for _ in range(heights - 1):
+        bound = min(bound + fields_a, n - 1)
+        field_max = max(field_max, bound)
+    summed = sum(mass_one ** h for h in range(1, heights + 1))
+    span = _series_span(low_one, high_one, row_bound, heights)
+    return WalkSum._packed(layout, bits, keys, coeffs, low, summed, field_max, span), heights
+
+
+def _series_span(low: int, high: int, row_bound: int, depth: int) -> int:
+    """A bound on the exponent spread of the terms of a series up to
+    ``depth``: a depth-h term lies in [h low - (h - 1) row_bound, h high +
+    (h - 1) row_bound], with [low, high] the level-one sum's exponents."""
+    reordered = (depth - 1) * row_bound
+    return max(high, depth * high + reordered) - min(low, depth * low - reordered)

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import key_from_letters, rand_key, rand_signs
+from conftest import key_from_letters, knot_factor, rand_key, rand_signs
 from walk_helpers import (
-    filtered, generator_matrix, kernel_product, occupancy_walk_count, scaled, summed, unit_product, walk_sum,
+    filtered, generator_matrix, kernel_product, matrix_unpruned_walk_count, occupancy_walk_count, scaled, summed,
+    unit_product, walk_sum,
 )
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones.burau import (
@@ -308,6 +309,19 @@ def test_unpruned_walk_count_matches_reference_on_table():
         braid = rec.braid_word()
         for b in (braid, braid.mirror()):
             assert unpruned_walk_count(b) == reference_unpruned_walk_count(b), (rec.name, b)
+
+
+def test_unpruned_walk_count_matches_the_braid_matrix_count():
+    # the path counts built on ints against the entry sizes of the braid
+    # matrix itself, on every table word, its mirror, and seeded random
+    # knot words on 2-7 strands
+    words = [w for rec in load_table() for w in (rec.braid_word(), rec.braid_word().mirror())]
+    rng = random.Random(32)
+    words += [knot_factor(rng, 2 + i % 6) for i in range(120)]
+    for word in words:
+        assert unpruned_walk_count(word) == matrix_unpruned_walk_count(word), word.text()
+    with pytest.raises(ValueError):
+        unpruned_walk_count(parse_braid(""))
 
 
 def reference_quantum_det(matrix: BurauMatrix, signs, prune_n=None) -> WalkSum:

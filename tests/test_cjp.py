@@ -7,11 +7,11 @@ from conftest import composite_word, knot_factor, markov_moved, rotations, with_
 from walk_helpers import per_height_jones, stack_values
 from walkjones import cjp
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
-from walkjones.burau import WalkCounter
+from walkjones.burau import WalkCounter, walk_generator
 from walkjones.cjp import choose_orientation, colored_jones, cut_candidates, simple_walk_count
 from walkjones.laurent import LaurentPolynomial
 from walkjones.table import load_table
-from walkjones.weyl import WalkSum
+from walkjones.weyl import WalkSum, add_walk_sums, letter_counts, multiply_walk_sums, zero_key
 
 P = LaurentPolynomial.parse
 ONE = LaurentPolynomial.one()
@@ -321,11 +321,14 @@ def test_unsplit_table_jobs_run_one_word(monkeypatch):
     # every table knot but the two split entries runs as before the split
     # step: no factors, the orientation choose_orientation makes from the
     # reduced word, and the generator runs of one orientation and one loop.
-    # An empty product ends each loop after its first height.
+    # An empty product ends each height loop after its first height, and a
+    # series that stops at the level-one sum does the same on the words
+    # whose walks have more than one letter count.
     calls = []
     generator = cjp.walk_generator
     monkeypatch.setattr(cjp, "walk_generator", lambda braid, **kw: calls.append(braid) or generator(braid, **kw))
     monkeypatch.setattr(cjp, "multiply_walk_sums", lambda *args: WalkSum.zero())
+    monkeypatch.setattr(cjp, "walk_series", lambda level_one, signs, n: (level_one, 1))
     monkeypatch.setattr(cjp, "evaluate_walk_sum", lambda *args: LaurentPolynomial.zero())
     records = [rec for rec in load_table() if rec.name not in ("9_35", "9_37")]
     assert len(records) == 82
@@ -489,6 +492,87 @@ def test_summed_loop_matches_per_height_oracle():
             assert heights == run.heights_summed, (rec.name, n)
             polynomial = polynomial * (value.invert_var() if run.mirror_used else value)
         assert polynomial == result.polynomial, (rec.name, n)
+
+
+def series_runs(monkeypatch):
+    """The walk_series calls colored_jones makes from now on, as (level-one
+    sum, color) pairs."""
+    runs = []
+    series = cjp.walk_series
+    monkeypatch.setattr(cjp, "walk_series", lambda level_one, signs, n: runs.append((level_one, n)) or series(level_one, signs, n))
+    return runs
+
+
+def test_series_matches_per_height_oracle_on_the_table_at_five(monkeypatch):
+    # every table knot on three or more strands, and T(3,7), at N = 5: the
+    # series gives the polynomial and the stack count of the loop that
+    # evaluates each height on its own, run on the words colored_jones chose
+    runs = series_runs(monkeypatch)
+    jobs = [(rec.name, rec.braid_word()) for rec in load_table() if rec.braid_word().strands > 2]
+    jobs.append(("T(3,7)", parse_braid(" ".join(["1 2"] * 7))))
+    for name, braid in jobs:
+        result = colored_jones(braid, 5)
+        polynomial = ONE
+        for run in result.factors or [result]:
+            value, heights = per_height_jones(run.braid_used, 5)
+            assert heights == run.heights_summed, name
+            polynomial = polynomial * (value.invert_var() if run.mirror_used else value)
+        assert polynomial == result.polynomial, name
+    assert len(runs) >= len(jobs) - 2
+
+
+def stack_count(word, n):
+    """The number of nonempty stacks of the DRL height loop on a word run as
+    given, built by multiply_walk_sums one height at a time."""
+    level_one = stack = walk_generator(word)
+    count = 0
+    while stack:
+        count += 1
+        stack = multiply_walk_sums(level_one, stack, word.signs(), n)
+    return count
+
+
+def test_series_matches_per_height_oracle_on_random_words(monkeypatch):
+    # seeded knot words on 2-6 strands at N = 2..4, run as given: the
+    # polynomial of the per-height loop, and one height per nonempty stack
+    # (a stack that evaluates to zero still counts, and under DRL such
+    # stacks only trail; see test_zero_stacks_under_drl_only_trail)
+    runs = series_runs(monkeypatch)
+    rng = random.Random(31)
+    for i in range(300):
+        word = knot_factor(rng, 2 + i % 5)
+        for n in (2, 3, 4):
+            result = cjp._cjp(word, n, False, True)
+            assert result.polynomial == per_height_jones(word, n)[0], (word.text(), n)
+            assert result.heights_summed == stack_count(word, n), (word.text(), n)
+    multi_size = [level_one for level_one, _ in runs]
+    assert len(multi_size) > 400 and all(len(set(letter_counts(ws))) > 1 for ws in multi_size)
+
+
+def test_one_letter_count_runs_the_height_loop(monkeypatch):
+    # on two strands every simple walk has the same letter count, so the
+    # stacks are key-disjoint and the height loop runs; on 9_2 the counts
+    # differ and the series runs instead
+    runs = series_runs(monkeypatch)
+    assert colored_jones(parse_braid("1 1 1 1 1 1 1 1 1"), 4).heights_summed > 1
+    assert runs == []
+    (nine_two,) = [rec.braid_word() for rec in load_table() if rec.name == "9_2"]
+    assert colored_jones(nine_two, 4).heights_summed > 1
+    assert len(runs) == 1
+
+
+def test_height_cap_guard_on_the_series(monkeypatch):
+    # a level-one key with no letter would stack without end, as a stack
+    # that never shrinks does in the height loop: the series raises the
+    # loop's RuntimeError
+    generator = cjp.walk_generator
+
+    def with_empty_key(braid, **kw):
+        return add_walk_sums([generator(braid, **kw), WalkSum.single(zero_key(braid.k), ONE)])
+
+    monkeypatch.setattr(cjp, "walk_generator", with_empty_key)
+    with pytest.raises(RuntimeError, match="height cap 16"):
+        colored_jones(parse_braid("-1 2 -1 2"), 2)
 
 
 def test_search_builds_one_counter(monkeypatch):

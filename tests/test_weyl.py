@@ -10,7 +10,7 @@ from conftest import key_from_letters, mono, rand_key, rand_mono, rand_signs
 from walk_helpers import evaluate_monomial, filtered, kernel_product, mono_mul, packed_from_masks, summed
 from walkjones import cli, kernels, weyl
 from walkjones.braid import parse_braid
-from walkjones.burau import walk_generator
+from walkjones.burau import _simple_walks, walk_generator
 from walkjones.cjp import colored_jones
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import FreeWord, KeyedMonomial, _swap_exponent, free_normalize
@@ -20,8 +20,10 @@ from walkjones.weyl import (
     add_walk_sums,
     drl_keep,
     evaluate_walk_sum,
+    letter_counts,
     multiply_walk_sums,
     reordering_form,
+    walk_series,
     zero_key,
 )
 
@@ -874,45 +876,38 @@ def test_class_tables_without_drl_built_per_height(monkeypatch, text, n):
     assert result.polynomial == colored_jones(braid, n).polynomial
 
 
-def test_add_walk_sums_merges_like_keys_at_their_lower_base():
-    # one key in all three sums, at base exponents -3, 2 and 0: the merged
-    # coefficient keeps the lowest base, and keys met once join as they are
+def test_add_walk_sums_rejects_shared_keys():
+    # sums that share no key join whole, each key at its own base exponent;
+    # a key met twice raises, whichever operands hold it
     x, y, z = key_from_letters(2, "a1"), key_from_letters(2, "b1 c2"), key_from_letters(2, "a2")
-    sums = [WalkSum({x: P("q^-3 + 2*q^-1"), y: P("5")}), WalkSum({x: P("q^2 - q^4")}), WalkSum({x: P("7"), z: P("q")})]
+    sums = [WalkSum({x: P("q^-3 + 2*q^-1"), y: P("5")}), WalkSum({z: P("q^2 - q^4")})]
     total = add_walk_sums(sums)
-    assert total.entries == {x: P("q^-3 + 2*q^-1 + 7 + q^2 - q^4"), y: P("5"), z: P("q")}
+    assert total.entries == {x: P("q^-3 + 2*q^-1"), y: P("5"), z: P("q^2 - q^4")}
     assert min(total.low) == -3 and total.mass == sum(ws.mass for ws in sums)
     assert total.span >= 7 and total.field_max == 2
     assert add_walk_sums([]) == add_walk_sums([WalkSum.zero()]) == WalkSum.zero()
-    assert add_walk_sums([sums[0], sums[0]]).entries == {x: P("2*q^-3 + 4*q^-1"), y: P("10")}
-
-
-def test_add_walk_sums_drops_what_cancels():
-    x, y = key_from_letters(1, "a1"), key_from_letters(1, "c1")
-    a = WalkSum({x: P("q - 3*q^5"), y: P("2")})
-    total = add_walk_sums([a, WalkSum({x: P("-q + 3*q^5")})])
-    assert total.keys == [total.layout.move(y)] and total.entries == {y: P("2")}
-    assert add_walk_sums([a, WalkSum({x: P("-q + 3*q^5"), y: P("-2")})]) == WalkSum.zero()
-    assert not add_walk_sums([a, WalkSum({x: P("-q + 3*q^5"), y: P("-2")})]).keys
+    for shared in ([sums[0], sums[0]], [*sums, WalkSum({x: P("7")})], [sums[1], WalkSum.zero(), WalkSum({z: P("1")})]):
+        with pytest.raises(ValueError, match="share a key"):
+            add_walk_sums(shared)
 
 
 def test_add_walk_sums_mixes_key_widths_and_lanes():
     # a count of 100 takes 16-bit fields and a coefficient near 2^70 a
     # 128-bit lane; the narrow operand's keys and lane follow the wide one's
-    x, y = key_from_letters(2, "a1 b2"), (0, 100, 1, 0, 0, 0)
+    x, y, z = key_from_letters(2, "a1 b2"), (0, 100, 1, 0, 0, 0), key_from_letters(2, "c1")
     narrow = WalkSum({x: P("q - 2"), zero_key(2): P("3")})
-    wide = WalkSum({y: P(f"{1 << 70}*q^3"), x: P("q^-2")})
+    wide = WalkSum({y: P(f"{1 << 70}*q^3"), z: P("q^-2")})
     assert (narrow.layout.width, narrow.bits, wide.layout.width, wide.bits) == (8, 64, 16, 128)
     total = add_walk_sums([narrow, wide])
     assert (total.layout.width, total.bits, total.field_max) == (16, 128, 200)
-    assert total.entries == {x: P("q^-2 + q - 2"), zero_key(2): P("3"), y: P(f"{1 << 70}*q^3")}
+    assert total.entries == {x: P("q - 2"), zero_key(2): P("3"), y: P(f"{1 << 70}*q^3"), z: P("q^-2")}
     # the operands are left as they were
     assert (narrow.layout.width, narrow.bits) == (8, 64)
     # a sum whose mass needs a narrower lane than its widest operand's
-    widened = WalkSum({x: P("q")})
+    widened = WalkSum({z: P("q")})
     widened._widen(weyl._Keys(2, 32), 256)
     total = add_walk_sums([widened, narrow])
-    assert (total.layout.width, total.bits) == (32, 64) and total.entries == {x: P("2*q - 2"), zero_key(2): P("3")}
+    assert (total.layout.width, total.bits) == (32, 64) and total.entries == {z: P("q"), x: P("q - 2"), zero_key(2): P("3")}
 
 
 def test_add_walk_sums_widens_the_lane_for_the_summed_mass():
@@ -920,31 +915,29 @@ def test_add_walk_sums_widens_the_lane_for_the_summed_mass():
     # not: the lane follows the summed mass, and no digit overflows
     big = (1 << 62) - 2
     x, y = key_from_letters(1, "a1"), key_from_letters(1, "b1")
-    a, b = WalkSum({x: P(f"{big}*q^2")}), WalkSum({x: P(f"{big}*q^2"), y: P("1")})
+    a, b = WalkSum({x: P(f"{big}*q^2")}), WalkSum({y: P(f"{big}*q^-2 + 1")})
     assert (a.bits, b.bits) == (64, 64)
     total = add_walk_sums([a, b])
-    assert total.bits == 128 and total.entries == {x: P(f"{2 * big}*q^2"), y: P("1")}
+    assert total.bits == 128 and total.entries == {x: P(f"{big}*q^2"), y: P(f"{big}*q^-2 + 1")}
     assert evaluate_walk_sum(total, (1,), 3) == evaluate_walk_sum(a, (1,), 3) + evaluate_walk_sum(b, (1,), 3)
 
 
 def test_add_walk_sums_matches_summed_entries_random():
-    # sums sharing some keys and not others, on random coefficients, lanes
-    # and key widths (70 b letters, which evaluation ignores, take 16-bit
-    # fields); evaluation is additive, so the sum evaluates to the sum of
-    # the evaluations
+    # key-disjoint sums on random coefficients, lanes and key widths (70 b
+    # letters, which evaluation ignores, take 16-bit fields); evaluation is
+    # additive, so the sum evaluates to the sum of the evaluations
     rng = random.Random(53)
     for _ in range(150):
         k = rng.randint(1, 3)
         n = rng.randint(1, 4)
         signs = rand_signs(rng, k)
-        pool = [rand_key(rng, k, n) for _ in range(rng.randint(1, 6))]
-        sums = []
-        for _ in range(rng.randint(1, 5)):
-            own = rand_key(rng, k, n)
-            if rng.random() < 0.3:
-                own = (70,) + own[1:]
-            keys = rng.sample(pool, rng.randint(0, len(pool))) + [own]
-            sums.append(summed((key, rand_coeff(rng, rng.choice((3, 70)))) for key in keys))
+        pool = list(dict.fromkeys(rand_key(rng, k, n) for _ in range(rng.randint(1, 12))))
+        pool += [(70,) + key[1:] for key in pool if rng.random() < 0.3]
+        pool = list(dict.fromkeys(pool))
+        rng.shuffle(pool)
+        cuts = sorted(rng.sample(range(1, len(pool)), min(len(pool) - 1, rng.randint(0, 4))))
+        parts = [pool[i:j] for i, j in zip([0] + cuts, cuts + [len(pool)])]
+        sums = [summed((key, rand_coeff(rng, rng.choice((3, 70)))) for key in part) for part in parts]
         total = add_walk_sums(sums)
         assert total == summed(item for ws in sums for item in ws.entries.items())
         assert total.mass == sum(ws.mass for ws in sums)
@@ -960,7 +953,99 @@ def test_add_walk_sums_rejects_other_crossing_counts_and_huge_spans():
         add_walk_sums([WalkSum({zero_key(1): P("1")}), WalkSum({zero_key(2): P("1")})])
     far = 1 << 30
     with pytest.raises(OverflowError, match="packed budget"):
-        add_walk_sums([WalkSum({zero_key(1): P(f"q^{far}")}), WalkSum({zero_key(1): P("1")})])
+        add_walk_sums([WalkSum({zero_key(1): P(f"q^{far}")}), WalkSum({key_from_letters(1, "a1"): P("1")})])
+
+
+def test_letter_counts_read_off_packed_keys():
+    # popcounts on level-one sums (every field 0 or 1), unpacked fields on
+    # any other: both give s + r + d summed over the crossings
+    rng = random.Random(71)
+    for _ in range(100):
+        k = rng.randint(1, 5)
+        for ws in (rand_mask_left(rng, k, True, False), rand_mask_left(rng, k, False, True), rand_stack(rng, k, 5, False, 6, 3)):
+            assert letter_counts(ws) == [sum(ws.layout.key(x)) for x in ws.keys]
+    assert letter_counts(WalkSum.zero()) == []
+
+
+def height_stacks(left, signs, n):
+    """The stacks left, left * left, ... of the DRL height loop at color n,
+    built by multiply_walk_sums until one is empty."""
+    stacks, stack = [], left
+    while stack:
+        stacks.append(stack)
+        stack = multiply_walk_sums(left, stack, signs, n)
+    return stacks
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_walk_series_matches_summed_stacks_random(unit):
+    # the series of a left with letter counts of mixed sizes against the
+    # stacks built one height at a time and summed: the same entries, the
+    # same stack count, the summed mass and field bound, and a span bound
+    # that holds; a left with an empty key never stops stacking
+    seed = random.Random(73 + unit)
+    for _ in range(200):
+        state = seed.random()
+        k, n, clash = seed.randint(1, 4), seed.randint(2, 4), seed.random() < 0.3
+        signs = rand_signs(seed, k)
+        left, again = (rand_mask_left(random.Random(state), k, unit, clash) for _ in range(2))
+        if 0 in letter_counts(left):
+            with pytest.raises(RuntimeError, match=f"height cap {2 * n * k}"):
+                walk_series(left, signs, n)
+            continue
+        series, heights = walk_series(left, signs, n)
+        stacks = height_stacks(again, signs, n)
+        assert series == summed(item for ws in stacks for item in ws.entries.items())
+        assert heights == len(stacks)
+        assert series.mass == sum(ws.mass for ws in stacks)
+        assert series.field_max == max(ws.field_max for ws in stacks)
+        assert series.span >= WalkSum(series.entries).span
+        assert evaluate_walk_sum(series, signs, n) == sum(
+            (evaluate_walk_sum(ws, signs, n) for ws in stacks), LaurentPolynomial.zero()
+        )
+
+
+def test_walk_series_widens_its_lane_partway():
+    # the figure-eight's five simple walks at 2^27 times their coefficient:
+    # the summed mass of two stacks fits the 64-bit lane and that of three
+    # does not, so the lane first doubles once keys of depth two are
+    # extended, re-laning the coefficients made so far, and again as the
+    # depth grows
+    braid = parse_braid("-1 2 -1 2")
+    signs, n = braid.signs(), 5
+
+    def level_one():
+        return packed_from_masks(braid.k, {mask: {e: sign << 27} for mask, e, sign in _simple_walks(braid)})
+
+    left = level_one()
+    assert left.bits == 64 and (left.mass + left.mass**2).bit_length() + 2 <= 64
+    series, heights = walk_series(left, signs, n)
+    stacks = height_stacks(level_one(), signs, n)
+    assert heights == len(stacks) >= 3
+    assert series.bits == left.bits >= weyl._lane(series.mass.bit_length() + 2) > 64
+    assert series == summed(item for ws in stacks for item in ws.entries.items())
+
+
+def test_walk_series_checks_the_span_as_it_deepens():
+    # the level-one sum fits the packed budget, but the products of depth
+    # two double its exponent range to past 2^24 powers of q, and at 64
+    # bits a power that passes the budget, so the series raises before it
+    # builds them
+    x, y = key_from_letters(1, "c1"), key_from_letters(1, "a1")
+    left = WalkSum({x: P("1"), y: P(f"q^{1 << 23}")})
+    with pytest.raises(OverflowError, match="packed budget"):
+        walk_series(left, (1,), 3)
+
+
+def test_walk_series_of_nothing_and_its_checks():
+    assert walk_series(WalkSum.zero(), (1,), 3) == (WalkSum.zero(), 0)
+    one = WalkSum({key_from_letters(1, "a1"): P("1"), key_from_letters(1, "b1 c1"): P("q")})
+    with pytest.raises(ValueError, match="crossings"):
+        walk_series(one, (1, 1), 3)
+    with pytest.raises(ValueError, match="color"):
+        walk_series(one, (1,), 0)
+    with pytest.raises(RuntimeError, match="height cap 6"):
+        walk_series(WalkSum({zero_key(1): P("q"), key_from_letters(1, "a1"): P("1")}), (1,), 3)
 
 
 @pytest.mark.parametrize("drl", [True, False])

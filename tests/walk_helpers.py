@@ -5,12 +5,13 @@ of one generator, the product of two walk sums or of two keys in one
 kernel call, a walk sum summed from monomials, read off a matrix entry,
 scaled or DRL-filtered, the product and the evaluation of single
 monomials, a walk sum packed from letter masks with general
-coefficients, the simple-walk count run state by state, and the height
-loop evaluated height by height.
+coefficients, the unpruned walk count read off the braid matrix, the
+simple-walk count run state by state, and the height loop evaluated
+height by height.
 """
 from walkjones import kernels, weyl
 from walkjones.braid import BraidWord
-from walkjones.burau import BurauMatrix, walk_generator
+from walkjones.burau import BurauMatrix, _add_count, _minor_sum, braid_matrix, reduced_matrix, walk_generator
 from walkjones.laurent import LaurentPolynomial
 from walkjones.oracle import KeyedMonomial
 from walkjones.weyl import (
@@ -114,6 +115,18 @@ def packed_from_masks(k: int, walks: dict) -> WalkSum:
     clash = any(mask >> 2 & (mask | mask >> 1) & sum(1 << 3 * j for j in range(k)) for mask in walks)
     span = max(map(max, walks.values())) - min(low)
     return WalkSum._packed(weyl._Keys(k, 8), bits, keys, list(coeffs), list(low), mass, 2 if clash else 1, span)
+
+
+def matrix_unpruned_walk_count(braid: BraidWord) -> int:
+    """burau.unpruned_walk_count read off the braid matrix itself: the
+    number of words in each reduced-matrix entry is its size, and the
+    count is _minor_sum of the sizes, every index optional, with integer
+    products. The braid must close to a knot on two or more strands."""
+    sizes = [[len(e) for e in row] for row in reduced_matrix(braid_matrix(braid)).entries]
+    total = [0]
+    every = (1 << len(sizes)) - 1
+    _minor_sum(sizes, lambda partial, size, _: partial * size, None, _add_count, every, total, 0, 0, 0, 0, 1)
+    return total[0]
 
 
 def occupancy_walk_count(braid: BraidWord) -> int:
