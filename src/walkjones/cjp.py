@@ -51,12 +51,15 @@ and its mirror. From that color on they are also the cyclic rotations
 (conjugates) of the braid and of its flip sigma_i -> sigma_(m-i), each
 with its mirror: walk counts follow the presentation, not the knot
 (Armond, arXiv:1101.3810). One cut per gap between sigma_1 letters is
-tried: on every rotation of every bundled braid and its flip, a rotation
-past sigma_i with i >= 2 left the count unchanged. When the winner still
-has DESCENT_FROM_WALKS walks or more, a best-first descent (_descend)
-tries the words one move away (rewrites), fewest walks first, for at
-most DESCENT_COUNTS counts; the mirror, which the cut search already
-compared, is not tried again. Every candidate has the input's strands
+tried, since a rotation past sigma_i with i >= 2 keeps the count. When
+the winner still has DESCENT_FROM_WALKS walks or more, a best-first
+descent (_descend) tries the words one move away (rewrites), fewest
+walks first, for at most DESCENT_COUNTS counts; the mirror, which the
+cut search already compared, is not tried again. A word one far
+commutation, or one rotation of a sigma_i with i >= 2 to the back, from
+the word it came from has that word's count, so the descent does not
+run the counter on it: 9 to 18 of the 30 words on nine of the ten table
+knots that descend at N = 4, and 29 on 9_35. Every candidate has the input's strands
 and writhe, up to the mirror's sign, so the polynomial and framing do
 not depend on the choice. The search scores every word with one
 WalkCounter (see burau), which builds no walk sum: 0.006-0.011 ms a
@@ -67,6 +70,16 @@ N = 4 the descent took 9_2 from 21 to 14 walks and 13.1 to 7.4 ms, and
 medians of 8 alternating rounds, 2 vCPUs of a shared VM, Python 3.11);
 README.md has the whole-table figures and ROADMAP.md item 3 the
 calibration of the two constants.
+
+Why those moves keep the count. The count is a trace: with T the
+product of the crossings' occupancy transfers, which map the sets of
+strands holding a lone path (see burau), it is the trace of P T, P the
+projection onto the sets without strand 1. A far commutation swaps the
+transfers of two crossings on disjoint strand pairs, which commute, so
+T is unchanged. A rotation moves the first crossing's transfer A from
+the front of T = A B to the back; when A is a sigma_i with i >= 2 it
+leaves strand 1 alone, so it commutes with P, and tr(P B A) = tr(A P B)
+= tr(P A B) by the cyclic trace.
 
 The loop prepares once per call what depends only on the level-one sum and
 the color (see weyl): the level-one sum keeps its reordering operator,
@@ -159,37 +172,52 @@ def rewrites(word: BraidWord) -> list[BraidWord]:
     (|i - j| >= 2), the braid relation sigma_i^e sigma_j^e sigma_i^e =
     sigma_j^e sigma_i^e sigma_j^e, or its mixed form sigma_i^e sigma_j^f
     sigma_i^-e = sigma_j^-e sigma_i^f sigma_j^e (|i - j| = 1)."""
+    return list(_moves(word))
+
+
+def _moves(word: BraidWord) -> dict[BraidWord, bool]:
+    """The rewrites of ``word``, in order, each mapped to whether some move
+    to it keeps the simple-walk count: a far commutation, or the rotation
+    when it moves a sigma_i with i >= 2 to the back (see the module
+    docstring)."""
     c = word.crossings
-    out = [c[1:] + c[:1]]
+    out = {c[1:] + c[:1]: bool(c) and c[0][0] >= 2}
     for p in range(len(c) - 1):
         (i, e), (j, f) = c[p], c[p + 1]
         if abs(i - j) > 1:
-            out.append(c[:p] + (c[p + 1], c[p]) + c[p + 2:])
+            out[c[:p] + (c[p + 1], c[p]) + c[p + 2:]] = True
         elif abs(i - j) == 1 and p + 2 < len(c) and c[p + 2][0] == i:
             g = c[p + 2][1]
             if e == f == g or g == -e:
-                out.append(c[:p] + ((j, g), (i, f), (j, e)) + c[p + 3:])
-    return [BraidWord(x, word.strands) for x in dict.fromkeys(out) if x != c]
+                x = c[:p] + ((j, g), (i, f), (j, e)) + c[p + 3:]
+                out[x] = out.get(x, False)
+    return {BraidWord(x, word.strands): same for x, same in out.items() if x != c}
 
 
 def _descend(start: BraidWord, counts: dict[BraidWord, int], count) -> BraidWord:
     """The word with the fewest simple walks that a best-first descent
     from ``start`` over rewrites finds, the earlier one on a tie. The
     frontier is ordered by (walk count, sigma_1 letters); ``counts`` holds
-    the words counted so far, and gains each word the descent counts with
-    ``count``, at most DESCENT_COUNTS of them."""
+    the words counted so far, and gains each word the descent counts, at
+    most DESCENT_COUNTS of them.
+
+    A word one move from its parent gets the parent's count without a run
+    of ``count`` when the move keeps it (_moves; the module docstring has
+    the proof). It still takes its place in the budget and the order, so
+    the counts and the word chosen are those of counting every word."""
     # the third field, the words seen so far, breaks ties in the order found
     frontier = [(counts[start], 0, 0, start)]
     seen = {start}
     best, spent = start, 0
     while frontier and spent < DESCENT_COUNTS:
-        for word in rewrites(heappop(frontier)[3]):
+        parent = heappop(frontier)[3]
+        for word, same in _moves(parent).items():
             if word in seen:
                 continue
             if word not in counts:
                 if spent == DESCENT_COUNTS:
                     break
-                counts[word] = count(word)
+                counts[word] = counts[parent] if same else count(word)
                 spent += 1
                 if counts[word] < counts[best]:
                     best = word

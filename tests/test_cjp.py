@@ -121,14 +121,34 @@ def test_cut_candidates_drop_duplicates():
 
 
 def test_walk_count_constant_within_each_sigma_one_gap():
-    # the reason one cut per gap suffices: passing a sigma_i with i >= 2
-    # never changes the count, on every rotation of every bundled braid
-    for rec in load_table():
-        for word in (rec.braid_word(), rec.braid_word().flip()):
-            starts = [r for r, (i, _) in enumerate(word.crossings) if i == 1]
-            for r in range(word.k):
-                gap = next((s for s in starts if s >= r), starts[0])
-                assert simple_walk_count(word.rotated(r)) == simple_walk_count(word.rotated(gap)), (rec.name, r)
+    # the reason one cut per gap suffices, and the descent takes a far
+    # commutation's count or that of a rotation past a sigma_i with i >= 2
+    # from the word it moves: passing a sigma_i with i >= 2 never changes
+    # the count, nor does swapping two far letters, on every rotation and
+    # far commutation of every bundled braid, its flip and 300 seeded
+    # random knot words; every rewrite cjp._moves marks as keeping the
+    # count is one of these
+    rng = random.Random(37)
+    words = [(rec.name, w) for rec in load_table() for w in (rec.braid_word(), rec.braid_word().flip())]
+    words += [(None, knot_factor(rng, 2 + i % 6)) for i in range(300)]
+    swaps = kept = 0
+    for name, word in words:
+        count = simple_walk_count(word)
+        c = word.crossings
+        starts = [r for r, (i, _) in enumerate(c) if i == 1]
+        for r in range(word.k):
+            gap = next((s for s in starts if s >= r), starts[0])
+            assert simple_walk_count(word.rotated(r)) == simple_walk_count(word.rotated(gap)), (name, word.text(), r)
+        for p in range(word.k - 1):
+            if abs(c[p][0] - c[p + 1][0]) > 1:
+                swapped = BraidWord(c[:p] + (c[p + 1], c[p]) + c[p + 2:], word.strands)
+                assert simple_walk_count(swapped) == count, (name, word.text(), p)
+                swaps += 1
+        for moved, same in cjp._moves(word).items():
+            if same:
+                assert simple_walk_count(moved) == count, (name, word.text(), moved.text())
+                kept += 1
+    assert swaps > 100 and kept > swaps
 
 
 def test_search_tie_keeps_input_word():
@@ -157,24 +177,34 @@ def test_search_finds_a_cheaper_cut():
     assert result.braid_used == chosen and result.simple_walk_count == 19
 
 
-def test_result_carries_every_measured_walk_count(monkeypatch):
+@pytest.fixture
+def counted(monkeypatch):
+    """The words cjp runs its walk counter on from now, in order."""
+    words = []
+
+    def recording_counter(strands, crossings):
+        counter = WalkCounter(strands, crossings)
+        return lambda word: words.append(word) or counter(word)
+
+    monkeypatch.setattr(cjp, "WalkCounter", recording_counter)
+    return words
+
+
+def test_result_carries_every_measured_walk_count(counted):
     b = parse_braid("1 1 2 -1 2 2 3 -2 3 4 -3 4")  # 9_5
     assert colored_jones(b, 3).walk_counts == {b: 47, b.mirror(): 45}
     # every word the call counts, in order: the cut words and mirrors,
     # then the descent's words, braid_used among them
-    counted = []
-
-    def recording_counter(strands, crossings):
-        counter = WalkCounter(strands, crossings)
-        return lambda word: counted.append(word) or counter(word)
-
-    monkeypatch.setattr(cjp, "WalkCounter", recording_counter)
+    counted.clear()
     words = list(dict.fromkeys(w for c in cut_candidates(b) for w in (c, c.mirror())))
     result = colored_jones(b, 4)
     counts = result.walk_counts
-    assert list(counts) == counted and counted[: len(words)] == words
-    assert len(counted) == len(words) + cjp.DESCENT_COUNTS
-    assert counts == {w: simple_walk_count(w) for w in counted}
+    # the descent takes some counts from the word one move before (see
+    # cjp._descend): those words are in the counts, in order, but the
+    # counter never runs on them
+    assert counted == [w for w in counts if w in counted] and counted[: len(words)] == words
+    assert len(counts) == len(words) + cjp.DESCENT_COUNTS > len(counted)
+    assert counts == {w: simple_walk_count(w) for w in counts}
     assert counts[result.braid_used] == result.simple_walk_count == min(counts.values())
     assert colored_jones(b, 4, mirror_opt=False).walk_counts == {}
 
@@ -195,6 +225,16 @@ def test_rewrites_keep_the_knot_and_its_size():
         for w in cjp.rewrites(b):
             assert w.is_knot_closure(), rec.name
             assert (w.strands, w.writhe(), w.k) == (b.strands, b.writhe(), b.k), rec.name
+
+
+def test_descent_runs_the_counter_on_what_it_cannot_carry(counted):
+    # 9_2 at N = 4: 18 cut words and mirrors, and a descent of 30 words of
+    # which 16 are a far commutation or a rotation past a sigma_i with
+    # i >= 2 away from the word they came from, so the counter runs 32 times
+    braid = next(rec.braid_word() for rec in load_table() if rec.name == "9_2")
+    counts = colored_jones(braid, 4).walk_counts
+    assert len(counts) == 18 + cjp.DESCENT_COUNTS
+    assert len(counted) == 32
 
 
 @pytest.mark.parametrize("name", ["9_2", "9_5"])

@@ -1,5 +1,8 @@
 """Command line surface: formats, exit codes, bench CSV."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -363,19 +366,37 @@ def test_compute_strands_option_rejected_exit_1(capsys, source):
     assert "unrecognized arguments: --strands 5" in capsys.readouterr().err
 
 
+# Runs the command line in a child process whose address space is capped at
+# 1 GiB, so a command that builds something huge fails there.
+CAPPED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from walkjones.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
 @pytest.mark.parametrize(
     "argv",
-    [("compute", "--knot", "3_1", "--color", "100000000"), ("bench", "--max-crossings", "3", "--colors", "100000000")],
-    ids=["compute", "bench"],
+    [
+        ("compute", "--knot", "3_1", "--color", "100000000"),
+        ("bench", "--max-crossings", "3", "--colors", "100000000"),
+        ("compute", "--knot", "4_1", "--color", "100000000"),
+    ],
+    ids=["compute", "bench", "compute-series"],
 )
-def test_size_limit_exit_1(capsys, argv):
+def test_size_limit_exit_1(argv):
     # the packed arithmetic's size check fires before anything that large
-    # is built, and the command reports it instead of a traceback
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("walkjones: coefficients spanning ")
-    assert err.endswith(" bits\n") and "exceed the packed budget" in err
+    # is built, and the command reports it instead of a traceback: on 3_1
+    # in the height loop's first multiply, on 4_1 (more than one letter
+    # count) before walk_series lays out its levels or builds its operator
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("walkjones: coefficients spanning ")
+    assert proc.stderr.endswith(" bits\n") and "exceed the packed budget" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_compute_malformed_eval_q_fails_before_the_engine(capsys, monkeypatch):

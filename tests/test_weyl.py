@@ -1,6 +1,5 @@
 """Normal-form monomial algebra: products, pruning, evaluation."""
 import random
-import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -400,14 +399,16 @@ def rand_stack(rng, k, n, filtered, size, max_bits):
 
 @pytest.fixture
 def key_formats(monkeypatch):
-    """The struct formats the packed multiply lays its keys out with."""
+    """The struct codes of the key layouts the packed multiply builds (rows
+    are unpacked with struct codes too, so those are not recorded)."""
     seen = set()
+    init = weyl._Keys.__init__
 
-    def recording(fmt):
-        seen.add(fmt[-1])
-        return struct.Struct(fmt)
+    def recording(self, k, width):
+        seen.add(weyl._KEY_CODES[width])
+        init(self, k, width)
 
-    monkeypatch.setattr(weyl, "Struct", recording)
+    monkeypatch.setattr(weyl._Keys, "__init__", recording)
     return seen
 
 
@@ -1077,6 +1078,69 @@ def test_carried_rows_are_the_rows_of_their_keys(drl):
             op = stack.rows_for
             assert op is left.reorder
             assert stack.rows == [op.row(stack.layout.fields(x)) for x in stack.keys]
+
+
+def shift_and_mask(op):
+    """The fields of a reordering row read one pair at a time, as a shift
+    and a mask of the row integer: the oracle for the operator's unpacking
+    of a row's bytes."""
+    count, width = len(op.columns), op.width
+    mask = (1 << width) - 1
+
+    def read(data):
+        row = int.from_bytes(data, "little")
+        return tuple(row >> width * i & mask for i in range(count))
+
+    return read
+
+
+def test_rows_read_at_32_bit_fields(monkeypatch):
+    # lefts whose exponents spread past 2^15 need 32-bit row fields: a
+    # multiply on carried rows and a series at those rows build the same
+    # packed lists whether the operator unpacks each row's fields at once
+    # or the oracle reads each field by shift and mask, and the first few
+    # match the kernel's products and the summed stacks
+    init = weyl._Reorder.__init__
+
+    def reading_by_shifts(self, *args):
+        init(self, *args)
+        self.row_fields = shift_and_mask(self)
+
+    def lists(ws):
+        return ws.keys, ws.coeffs, ws.low
+
+    rng = random.Random(53)
+    series_run = 0
+    for case in range(16):
+        k, n = rng.randint(1, 2), rng.randint(3, 4)
+        signs = rand_signs(rng, k)
+        walks = {}
+        while len(walks) < 4:
+            mask = sum(rng.choice(SIMPLE_MASKS) << 3 * j for j in range(k))
+            if mask:
+                walks[mask] = {rng.randint(-3, 3): rng.choice((1, -1))}
+        # one walk high enough that the rows need 32-bit fields
+        walks[mask] = {(1 << 15) + rng.randint(-3, 3): 1}
+        runs = []
+        for oracle in (False, True):
+            with monkeypatch.context() as patch:
+                if oracle:
+                    patch.setattr(weyl._Reorder, "__init__", reading_by_shifts)
+                left = packed_from_masks(k, walks)
+                square = multiply_walk_sums(left, left, signs, n)
+                product = multiply_walk_sums(left, square, signs, n)
+                assert left.reorder.width == 32
+                one = packed_from_masks(k, walks)
+                series, heights = walk_series(one, signs, n)
+                assert one.reorder.width == 32
+                runs.append((lists(product), lists(series), heights))
+        assert runs[0] == runs[1]
+        series_run += heights > 1
+        if case < 4:
+            assert product == kernel_product(left, kernel_product(left, left, signs, n), signs, n)
+            stacks = height_stacks(packed_from_masks(k, walks), signs, n)
+            assert series == summed(item for ws in stacks for item in ws.entries.items())
+    assert series_run >= 8
 
 
 def test_threaded_bench_rows_match_single_threaded():
