@@ -44,6 +44,19 @@ the stacks never run out, so each height is evaluated and the loop stops
 at the first that evaluates to zero. At color 1 the level-one sum
 evaluates to zero, so J_1 = 1 with no height summed.
 
+At a large color DRL prunes nothing, and the kept stacks grow with every
+height, so under DRL the height loop checks the work each multiply adds
+before it runs: the pairs it forms plus the keys of the stacks kept,
+against HEIGHT_WORK_MAX = 2^21. The largest DRL loop the tests and the
+bench run, T(2,9) at N = 8, reaches 728 705 (stacks up to 31 998 keys,
+671 958 pairs at its last height, 56 747 keys kept). Past the budget it
+raises OverflowError, which walkjones compute reports in one line: 9_1 at
+N = 10^4 stops before its tenth height after about 2 s of CPU and 153
+MB, where it ran 15 s and died of MemoryError, and T(2,15) at N = 8 stops
+before its third. The loop without DRL, the engine's cross-check, keeps
+one stack at a time and has no budget: on the table at N = 3 it forms up
+to 63.7 million pairs a height (9_5, 134 s).
+
 Orientation selection runs the word with the fewest simple walks among
 words whose closures are the same knot, compensating a mirror at the end
 with q -> 1/q. Below color SEARCH_FROM_COLOR the candidates are the braid
@@ -104,6 +117,9 @@ SEARCH_FROM_COLOR = 4
 # simple walks starts a descent of at most DESCENT_COUNTS counts.
 DESCENT_FROM_WALKS = 19
 DESCENT_COUNTS = 30
+# The most work one height of the DRL height loop may add: the pairs its
+# multiply forms plus the keys of the stacks kept (see _height_loop).
+HEIGHT_WORK_MAX = 1 << 21
 
 
 @dataclass
@@ -301,17 +317,22 @@ def _height_loop(level_one, signs: tuple[int, ...], color: int, drl: bool) -> tu
     sum L, built one height at a time, and the number of stacks summed. Under
     DRL every stack is kept and the sum of them is evaluated once; without
     it each is evaluated on its own, up to the first that evaluates to zero.
-    RuntimeError past 2 * color * k heights."""
+    RuntimeError past 2 * color * k heights. Under DRL, before each
+    multiply, the pairs it forms (the stack's keys times L's) plus the keys
+    of every stack kept so far are checked against HEIGHT_WORK_MAX:
+    OverflowError past it (see the module docstring)."""
     cap = 2 * color * len(signs)
     # every simple walk passes DRL at color >= 2: the level-one sum is the
     # first stack as built
     total = LaurentPolynomial.one()
     stacks = []
     heights = 0
+    held = 0
     stack = level_one
     while stack:
         if drl:
             stacks.append(stack)
+            held += len(stack)
         else:
             value = evaluate_walk_sum(stack, signs, color)
             if value.is_zero():
@@ -321,6 +342,12 @@ def _height_loop(level_one, signs: tuple[int, ...], color: int, drl: bool) -> tu
         if heights > cap:
             raise RuntimeError(
                 f"stack exceeded height cap {cap}; this indicates a bug in the walk pipeline"
+            )
+        pairs = len(stack) * len(level_one)
+        if drl and pairs + held > HEIGHT_WORK_MAX:
+            raise OverflowError(
+                f"height {heights + 1} would form {pairs} pairs with {held} keys held, "
+                f"past the height loop's budget of {HEIGHT_WORK_MAX}"
             )
         stack = multiply_walk_sums(level_one, stack, signs, color if drl else 0)
     if stacks:

@@ -51,9 +51,12 @@ so the sum carries exact bounds, mass equal to its walk count and field
 bound 1. With a left field bound of 1 and right fields below the DRL
 limit, the multiply's saturation prefilter is exact, so no pair runs the
 DRL test, and a +-1 left coefficient makes a pair's coefficient +-pb.
-Evaluation reads each key's factor class from tables keyed by runs of
-crossings cut straight off the packed key, and sums coefficients per
-class and base exponent before it shifts anything.
+Evaluation reads each key's factor class from one table per run of five
+crossings, keyed by the packed key masked to the run's fields. A run's
+first key fills its entry from the masked key's bytes, which index one
+factor grid per crossing sign by the two fields (d+r, d). Coefficients
+are summed per class and base exponent before anything is shifted, and
+each class's factor multiset is read from the bytes of its histogram.
 
 What depends only on the level-one sum and the color is built once per
 height loop, not once per height: the left's operator (_Reorder) keeps
@@ -105,8 +108,8 @@ _LANE_BITS = 64
 # The narrowest reordering row field in bits; wider fields double it.
 _ROW_BITS = 16
 
-# Crossings per run of an evaluation class table (see evaluate_walk_sum).
-_RUN = 3
+# Crossings per run of an evaluation run table (see evaluate_walk_sum).
+_RUN = 5
 
 
 def _moved_digit(letters: int) -> str:
@@ -444,28 +447,30 @@ def add_walk_sums(sums) -> WalkSum:
     return WalkSum._packed(layout, bits, keys, coeffs, low, mass, max(ws.field_max for ws in sums), span)
 
 
-class _FactorTable(dict):
-    """For one crossing sign and color top + 1, maps the moved fields
-    (d+r, d) of a crossing to the integer that encodes its evaluation (see
-    evaluate_walk_sum), filling itself on first use. ``layout`` is
-    (count_bits, p_bound, flips_shift, hist_shift, zero_shift): the width
-    of a count, the bias of p, where the flip count and the histogram
-    start, and the shift of -1 that gives a zero factor's value. That
-    value is made only when a zero factor is met: its shift grows with the
-    color (_Classes), so at a huge color it would be huge."""
+class _FactorGrid(dict):
+    """For one crossing sign at color top + 1, maps a crossing's moved
+    fields (d+r, d), read as one code d+r + (d << W) of two W-bit key
+    fields, to the integer that encodes its evaluation (see
+    evaluate_walk_sum); a cell is built the first time a key holds it.
+    ``layout`` is (count_bits, p_bound, flips_shift, hist_shift,
+    zero_shift): the width of a count, the bias of p, where the flip count
+    and the histogram start, and the shift of -1 that gives a zero factor's
+    value. That value is made only when a zero factor is met: its shift
+    grows with the color, so at a huge color it would be huge."""
 
-    __slots__ = ("positive", "top", "layout")
+    __slots__ = ("positive", "top", "width", "layout")
 
-    def __init__(self, positive: bool, top: int, layout: tuple[int, int, int, int, int]):
+    def __init__(self, positive: bool, top: int, width: int, layout: tuple[int, int, int, int, int]):
         self.positive = positive
         self.top = top
+        self.width = width
         self.layout = layout
 
-    def __missing__(self, moved: tuple[int, int]) -> int:
+    def __missing__(self, code: int) -> int:
         count_bits, p_bound, flips_shift, hist_shift, zero_shift = self.layout
         top = self.top
-        dr, d = moved
-        r = dr - d
+        d = code >> self.width
+        r = (code & ((1 << self.width) - 1)) - d
         if self.positive:
             p = r * (top - d)
             exponents = range(top - r, top - r - d, -1)
@@ -475,64 +480,37 @@ class _FactorTable(dict):
         flips = hist = 0
         for e in exponents:
             if not e:
-                value = self[moved] = -1 << zero_shift
+                value = self[code] = -1 << zero_shift
                 return value
             if e < 0:
                 p += e
                 flips += 1
                 e = -e
             hist += 1 << count_bits * (e - 1)
-        value = self[moved] = p + p_bound + (flips << flips_shift) + (hist << hist_shift)
+        value = self[code] = p + p_bound + (flips << flips_shift) + (hist << hist_shift)
         return value
 
 
-class _RunTable(dict):
+class _RunSums(dict):
     """For a run of consecutive crossings, maps a packed key masked to the
-    (d+r, d) fields of the run to the sum of the run's _FactorTable
-    values, filling itself on first use. ``crossings`` lists (j, table)
-    for each crossing j of the run and ``fields`` reads a packed key's
-    moved fields."""
+    run's (d+r, d) fields to the sum of the run's grid cells, filling itself
+    on first use: ``codes`` unpacks the masked key's bytes, from the run's
+    first d+r field on and shifted down by ``shift`` bits, into one code per
+    crossing, skipping the d+s fields between them, and ``grids`` holds the
+    factor grid of each crossing's sign."""
 
-    __slots__ = ("fields", "crossings")
+    __slots__ = ("shift", "size", "codes", "grids")
 
-    def __init__(self, fields, crossings: list):
-        self.fields = fields
-        self.crossings = crossings
+    def __init__(self, shift: int, size: int, codes, grids: list):
+        self.shift = shift
+        self.size = size
+        self.codes = codes
+        self.grids = grids
 
     def __missing__(self, x: int) -> int:
-        f = self.fields(x)
-        value = self[x] = sum(table[f[3 * j + 1], f[3 * j + 2]] for j, table in self.crossings)
+        codes = self.codes((x >> self.shift).to_bytes(self.size, "little"))
+        value = self[x] = sum(map(operator.getitem, self.grids, codes))
         return value
-
-
-class _Classes:
-    """The class tables of evaluate_walk_sum for one sum, sign vector and
-    color n: a _FactorTable per crossing sign and a _RunTable per run of
-    crossings, with the class layout they share, sized by the sum's field
-    bound and span."""
-
-    __slots__ = ("p_bound", "count_bits", "flips_shift", "hist_shift", "runs")
-
-    def __init__(self, ws: WalkSum, signs: tuple[int, ...], n: int):
-        k = len(signs)
-        fields = ws.field_max
-        # a key has at most ``most`` factors, and per crossing |p| is at most p_bound
-        most = k * fields
-        p_bound = self.p_bound = fields * (2 * n + 3 * fields)
-        count_bits = self.count_bits = most.bit_length()
-        flips_shift = self.flips_shift = (2 * k * p_bound + ws.span).bit_length()
-        hist_shift = self.hist_shift = flips_shift + count_bits
-        factor_layout = (count_bits, p_bound, flips_shift, hist_shift, hist_shift + count_bits * (n + 2 * fields))
-        by_sign = {positive: _FactorTable(positive, n - 1, factor_layout) for positive in (True, False)}
-        layout = ws.layout
-        full = (1 << layout.width) - 1
-        self.runs = []
-        for first in range(0, k, _RUN):
-            run = range(first, min(first + _RUN, k))
-            keep = [0] * (3 * k)
-            for j in run:
-                keep[3 * j + 1] = keep[3 * j + 2] = full
-            self.runs.append((_RunTable(layout.fields, [(j, by_sign[signs[j] > 0]) for j in run]), layout.join(keep)))
 
 
 def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPolynomial:
@@ -548,24 +526,32 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     Factor classes. Every factor (1 - q^e) with e < 0 is -q^e (1 - q^-e),
     so a monomial evaluates to +-q^p times its coefficient times the
     product of (1 - q^e) over a multiset m of exponents e >= 1, with m of
-    size #a. Per crossing sign, a table (_FactorTable) maps the moved
-    fields (d+r, d) to one integer holding p (biased to be nonnegative),
-    the count of sign flips, and m as a histogram of counts per exponent,
-    in disjoint bit fields; a zero factor maps to a negative integer that
-    outweighs every other sum. A monomial's class is the sum of its
-    crossings' entries. The crossings are cut into runs of _RUN, and a
-    table per run (_RunTable) maps the key, masked to the run's (d+r, d)
-    fields, straight to the sum of the run's entries: one AND and one
-    lookup per run, with no unpacking. Both kinds of table fill on first
-    use and live for one call (_Classes).
+    size #a. Per crossing sign, a grid (_FactorGrid) maps the moved fields
+    (d+r, d) to one integer holding p (biased to be nonnegative), the count
+    of sign flips, and m as a histogram of counts per exponent, each count
+    in whole bytes, in disjoint bit fields; a zero factor maps to a
+    negative integer that outweighs every other sum. A monomial's class is
+    the sum of its crossings' cells. The crossings are cut into runs of
+    _RUN, and a table per run (_RunSums) maps the key, masked to the run's
+    (d+r, d) fields, straight to the sum of the run's cells: one AND and one
+    lookup per run and key. A run's first key unpacks the masked key's bytes
+    into one code per crossing, the two adjacent fields d+r and d read as
+    one 2W-bit field, and each code indexes its sign's grid. Grid cells and
+    run sums are built on first use and live for one call, so a zero
+    factor's value is built only when a key holds one. Against runs of
+    three, whose fills unpacked the whole key, runs of five take a key's
+    lookups on 9_1 at N = 6 from 3 to 2 and on 9_2 and 9_5 at N = 4 from 4
+    to 3, for 880 fills instead of 795 on 9_1, 296 instead of 336 on 9_2
+    and 468 instead of 398 on 9_5.
 
     Buckets. The p field also has room for the key's base exponent less
     the lowest one, so the class plus that offset names the monomial's
     multiset, flip count and base exponent at once. The monomials are
     first summed per such bucket with no shift at all; then each bucket is
     negated for an odd flip count and shifted into one packed group per
-    multiset, and each group's factors are applied once, as a shift and a
-    subtract: P - (P << B*e).
+    multiset. A group's multiset is read from the bytes of its histogram,
+    and its factors are applied once each, as a shift and a subtract:
+    P - (P << B*e).
 
     Lanes. A group's digits are bounded by the mass, so the groups are
     summed at the sum's lane B. Each factor (1 - q^e) at most doubles the
@@ -589,21 +575,43 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
     grow = most * (n + 2 * fields)
     _check_span(_lane(mass.bit_length() + most + 2, bits), span + 2 * k * p_bound + grow)
 
-    classes = _Classes(ws, signs, n)
+    # the check keeps every field below 2^11, so a pair of fields fits a
+    # struct code once 64-bit keys are laid out at 32 bits
+    layout = ws.layout if ws.layout.width < 64 else _Keys(k, 32)
+    keys = ws._relaid(layout, bits)[0]
+    width = layout.width
+    # a count takes whole bytes; a crossing's factors have distinct
+    # exponents, so no count passes k
+    count_bits = next(w for w in _KEY_CODES if k < 1 << w)
+    flips_shift = (2 * k * p_bound + span).bit_length()
+    # a key flips at most one sign per factor
+    hist_shift = flips_shift + most.bit_length()
+    grid_layout = (count_bits, p_bound, flips_shift, hist_shift, hist_shift + count_bits * (n + 2 * fields))
+    grids = {positive: _FactorGrid(positive, n - 1, width, grid_layout) for positive in (True, False)}
+    step = width // 8
+    pair = _KEY_CODES[2 * width]
+    runs = []
+    for first in range(0, k, _RUN):
+        run = range(first, min(first + _RUN, k))
+        keep = [0] * (3 * k)
+        for j in run:
+            keep[3 * j + 1] = keep[3 * j + 2] = (1 << width) - 1
+        codes = Struct("<" + f"{step}x".join([pair] * len(run))).unpack
+        table = _RunSums((3 * first + 1) * width, (3 * len(run) - 1) * step, codes, [grids[signs[j] > 0] for j in run])
+        runs.append((table, layout.join(keep)))
+
     base_min = min(ws.low)
     buckets: dict[int, int] = {}
     get = buckets.get
-    runs = classes.runs
-    for x, packed, base in zip(ws.keys, ws.coeffs, ws.low):
+    for x, packed, base in zip(keys, ws.coeffs, ws.low):
         t = base - base_min
         for table, keep in runs:
             t += table[x & keep]
         if t >= 0:
             buckets[t] = get(t, 0) + packed
 
-    flips_shift, hist_shift, count_bits = classes.flips_shift, classes.hist_shift, classes.count_bits
     p_mask = (1 << flips_shift) - 1
-    offset = base_min - k * classes.p_bound
+    offset = base_min - k * p_bound
     acc: dict[int, int] = {}
     low: dict[int, int] = {}
     for t, packed in buckets.items():
@@ -623,25 +631,23 @@ def evaluate_walk_sum(ws: WalkSum, signs: tuple[int, ...], n: int) -> LaurentPol
             acc[group] = (acc[group] << bits * (old - e)) + packed
             low[group] = e
 
-    count_mask = (1 << count_bits) - 1
+    size = count_bits // 8
+    code = _KEY_CODES[count_bits]
     groups = []
     for group, packed in acc.items():
         if packed:
-            base = low[group]
-            exponents = []
-            e = 1
-            while group:
-                exponents += [e] * (group & count_mask)
-                group >>= count_bits
-                e += 1
-            groups.append((packed, base, exponents))
-    out_bits = _lane(mass.bit_length() + max((len(m) for _, _, m in groups), default=0) + 2, bits)
+            # count i of the histogram is the multiplicity of exponent i + 1
+            data = group.to_bytes(-(-group.bit_length() // count_bits) * size, "little")
+            counts = data if size == 1 else Struct(f"<{len(data) // size}{code}").unpack(data)
+            groups.append((packed, low[group], counts))
+    out_bits = _lane(mass.bit_length() + max((sum(c) for _, _, c in groups), default=0) + 2, bits)
     by_base: dict[int, int] = {}
-    for packed, base, exponents in groups:
+    for packed, base, counts in groups:
         if out_bits != bits:
             packed, base = _pack(_unpack(packed, bits, base), out_bits)
-        for e in exponents:
-            packed -= packed << out_bits * e
+        for e, count in enumerate(counts, 1):
+            for _ in range(count):
+                packed -= packed << out_bits * e
         by_base[base] = by_base.get(base, 0) + packed
     base = min(by_base, default=0)
     total = 0

@@ -635,6 +635,34 @@ def test_height_cap_guard(monkeypatch):
         colored_jones(parse_braid("1 1 1"), 2)
 
 
+def test_height_loop_budget_fails_fast():
+    # at color 8 DRL prunes little on T(2,15): its third multiply would form
+    # 7.6 million pairs, so the loop stops before it
+    with pytest.raises(OverflowError) as exc:
+        colored_jones(parse_braid("1 " * 15), 8)
+    assert str(exc.value) == (
+        "height 3 would form 7621432 pairs with 20593 keys held, past the height loop's budget of 2097152"
+    )
+
+
+def test_height_loop_budget_counts_pairs_and_held_keys(monkeypatch):
+    # 9_1 at N = 6 holds 9 643 keys before its last multiply, which forms
+    # 6 405 x 21 pairs: a budget of exactly that runs it, and one less stops it
+    braid = parse_braid("1 1 1 1 1 1 1 1 1")
+    monkeypatch.setattr(cjp, "HEIGHT_WORK_MAX", 134505 + 9643)
+    assert colored_jones(braid, 6).heights_summed == 5
+    monkeypatch.setattr(cjp, "HEIGHT_WORK_MAX", 134505 + 9642)
+    with pytest.raises(OverflowError, match="^height 6 would form 134505 pairs with 9643 keys held, "):
+        colored_jones(braid, 6)
+    # the loop without DRL, which keeps one stack at a time, has no budget
+    trefoil = parse_braid("1 1 1")
+    expected = colored_jones(trefoil, 3).polynomial
+    monkeypatch.setattr(cjp, "HEIGHT_WORK_MAX", 0)
+    with pytest.raises(OverflowError, match="^height 2 "):
+        colored_jones(trefoil, 3)
+    assert colored_jones(trefoil, 3, drl=False).polynomial == expected
+
+
 def test_figure_eight_matches_cyclotomic_expansion():
     # the figure-eight colored Jones has the closed form
     # sum_k prod_{j<=k} (q^n + q^-n - q^j - q^-j); an independent route

@@ -399,6 +399,22 @@ def test_size_limit_exit_1(argv):
     assert proc.stderr.count("\n") == 1
 
 
+def test_height_budget_exit_1():
+    # at N = 10^4 DRL prunes nothing on 9_1, and its 2-strand stacks grow
+    # with every height until the height loop's budget stops it, in a few
+    # seconds and under the 1 GiB cap, with one line
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "compute", "--knot", "9_1", "--color", "10000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        "walkjones: height 10 would form 2386461 pairs with 232737 keys held, "
+        "past the height loop's budget of 2097152\n"
+    )
+
+
 def test_compute_malformed_eval_q_fails_before_the_engine(capsys, monkeypatch):
     # --eval-q is parsed before the polynomial is computed
     computed = []

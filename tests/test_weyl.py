@@ -649,13 +649,13 @@ def test_grouped_evaluate_matches_reference_random(lanes):
     # (r < n <= r + d) and keys past the color (r >= n, as without DRL);
     # each key's twin with other b counts shares its factor multiset and
     # shift. Coefficients up to 2^120 widen the lane to 128 bits, and with
-    # enough factors the group sums to 256. Crossing counts 1-7 end the
-    # last run of class tables both on and off a run boundary (runs of
-    # weyl._RUN), and each sum also holds keys whose one zero factor sits
-    # at a chosen crossing, so that zero factors fall in every run.
+    # enough factors the group sums to 256. Crossing counts 1-11 end the
+    # last run table both on and off a run boundary (runs of weyl._RUN),
+    # and each sum also holds, for every run, a key whose one zero factor
+    # sits at a crossing of that run.
     rng = random.Random(42)
-    for case in range(420):
-        k = 1 + case % 7
+    for case in range(440):
+        k = 1 + case % 11
         n = rng.randint(1, 6)
         signs = rand_signs(rng, k)
         monomials = []
@@ -664,14 +664,36 @@ def test_grouped_evaluate_matches_reference_random(lanes):
             monomials.append((tuple(key), rand_coeff(rng, rng.choice((3, 70, 120)))))
             key[0] += 1
             monomials.append((tuple(key), rand_coeff(rng, 3)))
-        for j in rng.sample(range(k), min(k, 2)):
+        for first in range(0, k, weyl._RUN):
             # d = 1 and r = n - 1 at crossing j: a (1 - q^0) factor
+            j = rng.randrange(first, min(first + weyl._RUN, k))
             key = [rng.randint(0, 1) if slot % 3 else rng.randint(0, 2) for slot in range(3 * k)]
             key[3 * j + 1: 3 * j + 3] = [n - 1, 1]
             monomials.append((tuple(key), rand_coeff(rng, 20)))
         ws = summed(monomials)
         assert evaluate_walk_sum(ws, signs, n) == reference_evaluate_walk_sum(ws, signs, n)
     assert {64, 128, 256} <= lanes
+
+
+def test_evaluate_reads_wide_counts_and_64_bit_keys():
+    # one a at each of 256 crossings of one sign gives 256 factors with one
+    # exponent, a count that takes 16 bits, and at negative crossings 256
+    # sign flips; a product at a DRL limit past 2^32 lays its keys out at
+    # 64-bit fields, which evaluation reads at 32 bits
+    ws = WalkSum({(0, 0, 1) * 256: P("3*q - 1"), (0, 1, 1) * 256: P("q^-2"), zero_key(256): P("5")})
+    for sign in (1, -1):
+        for n in (2, 3):
+            assert evaluate_walk_sum(ws, (sign,) * 256, n) == reference_evaluate_walk_sum(ws, (sign,) * 256, n)
+    # two a at each of 130 negative crossings: counts of 130 fit 8 bits, but
+    # the key's 260 sign flips do not
+    ws = WalkSum({(0, 0, 2) * 130: P("q + 2"), zero_key(130): P("1")})
+    assert evaluate_walk_sum(ws, (-1,) * 130, 4) == reference_evaluate_walk_sum(ws, (-1,) * 130, 4)
+    signs = (1, -1)
+    left = WalkSum({key_from_letters(2, "a1 c2"): P("q - 3"), key_from_letters(2, "b1"): P("2")})
+    product = multiply_walk_sums(left, left, signs, 1 << 40)
+    assert product.layout.width == 64
+    for n in (2, 3):
+        assert evaluate_walk_sum(product, signs, n) == reference_evaluate_walk_sum(product, signs, n)
 
 
 @pytest.mark.parametrize("drl", [True, False])
@@ -843,37 +865,47 @@ def test_admitted_table_built_once_without_drl(monkeypatch):
     assert len(built) == 1
 
 
-def test_class_tables_fill_once_per_loop(monkeypatch):
-    # the stack hands its class tables on to the next height, and their
-    # layout has room for every height's fields and span: one colored_jones
-    # call builds one set of tables, and a run of (d+r, d) fields that
-    # missed at one height never misses at a later one
-    built = []
-    init = weyl._Classes.__init__
-    monkeypatch.setattr(weyl._Classes, "__init__", lambda self, *args: built.append(self) or init(self, *args))
-    misses = []
-    missing = weyl._RunTable.__missing__
+@pytest.fixture
+def grid_fills(monkeypatch):
+    """The factor grids built, and the (run, masked key) and (sign, code)
+    pairs that their run sums and cells were filled for."""
+    built, runs, cells = [], [], []
+    init = weyl._FactorGrid.__init__
+    monkeypatch.setattr(weyl._FactorGrid, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    run_missing = weyl._RunSums.__missing__
     monkeypatch.setattr(
-        weyl._RunTable, "__missing__", lambda self, x: misses.append((self.crossings[0][0], x)) or missing(self, x)
+        weyl._RunSums, "__missing__", lambda self, x: runs.append((self.shift, x)) or run_missing(self, x)
     )
+    cell_missing = weyl._FactorGrid.__missing__
+    monkeypatch.setattr(
+        weyl._FactorGrid, "__missing__",
+        lambda self, code: cells.append((self.positive, code)) or cell_missing(self, code),
+    )
+    return built, runs, cells
+
+
+def test_class_tables_fill_once_per_loop(grid_fills):
+    # under DRL the loop evaluates the sum of its stacks once: one
+    # colored_jones call builds one grid per crossing sign, and no run sum
+    # or grid cell is filled twice
+    built, runs, cells = grid_fills
     for text, n in LOOP_JOBS:
-        built.clear()
-        misses.clear()
+        for fills in grid_fills:
+            fills.clear()
         assert colored_jones(parse_braid(text), n).heights_summed >= 3
-        assert len(built) == 1, text
-        assert len(misses) == len(set(misses)), text
+        assert sorted(grid.positive for grid in built) == [False, True], text
+        assert runs and len(runs) == len(set(runs)), text
+        assert cells and len(cells) == len(set(cells)), text
 
 
 @pytest.mark.parametrize("text, n", [("1 1 2 -1 -3 2 -3", 3), ("-1 2 -1 2", 4), ("1 1 1", 5)])
-def test_class_tables_without_drl_built_per_height(monkeypatch, text, n):
+def test_class_tables_without_drl_built_per_height(grid_fills, text, n):
     # without DRL each height is evaluated on its own, down to the stack
-    # that evaluates to zero and stops the loop, and builds its own tables
+    # that evaluates to zero and stops the loop, and builds its own grids
     braid = parse_braid(text)
-    built = []
-    init = weyl._Classes.__init__
-    monkeypatch.setattr(weyl._Classes, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    built = grid_fills[0]
     result = colored_jones(braid, n, drl=False)
-    assert len(built) == result.heights_summed + 1
+    assert len(built) == 2 * (result.heights_summed + 1)
     assert result.polynomial == colored_jones(braid, n).polynomial
 
 
