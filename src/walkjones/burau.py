@@ -85,15 +85,28 @@ The braid matrix stays in the kernel's own data: each entry is a {key:
 coefficient dict} map, and the minor recursions read those maps as they
 are. At each crossing a new entry is one kernel product by one letter, or
 the sum of two, and that sum is a dict union, since its summands differ in
-the new crossing's slot. Every such product has q-power 0, because each
-new letter's crossing comes after every letter already in the entry, so
-each entry is a set of paths with coefficient 1 and at most one letter per
-crossing, and the kernel call only sets one letter slot. Setting it
-directly is exact; that build waits on the benchmark change that stops
-keeping every computed polynomial (ROADMAP item 1). Tuple-key maps belong
-to this kernel layer and packed walk sums to the stack loop: only the
-generic results cross over, through WalkSum(map), and the simple-walk
-generator packs its items itself (WalkSum.from_masks).
+the new crossing's slot. Right-multiplying by a crossing matrix rewrites
+each row of the product from that row alone, so the generators build only
+the rows R keeps: braid_matrix(braid, reduced=True) starts from the
+identity rows of strands 2..m and drops column 1 after the last crossing,
+not before, since every sigma_1 mixes column 1 into column 2. On the table
+at N = 2 and 3 that takes a pass from 30 548 to 21 128 kernel calls and
+its traced matrix build from 678 to 440 ms, and the table-n2n3 benchmark
+from 176.7 to 228.2 jobs a second (BENCH_35.json). Every kernel product
+here has q-power 0, because each new letter's crossing comes after every
+letter already in the entry, so each entry is a set of paths with
+coefficient 1 and at most one letter per crossing, and the kernel call
+only sets one letter slot. Setting that slot directly, with no kernel
+call, is exact and faster still (markov-n2 1.86x jobs a second in a
+prototype), but it raised markov-n2's peak RSS by 9.2% and 10.2% in two
+runs, against the benchmark's 10% bound, where the row skip raises it
+5.6%. The row skip allocates no more per job (a table job's largest
+tracemalloc peak: 524 -> 522 kB); the benchmark keeps every polynomial
+it computes, so a faster engine runs more passes and holds more (ROADMAP
+item 1a). Tuple-key maps belong to this kernel layer and packed walk
+sums to the stack loop: only the generic results cross over, through
+WalkSum(map), and the simple-walk generator packs its items itself
+(WalkSum.from_masks).
 """
 from __future__ import annotations
 
@@ -114,22 +127,33 @@ class BurauMatrix:
     entries: list[list[dict]]
 
 
-def braid_matrix(braid: BraidWord) -> BurauMatrix:
-    """Ordered product of the crossing matrices (first crossing leftmost).
+def braid_matrix(braid: BraidWord, reduced: bool = False) -> BurauMatrix:
+    """Ordered product of the crossing matrices (first crossing leftmost),
+    or with ``reduced`` the reduced matrix R that reduced_matrix would cut
+    from it, built without strand 1's row.
 
     A crossing matrix is the identity outside its 2x2 block, so multiplying
     by it on the right rewrites only columns index - 1 and index, and a new
     entry is one or two entries times one letter. Entries are {key:
     coefficient dict} maps; the two products of a sum differ in the new
-    crossing's slot, so their sum is a dict union.
+    crossing's slot, so their sum is a dict union. Each row of the product
+    is rewritten from itself alone, so the reduced build starts from the
+    identity rows of strands 2..m and never makes row 1. Column 1 stays
+    until the last crossing, since every sigma_1 mixes it into column 2.
+    Skipping the row cuts the table's kernel calls by about a third
+    (30 548 -> 21 128 per table pass at N = 2, 3; see the module docstring).
+    ValueError for ``reduced`` on one strand.
     """
     k, m = braid.k, braid.strands
+    if reduced and m < 2:
+        raise ValueError("cannot reduce a matrix of dimension < 2")
     signs = braid.signs()
 
     def times(entry: dict, letter: list) -> dict:
         return kernels.walk_products(list(entry.items()), letter, signs, 0) if entry else {}
 
-    rows = [[{zero_key(k): {0: 1}} if u == v else {} for v in range(m)] for u in range(m)]
+    first = 1 if reduced else 0
+    rows = [[{zero_key(k): {0: 1}} if u == v else {} for v in range(m)] for u in range(first, m)]
     for ordinal, (index, sign) in enumerate(braid.crossings, start=1):
         i = index - 1
         a, b, c = ([(letter_key(k, ordinal, x), {0: 1})] for x in "abc")
@@ -139,6 +163,8 @@ def braid_matrix(braid: BraidWord) -> BurauMatrix:
                 row[i], row[i + 1] = times(left, a) | times(right, c), times(left, b)
             else:
                 row[i], row[i + 1] = times(right, b), times(left, c) | times(right, a)
+    if reduced:
+        return BurauMatrix(m - 1, [row[1:] for row in rows])
     return BurauMatrix(m, rows)
 
 
@@ -316,23 +342,24 @@ def unpruned_walk_count(braid: BraidWord) -> int:
     and the number of determinant products is the sum over nonempty
     principal minors J of the reduced matrix of perm(S_J): _minor_sum on
     the counts, with integer products and every index optional. S is built
-    crossing by crossing as braid_matrix builds its entries, on ints: at a
-    positive crossing on strands i, i+1 a row's counts (x, y) there become
-    (x + y, x), paths leaving i by a or arriving by c, and leaving i by b;
-    at a negative one they become (y, x + y). ValueError on one strand.
+    crossing by crossing as braid_matrix builds its reduced entries, on ints
+    and without strand 1's row: at a positive crossing on strands i, i+1 a
+    row's counts (x, y) there become (x + y, x), paths leaving i by a or
+    arriving by c, and leaving i by b; at a negative one they become
+    (y, x + y). ValueError on one strand.
     """
     if not braid.is_knot_closure():
         raise NotAKnotError(f"closure of {braid} is not a knot")
     m = braid.strands
     if m < 2:
         raise ValueError("cannot reduce a matrix of dimension < 2")
-    paths = [[int(u == v) for v in range(m)] for u in range(m)]
+    paths = [[int(u == v) for v in range(m)] for u in range(1, m)]
     for index, sign in braid.crossings:
         i = index - 1
         for row in paths:
             x, y = row[i], row[i + 1]
             row[i], row[i + 1] = (x + y, x) if sign > 0 else (y, x + y)
-    sizes = [row[1:] for row in paths[1:]]
+    sizes = [row[1:] for row in paths]
     total = [0]
     every = (1 << len(sizes)) - 1
     _minor_sum(sizes, lambda partial, size, _: partial * size, None, _add_count, every, total, 0, 0, 0, 0, 1)
@@ -411,8 +438,7 @@ def _simple_walks(braid: BraidWord) -> list:
     sign * q^exponent * (the letters of mask, in normal form). Bit 3j + slot
     of a mask holds a letter of crossing j, with slot b = 0, c = 1, a = 2."""
     rule = _SimpleRule(braid.signs())
-    reduced = reduced_matrix(braid_matrix(braid)).entries
-    entries = [[rule.entry(e) for e in row] for row in reduced]
+    entries = [[rule.entry(e) for e in row] for row in braid_matrix(braid, reduced=True).entries]
     walks: list = []
     every = (1 << len(entries)) - 1
     _minor_sum(entries, _simple_products, rule, _simple_leaf, every, walks, 0, 0, 0, 0, [(0, 0)])
@@ -436,8 +462,7 @@ def walk_generator(braid: BraidWord, prune_simple: bool = True) -> WalkSum:
         raise ValueError("walk generator needs at least 2 strands")
     if prune_simple:
         return WalkSum.from_masks(braid.k, _simple_walks(braid))
-    reduced = reduced_matrix(braid_matrix(braid)).entries
-    entries = [[_items(e, 1, -1) for e in row] for row in reduced]
+    entries = [[_items(e, 1, -1) for e in row] for row in braid_matrix(braid, reduced=True).entries]
     total: dict = {}
     every = (1 << len(entries)) - 1
     one = {zero_key(braid.k): {0: 1}}

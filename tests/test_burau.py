@@ -9,6 +9,7 @@ from walk_helpers import (
     filtered, generator_matrix, kernel_product, matrix_unpruned_walk_count, occupancy_walk_count, scaled, summed,
     unit_product, walk_sum,
 )
+from walkjones import burau, cjp, colored_jones, knot_lookup
 from walkjones.braid import BraidWord, NotAKnotError, parse_braid
 from walkjones.burau import (
     BurauMatrix,
@@ -150,6 +151,72 @@ def test_reduced_matrix_identity():
 def test_reduced_matrix_dimension_one_rejected():
     with pytest.raises(ValueError):
         reduced_matrix(BurauMatrix(1, [[{}]]))
+    with pytest.raises(ValueError):
+        braid_matrix(parse_braid("", strands=1), reduced=True)
+
+
+def reduced_build_words() -> list:
+    """Every table braid, its mirror and its flip, then 120 seeded random
+    knot braids on 2-7 strands."""
+    words = [w for rec in load_table() for b in [rec.braid_word()] for w in (b, b.mirror(), b.flip())]
+    rng = random.Random(3501)
+    words += [knot_factor(rng, m) for m in range(2, 8) for _ in range(20)]
+    return words
+
+
+def ordered(matrix: BurauMatrix) -> list:
+    """A matrix's entries with their keys, coefficient dicts and the order
+    of both, since _simple_walks' item order follows the dict order."""
+    return [[[(key, list(terms.items())) for key, terms in entry.items()] for entry in row] for row in matrix.entries]
+
+
+def test_reduced_build_equals_the_cut_full_matrix():
+    words = reduced_build_words()
+    assert {w.strands for w in words} == set(range(2, 8))
+    for word in words:
+        direct, cut = braid_matrix(word, reduced=True), reduced_matrix(braid_matrix(word))
+        assert direct.dimension == cut.dimension == word.strands - 1, word
+        assert ordered(direct) == ordered(cut), word
+
+
+def test_walk_generator_reads_the_same_matrix_as_the_full_build(monkeypatch):
+    # the generators with braid_matrix's reduced build replaced by the full
+    # product cut by reduced_matrix
+    words = reduced_build_words()
+    direct = [(_simple_walks(w), walk_generator(w), walk_generator(w, prune_simple=False)) for w in words]
+    full = burau.braid_matrix
+
+    def cut(braid, reduced=False):
+        return reduced_matrix(full(braid)) if reduced else full(braid)
+
+    monkeypatch.setattr(burau, "braid_matrix", cut)
+    for word, (walks, pruned, unpruned) in zip(words, direct):
+        assert walks == _simple_walks(word), word
+        assert pruned == walk_generator(word), word
+        oracle = walk_generator(word, prune_simple=False)
+        assert unpruned == oracle and list(unpruned.entries) == list(oracle.entries), word
+
+
+def test_every_generator_run_builds_through_the_module_attribute(monkeypatch):
+    # the traced benchmark times the generator's matrix build by wrapping
+    # burau.braid_matrix; each of a job's three generator runs must call it
+    calls = []
+    generators = []
+    build, generate = burau.braid_matrix, cjp.walk_generator
+
+    def counted_build(*args, **kwargs):
+        calls.append(kwargs)
+        return build(*args, **kwargs)
+
+    def counted_generate(*args, **kwargs):
+        generators.append(args[0])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(burau, "braid_matrix", counted_build)
+    monkeypatch.setattr(cjp, "walk_generator", counted_generate)
+    colored_jones(knot_lookup("4_1").braid_word(), 2)
+    assert len(generators) == 3
+    assert calls == [{"reduced": True}] * 3
 
 
 def test_quantum_det_one_by_one():
