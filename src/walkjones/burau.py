@@ -96,11 +96,17 @@ from 176.7 to 228.2 jobs a second (BENCH_35.json). Every kernel product
 here has q-power 0, because each new letter's crossing comes after every
 letter already in the entry, so each entry is a set of paths with
 coefficient 1 and at most one letter per crossing, and the kernel call
-only sets one letter slot. Setting that slot directly, with no kernel
-call, is exact and faster still (markov-n2 1.86x jobs a second in a
-prototype), but it raised markov-n2's peak RSS by 9.2% and 10.2% in two
-runs, against the benchmark's 10% bound, where the row skip raises it
-5.6%. The row skip allocates no more per job (a table job's largest
+only sets one letter slot. Building R from letter masks instead, each
+entry a list of masks and each crossing ORing its letter bit into the
+entries it moves, with _minor_sum and _simple_products unchanged, gave
+_simple_walks' lists, in order, on all 261 table words, mirrors and
+flips, and took the generator over them from 124.9 to 21.3 ms in a
+prototype (not re-measured since). It about doubled the benchmark's
+jobs a second (table-n2n3 220.5/225.3 -> 465.0/473.5, markov-n2
+279.1/273.3 -> 743.4/751.0), but raised peak RSS by 16-20% (table-n2n3
+26.91/27.15 -> 31.80/31.41 MB, markov-n2 25.69/26.10 -> 30.73/30.29
+MB), past the benchmark's 10% bound, where the row skip raises it 5.6%.
+The row skip allocates no more per job (a table job's largest
 tracemalloc peak: 524 -> 522 kB); the benchmark keeps every polynomial
 it computes, so a faster engine runs more passes and holds more (ROADMAP
 item 1a). Tuple-key maps belong to this kernel layer and packed walk

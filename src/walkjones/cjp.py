@@ -25,7 +25,18 @@ returns already packed from its simple walks, one (letter mask, exponent,
 sign) item per walk (WalkSum.from_masks), and each later stack is L times
 the one before, pruned by DRL at the color (multiply_walk_sums), so no
 stack is ever decoded. Evaluation is additive, so under DRL the stacks are
-summed until one is empty and the sum is evaluated once. A stack that
+summed until one is empty and the sum is evaluated once. DRL keeps a key
+only while every moved field (d+s, d+r, d) stays below the color N, so
+when some field is 1 in every walk of L, as on every 2-strand word, each
+height adds one to it and no stack passes height N - 1 (Armond,
+arXiv:1101.3810). There the height loop stops: it builds stack N - 1
+without reordering rows, which only a multiply reads, and does not
+multiply it, a call that would read all its keys and form no pair. On
+9_1 at N = 6 that call read 6 405 keys; skipping it, and dropping each
+kept stack's rows once they are read, took the job from 40.0 to 37.9 ms
+and its tracemalloc peak from 3.30 to 2.70 MB (CPU time, medians of 12
+alternating processes' best of 15, 2 vCPUs of a shared VM, Python
+3.11). A stack that
 evaluates to zero adds nothing: under DRL none occurs on the table's words
 at N = 2..4, and on random knot words they only trail (tests/test_cjp.py).
 
@@ -47,9 +58,13 @@ evaluates to zero, so J_1 = 1 with no height summed.
 At a large color DRL prunes nothing, and the kept stacks grow with every
 height, so under DRL the height loop checks the work each multiply adds
 before it runs: the pairs it forms plus the keys of the stacks kept,
-against HEIGHT_WORK_MAX = 2^21. The largest DRL loop the tests and the
-bench run, T(2,9) at N = 8, reaches 728 705 (stacks up to 31 998 keys,
-671 958 pairs at its last height, 56 747 keys kept). Past the budget it
+against HEIGHT_WORK_MAX = 2^21. The largest DRL loop the bench runs,
+9_1 at N = 6, reaches 52 651 (2 353 x 21 pairs at its last multiply,
+3 238 keys kept), and T(2,9) at N = 8 reaches 341 975 (15 106 x 21
+pairs, 24 749 kept). The largest the tests run, 9_1's mirror run as
+given at N = 6 (55 walks), reaches 1 633 848 (29 056 x 55 pairs, 35 768
+kept); with the empty last multiply it stopped at the budget, before a
+multiply of 6 063 970 pairs. Past the budget it
 raises OverflowError, which walkjones compute reports in one line: 9_1 at
 N = 10^4 stops before its tenth height after about 2 s of CPU and 153
 MB, where it ran 15 s and died of MemoryError, and T(2,15) at N = 8 stops
@@ -105,7 +120,9 @@ vCPUs of a shared VM, Python 3.11). README.md has the whole-table times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heappop, heappush
+from operator import and_
 
 from .braid import BraidWord, NotAKnotError
 from .burau import WalkCounter, simple_walk_count, walk_generator
@@ -320,8 +337,16 @@ def _height_loop(level_one, signs: tuple[int, ...], color: int, drl: bool) -> tu
     RuntimeError past 2 * color * k heights. Under DRL, before each
     multiply, the pairs it forms (the stack's keys times L's) plus the keys
     of every stack kept so far are checked against HEIGHT_WORK_MAX:
-    OverflowError past it (see the module docstring)."""
+    OverflowError past it (see the module docstring). Under DRL, when a
+    moved field is set in every key of L, the loop stops at height
+    color - 1: it builds that stack without reordering rows and does not
+    multiply it. Each stack drops its rows once the multiply that reads
+    them has run, so the kept stacks hold keys, coefficients and base
+    exponents only."""
     cap = 2 * color * len(signs)
+    # a moved field set in every level-one key grows by one a height, so
+    # under DRL no stack passes height color - 1
+    top = color - 1 if drl and level_one and reduce(and_, level_one.keys) else None
     # every simple walk passes DRL at color >= 2: the level-one sum is the
     # first stack as built
     total = LaurentPolynomial.one()
@@ -343,13 +368,18 @@ def _height_loop(level_one, signs: tuple[int, ...], color: int, drl: bool) -> tu
             raise RuntimeError(
                 f"stack exceeded height cap {cap}; this indicates a bug in the walk pipeline"
             )
+        if heights == top:
+            break
         pairs = len(stack) * len(level_one)
         if drl and pairs + held > HEIGHT_WORK_MAX:
             raise OverflowError(
                 f"height {heights + 1} would form {pairs} pairs with {held} keys held, "
                 f"past the height loop's budget of {HEIGHT_WORK_MAX}"
             )
-        stack = multiply_walk_sums(level_one, stack, signs, color if drl else 0)
+        product = multiply_walk_sums(level_one, stack, signs, color if drl else 0, rows=heights + 1 != top)
+        # only that multiply reads the stack's rows
+        stack.rows = stack.rows_for = None
+        stack = product
     if stacks:
         total = total + evaluate_walk_sum(add_walk_sums(stacks), signs, color)
     return total, heights

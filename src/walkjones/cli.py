@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 bad arguments (checked before anything is
 computed) or an input past the engine's size limit, 2 braid closure is
-not a knot.
+not a knot, 141 (128 + SIGPIPE) output pipe closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -190,10 +191,22 @@ def _join_eval_q(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Run one command. Commands raise; this reports a ValueError, OSError
     or OverflowError as one line and exit 1, or exit 2 for a closure that
-    is not a knot. Any other exception propagates."""
+    is not a knot. Any other exception propagates. A reader that closes
+    the output pipe early, such as head, ends the run with no message and
+    exit 141, as a writer killed by SIGPIPE reports: output is flushed
+    here, so the broken pipe surfaces here and not at interpreter exit, and
+    stdout then points at the null device so that exit's flush stays
+    quiet."""
     args = _build_parser().parse_args(_join_eval_q(sys.argv[1:] if argv is None else argv))
     try:
-        return (cmd_compute if args.command == "compute" else cmd_bench)(args)
+        code = (cmd_compute if args.command == "compute" else cmd_bench)(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, OverflowError) as exc:
         print(f"walkjones: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, NotAKnotError) else 1

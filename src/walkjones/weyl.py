@@ -150,10 +150,13 @@ class WalkSum:
     exponent of all terms.
 
     A product also carries ``rows``, aligned with the keys: each key's
-    reordering row for the operator ``rows_for`` (see multiply_walk_sums);
-    ``reorder`` caches the operator of this sum as a left operand.
-    multiply_walk_sums may widen an operand's key fields and lane in place,
-    which leaves its value, base exponents, rows and operator as they are.
+    reordering row for the operator ``rows_for`` (see multiply_walk_sums),
+    unless it was built without them; ``reorder`` caches the operator of
+    this sum as a left operand. multiply_walk_sums may widen an operand's
+    key fields and lane in place, which leaves its value, base exponents,
+    rows and operator as they are. The DRL height loop (cjp) clears
+    ``rows`` and ``rows_for`` on each stack it keeps once the multiply that
+    reads them has run, which leaves the value as it is.
     ``entries`` decodes the sum into its canonical map, tuple key ->
     LaurentPolynomial, the first time it is read.
     """
@@ -824,9 +827,11 @@ def multiply_walk_sums(
     b: WalkSum,
     signs: tuple[int, ...],
     n: int = 0,
+    rows: bool = True,
 ) -> WalkSum:
     """Pairwise product a * b of two walk sums, accumulated into canonical
-    form and returned packed.
+    form and returned packed; with ``rows`` False it carries no reordering
+    rows (see below).
 
     With n > 0 any product whose key fails drl_keep(key, n) is discarded
     (sound because the filter is monotone under adding letters). n = 0 sets
@@ -884,7 +889,10 @@ def multiply_walk_sums(
     product key carries its row for the next height, whether or not any
     left can extend it: the next multiply skips a key whose signature
     admits no left before it reads the row, and carrying costs less than
-    testing. A right key with no row valid for this operator (carried for
+    testing. A product that no multiply will read as a right operand, as
+    the top DRL stack of a word whose stacks end at height n - 1 (see cjp),
+    is built with ``rows`` False: it then forms and carries none. A right
+    key with no row valid for this operator (carried for
     another operator, or from a sum built from a map or born packed) has
     it built from its fields. L is the least of 16, 32, 64, ... bits, and
     at least the key width W, with k * _FORM_NORM * (left field bound) *
@@ -935,7 +943,7 @@ def multiply_walk_sums(
     slot_of = slots.setdefault
     coeffs: list[int] = []
     low: list[int] = []
-    rows: list[int] = []
+    out_rows: list[int] = []
     count = 0
     for xb, pb, eb, rb in zip(b.keys, b.coeffs, b.low, carried):
         admitted = admitted_by[(xb + saturated) & guard]
@@ -956,7 +964,8 @@ def multiply_walk_sums(
                 count += 1
                 coeffs.append(p)
                 low.append(e)
-                rows.append(rb + column)
+                if rows:
+                    out_rows.append(rb + column)
             else:
                 old = low[slot]
                 if e >= old:
@@ -967,8 +976,10 @@ def multiply_walk_sums(
     keys = list(slots)
     if 0 in coeffs:
         nonzero_sums = [bool(p) for p in coeffs]
-        keys, coeffs, low, rows = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low, rows))
-    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, rows, op)
+        keys, coeffs, low, out_rows = (list(compress(seq, nonzero_sums)) for seq in (keys, coeffs, low, out_rows))
+    if not rows:
+        return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span)
+    return WalkSum._packed(layout, bits, keys, coeffs, low, mass, min(top, n - 1), span, out_rows, op)
 
 
 def letter_counts(ws: WalkSum) -> list[int]:

@@ -1,5 +1,7 @@
 """End-to-end colored Jones pipeline: anchors, symmetries, Markov moves."""
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -367,7 +369,7 @@ def test_unsplit_table_jobs_run_one_word(monkeypatch):
     calls = []
     generator = cjp.walk_generator
     monkeypatch.setattr(cjp, "walk_generator", lambda braid, **kw: calls.append(braid) or generator(braid, **kw))
-    monkeypatch.setattr(cjp, "multiply_walk_sums", lambda *args: WalkSum.zero())
+    monkeypatch.setattr(cjp, "multiply_walk_sums", lambda *args, **kw: WalkSum.zero())
     monkeypatch.setattr(cjp, "walk_series", lambda level_one, signs, n: (level_one, 1))
     monkeypatch.setattr(cjp, "evaluate_walk_sum", lambda *args: LaurentPolynomial.zero())
     records = [rec for rec in load_table() if rec.name not in ("9_35", "9_37")]
@@ -629,10 +631,12 @@ def test_search_builds_one_counter(monkeypatch):
 
 
 def test_height_cap_guard(monkeypatch):
-    # a stack that never shrinks passes the cap of 2 * color * crossings
-    monkeypatch.setattr(cjp, "multiply_walk_sums", lambda level_one, stack, signs, n: stack)
+    # a stack that never shrinks passes the cap of 2 * color * crossings;
+    # under DRL the trefoil's loop stops at height N - 1 = 1 before any
+    # multiply, so the guard is reached through the loop without DRL
+    monkeypatch.setattr(cjp, "multiply_walk_sums", lambda level_one, stack, signs, n, rows=True: stack)
     with pytest.raises(RuntimeError, match="height cap 12"):
-        colored_jones(parse_braid("1 1 1"), 2)
+        colored_jones(parse_braid("1 1 1"), 2, drl=False)
 
 
 def test_height_loop_budget_fails_fast():
@@ -646,13 +650,13 @@ def test_height_loop_budget_fails_fast():
 
 
 def test_height_loop_budget_counts_pairs_and_held_keys(monkeypatch):
-    # 9_1 at N = 6 holds 9 643 keys before its last multiply, which forms
-    # 6 405 x 21 pairs: a budget of exactly that runs it, and one less stops it
+    # 9_1 at N = 6 holds 3 238 keys before its last multiply, which forms
+    # 2 353 x 21 pairs: a budget of exactly that runs it, and one less stops it
     braid = parse_braid("1 1 1 1 1 1 1 1 1")
-    monkeypatch.setattr(cjp, "HEIGHT_WORK_MAX", 134505 + 9643)
+    monkeypatch.setattr(cjp, "HEIGHT_WORK_MAX", 49413 + 3238)
     assert colored_jones(braid, 6).heights_summed == 5
-    monkeypatch.setattr(cjp, "HEIGHT_WORK_MAX", 134505 + 9642)
-    with pytest.raises(OverflowError, match="^height 6 would form 134505 pairs with 9643 keys held, "):
+    monkeypatch.setattr(cjp, "HEIGHT_WORK_MAX", 49413 + 3237)
+    with pytest.raises(OverflowError, match="^height 5 would form 49413 pairs with 3238 keys held, "):
         colored_jones(braid, 6)
     # the loop without DRL, which keeps one stack at a time, has no budget
     trefoil = parse_braid("1 1 1")
@@ -685,3 +689,60 @@ def test_framing_exponent_matches_used_orientation():
         # the engine runs the reduced word: "1" reduces to the empty word on one strand
         assert used.writhe() == (-1 if result.mirror_used else 1) * b.reduced().writhe()
         assert 2 * result.framing_exponent == 3 * (used.writhe() - used.strands + 1)
+
+
+def multiply_calls(monkeypatch):
+    """The products cjp.multiply_walk_sums returns from now on, in order,
+    each with the rows it had when it was returned."""
+    products = []
+    multiply = cjp.multiply_walk_sums
+
+    def counted(*args, **kw):
+        product = multiply(*args, **kw)
+        products.append((product, product.rows))
+        return product
+
+    monkeypatch.setattr(cjp, "multiply_walk_sums", counted)
+    return products
+
+
+def test_bounded_loop_skips_the_empty_last_multiply(monkeypatch):
+    # a 2-strand word sets d+s or d+r at its first crossing in every simple
+    # walk, so its DRL loop ends at height N - 1 without multiplying it: 9_1
+    # at N = 6 multiplies four stacks, the trefoil none at N = 2 and one at
+    # N = 3. Only the last product is built without rows, and every kept
+    # stack has dropped its rows by the time the stacks are summed
+    products = multiply_calls(monkeypatch)
+    for text, n, calls in (("1 1 1 1 1 1 1 1 1", 6, 4), ("1 1 1", 2, 0), ("1 1 1", 3, 1)):
+        products.clear()
+        assert colored_jones(parse_braid(text), n).heights_summed == n - 1, (text, n)
+        assert len(products) == calls, (text, n)
+        assert [rows is None for _, rows in products] == [False] * (calls - 1) + [True] * (calls > 0), (text, n)
+        assert all(p and p.rows is None and p.rows_for is None for p, _ in products), (text, n)
+
+
+def full_field_words(braid):
+    """The unsplit reduced words of ``braid`` and their mirrors whose
+    level-one sums set one moved field in every key."""
+    words = [w for word in cjp._unsplit_words(braid.reduced()) for w in (word, word.mirror())]
+    # a word with no simple walk (such as 1 2 1 -2) has no such field
+    return [w for w in words if w.strands > 1 and reduce(and_, walk_generator(w).keys or [0])]
+
+
+def test_full_field_words_stop_at_color_less_one():
+    # under DRL a field set in every level-one key grows by one a height, so
+    # no stack passes height N - 1; each such word reaches that height, in
+    # the height loop or the series, and its polynomial is that of the loop
+    # without DRL at N <= 3
+    words = [w for rec in load_table() for w in full_field_words(rec.braid_word())]
+    rng = random.Random(36)
+    found = []
+    while len(found) < 200:
+        found += full_field_words(knot_factor(rng, 2 + len(found) % 5))[:1]
+    assert len(words) == 22
+    for word in words + found:
+        for n in range(2, 7):
+            result = cjp._cjp(word, n, False, True)
+            assert result.heights_summed == n - 1, (word.text(), n)
+            if n <= 3:
+                assert result.polynomial == cjp._cjp(word, n, False, False).polynomial, (word.text(), n)

@@ -451,3 +451,30 @@ def test_engine_other_errors_propagate(capsys, monkeypatch, error):
         with pytest.raises(error, match="engine bug"):
             main(list(argv))
         assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--knot", "3_1", "--color", "2"),
+        ("compute", "--knot", "9_1", "--color", "6", "--format", "json"),
+        ("bench", "--max-crossings", "3"),
+    ],
+    ids=["text", "json", "bench"],
+)
+def test_closed_output_pipe_exits_141_quietly(argv):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout always meets a broken pipe: a reader such as head that
+    # stops early is not an engine error, and the child ends with no message
+    # and the exit status of a writer killed by SIGPIPE
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from walkjones.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -17,10 +17,13 @@ Only BraidWord is shared with the engine. Polynomials are plain
 {exponent: int} dicts in v = Q^(1/2); the engine's q is Q^-2 = v^-4, and
 tr is compared with J_N [N] so that no division is needed.
 """
+import random
 from itertools import product
 
 import pytest
 
+from conftest import composite_word, knot_factor, markov_moved
+from walkjones import cjp
 from walkjones.braid import BraidWord, parse_braid
 from walkjones.cjp import colored_jones
 from walkjones.table import knot_lookup, load_table
@@ -166,3 +169,37 @@ def test_rmatrix_matches_engine_on_table_at_three():
 def test_rmatrix_matches_engine_at_high_color(name, n_color):
     braid = knot_lookup(name).braid_word()
     assert rmatrix_trace(braid, n_color) == engine_times_quantum_dimension(braid, n_color)
+
+
+def descending_word(rng: random.Random) -> BraidWord:
+    """A random 3-strand knot word of 10 crossings (a 3-cycle is even), left
+    as it is by BraidWord.reduced, whose orientation search at N = 4 runs a
+    descent: its cut winner keeps at least cjp.DESCENT_FROM_WALKS simple
+    walks."""
+    while True:
+        word = BraidWord(tuple((rng.randint(1, 2), rng.choice((1, -1))) for _ in range(10)), 3)
+        if word.is_knot_closure() and word.reduced() == word:
+            counts = cjp.choose_orientation(word, 4)[2]
+            if len(counts) > 2 * len(cjp.cut_candidates(word)):
+                return word
+
+
+RANDOM_WORDS = {
+    "knot_factor": lambda rng, i: knot_factor(rng, 2 + i % 4),
+    "composite_word": lambda rng, i: composite_word(rng, 3 + i % 2),
+    "markov_moved": lambda rng, i: markov_moved(rng, knot_factor(rng, 2 + i % 2)),
+    "descent": lambda rng, i: descending_word(rng),
+}
+
+
+@pytest.mark.parametrize("family, count", [("knot_factor", 30), ("composite_word", 10), ("markov_moved", 8), ("descent", 3)])
+def test_rmatrix_matches_engine_on_random_words(family, count):
+    # seeded words the table does not hold, at N = 2 and 3, and at N = 4 on
+    # words of at most 3 strands: knot words on 2-5 strands, connected sums
+    # that split, Markov-moved words the engine reduces, and 3-strand words
+    # whose N = 4 search descends over braid-relation rewrites
+    rng = random.Random(53)
+    for i in range(count):
+        braid = RANDOM_WORDS[family](rng, i)
+        for n_color in (2, 3, 4) if braid.strands <= 3 else (2, 3):
+            assert rmatrix_trace(braid, n_color) == engine_times_quantum_dimension(braid, n_color), (braid.text(), n_color)

@@ -1081,14 +1081,11 @@ def test_walk_series_of_nothing_and_its_checks():
         walk_series(WalkSum({zero_key(1): P("q"), key_from_letters(1, "a1"): P("1")}), (1,), 3)
 
 
-@pytest.mark.parametrize("drl", [True, False])
-def test_carried_rows_are_the_rows_of_their_keys(drl):
-    # every key of a product carries its row for the product's operator,
-    # a key that no left can extend included: the row is one add, and the
-    # next multiply skips such a key before it reads its row. Lefts with
-    # several terms at spread base exponents put the row bias's exponent
-    # offsets to work, and level-one sums of the loop are checked too.
-    rng = random.Random(48 + drl)
+def row_chains(rng, drl):
+    """(left, first stack, signs, DRL limit) of 20 random height chains,
+    lefts of several terms at spread base exponents, and of the loop jobs'
+    level-one sums; with ``drl`` the first stack is the left pruned at the
+    limit, and without it the limit is 0."""
     chains = []
     for _ in range(20):
         k = rng.randint(1, 3)
@@ -1099,7 +1096,17 @@ def test_carried_rows_are_the_rows_of_their_keys(drl):
         braid = parse_braid(text)
         left = walk_generator(braid, prune_simple=drl)
         chains.append((left, left, braid.signs(), n if drl else 0))
-    for left, stack, signs, limit in chains:
+    return chains
+
+
+@pytest.mark.parametrize("drl", [True, False])
+def test_carried_rows_are_the_rows_of_their_keys(drl):
+    # every key of a product carries its row for the product's operator,
+    # a key that no left can extend included: the row is one add, and the
+    # next multiply skips such a key before it reads its row. Lefts with
+    # several terms at spread base exponents put the row bias's exponent
+    # offsets to work, and level-one sums of the loop are checked too.
+    for left, stack, signs, limit in row_chains(random.Random(48 + drl), drl):
         reference = stack
         for _ in range(4):
             stack = multiply_walk_sums(left, stack, signs, limit)
@@ -1110,6 +1117,31 @@ def test_carried_rows_are_the_rows_of_their_keys(drl):
             op = stack.rows_for
             assert op is left.reorder
             assert stack.rows == [op.row(stack.layout.fields(x)) for x in stack.keys]
+
+
+@pytest.mark.parametrize("drl", [True, False])
+def test_product_without_rows_multiplies_as_with_them(drl):
+    # a product built without rows holds the packed lists of the same
+    # product built with them, and no rows; multiplied again, it has its
+    # rows built from its fields and gives the same packed lists, rows
+    # included, as the product that carried them
+    multiplied = 0
+    for left, stack, signs, limit in row_chains(random.Random(50 + drl), drl):
+        for _ in range(3):
+            bare = multiply_walk_sums(left, stack, signs, limit, rows=False)
+            stack = multiply_walk_sums(left, stack, signs, limit)
+            assert bare.rows is None and bare.rows_for is None
+            assert (bare.layout.width, bare.bits, bare.keys, bare.coeffs, bare.low) == (
+                stack.layout.width, stack.bits, stack.keys, stack.coeffs, stack.low
+            )
+            if not stack:
+                break
+            again, carried = (multiply_walk_sums(left, ws, signs, limit) for ws in (bare, stack))
+            assert (again.keys, again.coeffs, again.low, again.rows) == (
+                carried.keys, carried.coeffs, carried.low, carried.rows
+            )
+            multiplied += bool(again)
+    assert multiplied > 10
 
 
 def shift_and_mask(op):
